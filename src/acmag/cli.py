@@ -2,10 +2,11 @@
 
 Usage: ``acmag <command> --config <path> [--seed <u64>] [--out <dir>]``
 
-Each command reads a JSON config (unknown keys rejected, frequencies in
-MHz, fields in Gauss, times in us), runs one study, and writes
-``<command>.csv`` plus ``<command>.summary.json`` into the output
-directory. Identical config and seed produce byte-identical CSV output.
+Each command reads a JSON config (unknown keys, mistyped values and
+values no study can run with rejected; frequencies in MHz, fields in
+Gauss, times in us), runs one study, and writes ``<command>.csv`` plus
+``<command>.summary.json`` into the output directory. Identical config
+and seed produce byte-identical CSV output.
 
 Exit codes: 0 success, 2 config error, 3 numerical error.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,9 +27,9 @@ from .bounds import strategy_comparison
 from .dynamics import ConvergenceError, FieldParams, generator_closed_form
 from .fitting import envelope_slope
 from .nv import (AdaptiveDivergenceError, JacobianError, NvParams,
-                 PiPulseModel, ReadoutModel, adaptive_loop, control_frequency,
-                 operating_field, parameter_uncertainty, scaling_study,
-                 sweep_signal)
+                 PiPulseModel, ReadoutModel, _sweep_pair, adaptive_loop,
+                 control_frequency, operating_field, parameter_uncertainty,
+                 scaling_study)
 from .qfim import (SingularQfimError, bell_probe_determinant,
                    qfim_closed_form, qfim_determinant, relative_error_curves,
                    sample_probe_determinants)
@@ -121,6 +123,38 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
+# Smallest value a study can run with, and keys that must exceed 0.
+_MINIMA = {"seed": 0, "protocol.n_reps": 1, "protocol.steps_per_block": 1,
+           "readout.n_avg": 1, "sweep.points": 3, "scaling.n_min": 1,
+           "adaptive.shots": 1}
+_POSITIVE = ("protocol.tau", "scan.t")
+
+
+def _is_number(value) -> bool:
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
+def _check_leaf(default, value, path: str):
+    """Reject a leaf that is mistyped or that no study can run with.
+
+    Numbers are finite ints or floats, never strings or booleans; an int
+    default takes an int, a None default also null, and a list default a
+    list of numbers.
+    """
+    if isinstance(default, list):
+        ok = isinstance(value, list) and all(map(_is_number, value))
+    elif type(default) in (bool, int, str) and default != _REQUIRED:
+        ok = type(value) is type(default)
+    else:  # float, or an optional (None) or required number
+        ok = _is_number(value) or (default is None and value is None)
+    if not ok:
+        raise ConfigError(f"config key {path!r} has the wrong type: {value!r}")
+    if path in _MINIMA and value < _MINIMA[path]:
+        raise ConfigError(f"{path} must be >= {_MINIMA[path]}, got {value}")
+    if path in _POSITIVE and value <= 0:
+        raise ConfigError(f"{path} must be positive, got {value}")
+
+
 def _merge(defaults, user, path=""):
     if not isinstance(user, dict):
         raise ConfigError(f"expected a mapping at {path or 'top level'}")
@@ -131,6 +165,7 @@ def _merge(defaults, user, path=""):
         if isinstance(defaults[key], dict):
             out[key] = _merge(defaults[key], value, path + key + ".")
         else:
+            _check_leaf(defaults[key], value, path + key)
             out[key] = value
     return out
 
@@ -144,12 +179,14 @@ def _check_required(cfg, path=""):
 
 
 def resolve_config(command: str, user: dict, seed: int | None) -> dict:
-    """Merge user config over command defaults; reject unknown/missing keys."""
+    """Merge user config over command defaults; reject unknown/missing keys,
+    mistyped values and values no study can run with."""
     if command not in DEFAULTS:
         raise ConfigError(f"unknown command {command!r}")
     cfg = _merge(DEFAULTS[command], user)
     if seed is not None:
         cfg["seed"] = int(seed)
+        _check_leaf(0, cfg["seed"], "seed")
     _check_required(cfg)
     return cfg
 
@@ -217,11 +254,7 @@ def emit_results(header: list[str], rows: list[list], summary: dict,
 
 
 def _json_default(x):
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, np.ndarray):
+    if isinstance(x, (np.integer, np.floating, np.ndarray)):
         return x.tolist()
     raise TypeError(f"cannot serialize {type(x)!r}")
 
@@ -253,8 +286,6 @@ def _log_grid(sc: dict, floor: float = 0.0) -> np.ndarray:
 def _run_qfim_scan(cfg: dict):
     sc = cfg["scan"]
     t = float(sc["t"])
-    if t <= 0:
-        raise ConfigError("scan.t must be positive")
     xs = _log_grid(sc)
     header = ["omega_t", "f_bb", "f_bw", "f_ww", "det"]
     rows = []
@@ -262,13 +293,11 @@ def _run_qfim_scan(cfg: dict):
         p = _field_from(cfg, x / t)
         f = qfim_closed_form(p, t)
         rows.append([x, f.f_bb, f.f_bw, f.f_ww, qfim_determinant(p, t)])
-    p_end = _field_from(cfg, xs[-1] / t)
-    f_end = qfim_closed_form(p_end, t)
-    g, b = p_end.gamma, p_end.B
+    g, b = p.gamma, p.B  # the summary reads the last (largest omega*T) row
     summary = {
-        "f_bb_over_limit": f_end.f_bb / (g**2 * t**2),
-        "f_ww_over_limit": f_end.f_ww / (g**2 * b**2 * t**4 / 4),
-        "offdiag_ratio": abs(f_end.f_bw) / np.sqrt(f_end.f_bb * f_end.f_ww),
+        "f_bb_over_limit": f.f_bb / (g**2 * t**2),
+        "f_ww_over_limit": f.f_ww / (g**2 * b**2 * t**4 / 4),
+        "offdiag_ratio": abs(f.f_bw) / np.sqrt(f.f_bb * f.f_ww),
     }
     return header, rows, summary
 
@@ -283,9 +312,8 @@ def _run_convergence(cfg: dict):
             for i in range(xs.size)]
     summary = {}
     for k in keys:
-        slope, stderr = envelope_slope(xs, curves[k])
-        summary[f"slope_{k}"] = slope
-        summary[f"slope_{k}_stderr"] = stderr
+        summary[f"slope_{k}"], summary[f"slope_{k}_stderr"] = envelope_slope(
+            xs, curves[k])
     return header, rows, summary
 
 
@@ -297,21 +325,10 @@ def _run_bounds(cfg: dict):
     header = ["t", "omega_t", "f_b_max", "f_w_max", "ratio_b", "ratio_w",
               "seq_var_ratio_b", "seq_var_ratio_w", "sd_ratio_b", "sd_ratio_w"]
     rows = []
-    last = None
     for t in t_values:
-        p = _field_from(cfg, omega)
-        s = strategy_comparison(p, float(t))
-        last = s
-        rows.append([t, s.regime_omega_t, s.f_b_max, s.f_w_max, s.ratio_b,
-                     s.ratio_w, s.seq_var_ratio_b, s.seq_var_ratio_w,
-                     s.sd_ratio_b, s.sd_ratio_w])
-    summary = {
-        "ratio_b": last.ratio_b, "ratio_w": last.ratio_w,
-        "seq_var_ratio_b": last.seq_var_ratio_b,
-        "seq_var_ratio_w": last.seq_var_ratio_w,
-        "sd_ratio_b": last.sd_ratio_b, "sd_ratio_w": last.sd_ratio_w,
-        "regime_omega_t": last.regime_omega_t,
-    }
+        s = strategy_comparison(_field_from(cfg, omega), float(t))
+        rows.append([t, s.regime_omega_t] + [getattr(s, k) for k in header[2:]])
+    summary = {k: getattr(s, k) for k in header[4:] + ["regime_omega_t"]}
     return header, rows, summary
 
 
@@ -340,15 +357,9 @@ def _run_nv_sweep(cfg: dict):
     hb = sw["halfwidth_b"] if sw["halfwidth_b"] is not None else 0.2 / n
     hw = (TWO_PI * sw["halfwidth_w_mhz"] if sw["halfwidth_w_mhz"] is not None
           else 2.0 / n**2)
-    points = int(sw["points"])
-    vb = p.B + np.linspace(-hb, hb, points)
-    vw = p.omega + np.linspace(-hw, hw, points)
-    sweep_b = sweep_signal("B", vb, p, nv, n, pr["tau"], pulse, readout,
-                           seed=cfg["seed"], add_noise=bool(sw["noise"]),
-                           steps_per_block=int(pr["steps_per_block"]))
-    sweep_w = sweep_signal("omega", vw, p, nv, n, pr["tau"], pulse, readout,
-                           seed=cfg["seed"] + 1, add_noise=bool(sw["noise"]),
-                           steps_per_block=int(pr["steps_per_block"]))
+    sweep_b, sweep_w = _sweep_pair(p, nv, n, pr["tau"], pulse, readout, hb,
+                                   hw, sw["points"], cfg["seed"], sw["noise"],
+                                   pr["steps_per_block"])
     k = readout.n_signals
     header = (["axis", "value"] + [f"signal_{i + 1}" for i in range(k)]
               + [f"p_{i + 1}" for i in range(4)])

@@ -20,7 +20,7 @@ dimensionless once these are multiplied out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,10 +64,6 @@ class FieldParams:
         return cls(B=B, omega=omega, phi=phi, B_c=B, omega_c=omega,
                    phi_c=phi, gamma=gamma)
 
-    def with_control(self, B_c: float, omega_c: float,
-                     phi_c: float = 0.0) -> "FieldParams":
-        return replace(self, B_c=B_c, omega_c=omega_c, phi_c=phi_c)
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -104,18 +100,25 @@ class GeneratorPair:
                 raise ValueError("generators must be Hermitian")
 
 
+def _drive_coeffs(p: FieldParams, t, which: str):
+    """sigma_x, sigma_z coefficients of the target, control or total H(t)."""
+    if which not in ("target", "control", "total"):
+        raise ValueError(f"which must be 'target', 'control' or 'total', got {which!r}")
+    fx = fz = np.zeros_like(t, dtype=float)
+    if which != "control":
+        fx = p.gamma * p.B * np.cos(p.omega * t + p.phi)
+    if which != "target":
+        fx = fx - p.gamma * p.B_c * np.cos(p.omega_c * t + p.phi_c)
+        fz = np.full_like(t, 0.5 * p.omega_c, dtype=float)
+    return fx, fz
+
+
 def hamiltonian_eval(p: FieldParams, which: str, t: float) -> np.ndarray:
     """Evaluate the target, control, or total Hamiltonian at time t."""
     if t < 0:
         raise ValueError("time must be non-negative")
-    if which == "target":
-        return p.gamma * p.B * np.cos(p.omega * t + p.phi) * SIGMA_X
-    if which == "control":
-        return (-p.gamma * p.B_c * np.cos(p.omega_c * t + p.phi_c) * SIGMA_X
-                + 0.5 * p.omega_c * SIGMA_Z)
-    if which == "total":
-        return hamiltonian_eval(p, "target", t) + hamiltonian_eval(p, "control", t)
-    raise ValueError(f"which must be 'target', 'control' or 'total', got {which!r}")
+    fx, fz = _drive_coeffs(p, t, which)
+    return fx * SIGMA_X + fz * SIGMA_Z
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +126,11 @@ def hamiltonian_eval(p: FieldParams, which: str, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _su2_exp(ax: np.ndarray, ay: np.ndarray, az: np.ndarray,
-             dt: float) -> np.ndarray:
-    """Batched exp(-i*(ax*sx + ay*sy + az*sz)*dt) as an (n,2,2) array."""
+             dt) -> np.ndarray:
+    """Batched exp(-i*(ax*sx + ay*sy + az*sz)*dt) as an (..., 2, 2) array.
+
+    The coefficients and the step length dt broadcast against each other.
+    """
     r = np.sqrt(ax * ax + ay * ay + az * az)
     phase = r * dt
     c = np.cos(phase)
@@ -150,65 +156,48 @@ def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _product_reduce(units: np.ndarray) -> np.ndarray:
-    """Ordered product of step unitaries (time order along axis 0).
+    """Ordered product of 2x2 step unitaries (time order along axis 0).
 
     Later steps multiply from the left: result = U[n-1] @ ... @ U[0].
+    Axes between the first and the last two are independent batches.
     """
     while units.shape[0] > 1:
         n = units.shape[0]
         even = units[0 : n - n % 2 : 2]
         odd = units[1 : n : 2]
-        merged = odd @ even if even.shape[-1] != 2 else _mul2(odd, even)
+        merged = _mul2(odd, even)
         if n % 2:
             merged = np.concatenate([merged, units[-1:]], axis=0)
         units = merged
     return units[0]
 
 
-def _expm_batch(hs: np.ndarray, dt: float) -> np.ndarray:
-    """Batched exp(-i*H*dt) for a stack of Hermitian matrices."""
-    w, v = np.linalg.eigh(hs)
-    phases = np.exp(-1j * w * dt)
-    return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
-
 def propagate(h, grid: TimeGrid) -> np.ndarray:
-    """Time-ordered midpoint propagator for a Hamiltonian function h(t).
+    """Time-ordered midpoint propagator for a 2x2 Hamiltonian function h(t).
 
     Each step contributes exp(-i*h(t_mid)*dt); later steps are applied on
     the left. Converges at second order in the step size. Every sampled
-    matrix must be Hermitian within 1e-10.
+    matrix must be 2x2 and Hermitian within 1e-10.
     """
     mids = grid.midpoints()
     hs = np.stack([np.asarray(h(t), dtype=complex) for t in mids])
+    if hs.shape[1:] != (2, 2):
+        raise ValueError(
+            f"propagate requires 2x2 Hamiltonians, got {hs.shape[1:]}")
     if max_abs(hs - np.swapaxes(hs.conj(), -1, -2)) > 1e-10:
         raise ValueError("propagate sampled a non-Hermitian Hamiltonian")
-    if hs.shape[-1] == 2:
-        ax = hs[:, 0, 1].real
-        ay = -hs[:, 0, 1].imag
-        az = 0.5 * (hs[:, 0, 0] - hs[:, 1, 1]).real
-        a0 = 0.5 * (hs[:, 0, 0] + hs[:, 1, 1]).real
-        units = _su2_exp(ax, ay, az, grid.dt)
-        units *= np.exp(-1j * a0 * grid.dt)[:, None, None]
-    else:
-        units = _expm_batch(hs, grid.dt)
+    ax = hs[:, 0, 1].real
+    ay = -hs[:, 0, 1].imag
+    az = 0.5 * (hs[:, 0, 0] - hs[:, 1, 1]).real
+    a0 = 0.5 * (hs[:, 0, 0] + hs[:, 1, 1]).real
+    units = _su2_exp(ax, ay, az, grid.dt)
+    units *= np.exp(-1j * a0 * grid.dt)[:, None, None]
     return _product_reduce(units)
 
 
 # ---------------------------------------------------------------------------
 # estimation generators
 # ---------------------------------------------------------------------------
-
-def _drive_coeffs(p: FieldParams, t: np.ndarray, control: bool):
-    """sigma_x and sigma_z coefficients of the propagation Hamiltonian."""
-    fx = p.gamma * p.B * np.cos(p.omega * t + p.phi)
-    if control:
-        fx = fx - p.gamma * p.B_c * np.cos(p.omega_c * t + p.phi_c)
-        fz = np.full_like(t, 0.5 * p.omega_c)
-    else:
-        fz = np.zeros_like(t)
-    return fx, fz
-
 
 def _dtheta_coeff(p: FieldParams, theta: str, t: np.ndarray) -> np.ndarray:
     """sigma_x coefficient of the target-Hamiltonian derivative."""
@@ -229,7 +218,7 @@ def _generator_quadrature(p: FieldParams, theta: str, grid: TimeGrid,
     n = grid.steps
     dt = grid.dt
     mids = grid.midpoints()
-    fx, fz = _drive_coeffs(p, mids, control)
+    fx, fz = _drive_coeffs(p, mids, "total" if control else "target")
     m = _dtheta_coeff(p, theta, mids)
 
     zeros = np.zeros_like(fx)

@@ -1,8 +1,21 @@
-"""Log-log power-law fitting helpers."""
+"""Least-squares slopes: linear and log-log power-law fits."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def ols_slope(x, y) -> tuple[float, float]:
+    """Least-squares slope of y vs x with its standard error (0 for 2 points)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = x - x.mean()
+    sxx = float(dx @ dx)
+    slope = float(dx @ (y - y.mean())) / sxx
+    resid = y - (y.mean() + slope * dx)
+    dof = x.size - 2
+    stderr = float(np.sqrt((resid @ resid) / dof / sxx)) if dof > 0 else 0.0
+    return slope, stderr
 
 
 def loglog_slope(x, y) -> tuple[float, float]:
@@ -16,14 +29,7 @@ def loglog_slope(x, y) -> tuple[float, float]:
         raise ValueError("need at least 3 points for a slope fit")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("log-log fit requires strictly positive data")
-    lx, ly = np.log(x), np.log(y)
-    dx = lx - lx.mean()
-    sxx = float(dx @ dx)
-    slope = float(dx @ (ly - ly.mean())) / sxx
-    resid = ly - (ly.mean() + slope * dx)
-    dof = x.size - 2
-    stderr = float(np.sqrt((resid @ resid) / dof / sxx)) if dof > 0 else 0.0
-    return slope, stderr
+    return ols_slope(np.log(x), np.log(y))
 
 
 def upper_envelope(x, y, bins_per_decade: int = 8) -> tuple[np.ndarray, np.ndarray]:

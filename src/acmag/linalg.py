@@ -119,10 +119,8 @@ def partial_trace(rho: np.ndarray, keep: str = "first") -> np.ndarray:
     Input must be Hermitian with unit trace within 1e-10.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("partial_trace requires a square matrix")
-    if rho.shape[0] != 4:
-        raise ValueError(f"partial_trace supports dim 4 only, got {rho.shape[0]}")
+    if rho.shape != (4, 4):
+        raise ValueError(f"partial_trace requires a 4x4 matrix, got {rho.shape}")
     if not is_hermitian(rho, 1e-10):
         raise ValueError("density matrix must be Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:

@@ -7,13 +7,18 @@ qubit, restricted to a four-level subspace. In the frame rotating at the
 control frequency the drive terms act on the electron only while the
 always-on hyperfine coupling contributes
 
-    H_int' = (A/4) * (-sz_e - sz_e sz_n),
+    H_int' = (A/4) * (-sz_e - sz_e sz_n) = -(A/4) * sz_e (I + sz_n),
 
 which the pulse sequence echoes away: each repetition evolves under the
 target field for tau, applies an electronic pi pulse, evolves under the
 control field for tau, and applies a second pi pulse. The target field is
 on during the even windows [2k*tau, (2k+1)*tau], so realizing a sensing
 time T = N*tau takes wall-clock 2T.
+
+Every term commutes with the nuclear sz, so a sequence is simulated as
+two electron SU(2) problems on the batched kernels of ``dynamics``: sz_e
+coefficient -A/2 in the m_n = +1 block, none in the m_n = -1 block. Only
+the Bell readout works on the four-level state.
 
 All frequencies in rad/us, times in us, fields in Gauss.
 """
@@ -24,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import FieldParams, TimeGrid, propagate
-from .fitting import loglog_slope
+from .dynamics import FieldParams, _product_reduce, _su2_exp
+from .fitting import loglog_slope, ols_slope
 from .linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_state, bell_basis,
                      bell_state, expm_hermitian, tensor)
 
@@ -102,29 +107,34 @@ def operating_field(nv: NvParams, B_c: float, phi: float = 0.0,
     )
 
 
+def _hyperfine_z(nv: NvParams) -> np.ndarray:
+    """sz_e coefficient of the hyperfine term in the m_n = +1, -1 blocks."""
+    return np.array([-nv.A / 2.0, 0.0])
+
+
 def interaction_term(nv: NvParams) -> np.ndarray:
     """Residual hyperfine term in the rotating frame (nuclear sz dropped)."""
-    return (nv.A / 4.0) * (-SZ_E - SZ_EN)
+    return tensor(SIGMA_Z, np.diag(_hyperfine_z(nv)))
+
+
+def _window_drive(p: FieldParams, t, segment: str):
+    """sx_e, sy_e coefficients of the drive in one evolution window: target
+    gamma*B*[cos((omega-omega_c)t+phi) sx_e - sin(...) sy_e], control the
+    static -gamma*B_c*[cos(phi_c) sx_e - sin(phi_c) sy_e]."""
+    if segment == "target":
+        ph = (p.omega - p.omega_c) * t + p.phi
+        return p.gamma * p.B * np.cos(ph), -p.gamma * p.B * np.sin(ph)
+    if segment == "control":
+        return (-p.gamma * p.B_c * np.cos(p.phi_c),
+                p.gamma * p.B_c * np.sin(p.phi_c))
+    raise ValueError(f"segment must be 'target' or 'control', got {segment!r}")
 
 
 def nv_rotating_hamiltonian(nv: NvParams, p: FieldParams, t: float,
                             segment: str) -> np.ndarray:
-    """Rotating-frame Hamiltonian of one evolution window.
-
-    Target windows carry the detuned drive
-    gamma*B*[cos((omega-omega_c)t+phi) sx_e - sin(...) sy_e]; control
-    windows carry the static -gamma*B_c*[cos(phi_c) sx_e - sin(phi_c) sy_e].
-    Both include the residual hyperfine term.
-    """
-    h_int = interaction_term(nv)
-    if segment == "target":
-        d = p.omega - p.omega_c
-        ph = d * t + p.phi
-        return p.gamma * p.B * (np.cos(ph) * SX_E - np.sin(ph) * SY_E) + h_int
-    if segment == "control":
-        return (-p.gamma * p.B_c
-                * (np.cos(p.phi_c) * SX_E - np.sin(p.phi_c) * SY_E) + h_int)
-    raise ValueError(f"segment must be 'target' or 'control', got {segment!r}")
+    """Rotating-frame Hamiltonian of one window: drive plus hyperfine term."""
+    ax, ay = _window_drive(p, t, segment)
+    return ax * SX_E + ay * SY_E + interaction_term(nv)
 
 
 def conjugate_by_pi(h: np.ndarray) -> np.ndarray:
@@ -177,59 +187,49 @@ def build_sequence(n_reps: int, tau: float, pulse: PiPulseModel,
         raise ValueError("tau must be positive")
     blocks = []
     for k in range(n_reps):
-        blocks.append(("target", 2 * k * tau))
-        blocks.append(("pi",))
-        blocks.append(("control", (2 * k + 1) * tau))
-        blocks.append(("pi",))
+        blocks += [("target", 2 * k * tau), ("pi",),
+                   ("control", (2 * k + 1) * tau), ("pi",)]
     return PulseSequence(n_reps=n_reps, tau=tau, pulse=pulse,
                          blocks=tuple(blocks), total_duration=2 * n_reps * tau)
 
 
-def _pi_pulse_unitary(pulse: PiPulseModel, nv: NvParams) -> np.ndarray:
-    if pulse.kind == "ideal":
-        return SX_E
-    h = 0.5 * pulse.rabi_freq * SX_E
-    if pulse.hyperfine_on:
-        h = h + interaction_term(nv)
-    return expm_hermitian(h, np.pi / pulse.rabi_freq)
-
-
 def sequence_unitary(seq: PulseSequence, nv: NvParams, p: FieldParams,
-                     steps_per_block: int = 32,
-                     include_interaction: bool = True) -> np.ndarray:
+                     steps_per_block: int = 32) -> np.ndarray:
     """Full propagator of the pulse sequence in the rotating frame.
 
-    Target windows with nonzero detuning are integrated by the midpoint
-    rule with ``steps_per_block`` steps; zero-detuning windows and control
-    windows are exponentiated exactly. ``include_interaction=False`` drops
-    the hyperfine term everywhere (the decoupling target), which is useful
-    for quantifying the residual interaction error.
+    Target windows take ``steps_per_block`` midpoint steps, control windows
+    and finite pi pulses one exact step each, and ideal pi pulses are a
+    literal sx_e. Both nuclear blocks run as one batch of electron SU(2)
+    problems, placed on the diagonal of the four-level propagator.
     """
-    h_int = (interaction_term(nv) if include_interaction
-             else np.zeros((4, 4), dtype=complex))
-    drive_ctrl = nv_rotating_hamiltonian(nv, p, 0.0, "control") - interaction_term(nv)
-    u_ctrl = expm_hermitian(drive_ctrl + h_int, seq.tau)
-    u_pi = _pi_pulse_unitary(seq.pulse, nv) if include_interaction else SX_E
-    detuning = p.omega - p.omega_c
-
-    def target_h(t):
-        drive = nv_rotating_hamiltonian(nv, p, t, "target") - interaction_term(nv)
-        return drive + h_int
-
-    u = np.eye(4, dtype=complex)
+    if steps_per_block < 1:
+        raise ValueError("steps_per_block must be >= 1")
+    pulse, tau = seq.pulse, seq.tau
+    dt = tau / steps_per_block
+    mids = (np.arange(steps_per_block) + 0.5) * dt
+    # rows of (sx, sy, duration, hyperfine weight); an ideal pulse takes
+    # no time and its step is replaced by sigma_x after exponentiation
+    if pulse.kind == "ideal":
+        pi_row = [[0.0, 0.0, 0.0, 0.0]]
+    else:
+        pi_row = [[0.5 * pulse.rabi_freq, 0.0, np.pi / pulse.rabi_freq,
+                   float(pulse.hyperfine_on)]]
+    rows = {"pi": pi_row,
+            "control": [[*_window_drive(p, 0.0, "control"), tau, 1.0]]}
+    steps = []
     for block in seq.blocks:
-        if block[0] == "pi":
-            u = u_pi @ u
-            continue
-        if block[0] == "control":
-            u = u_ctrl @ u
-            continue
-        t0 = block[1]
-        if detuning == 0.0:
-            u = expm_hermitian(target_h(t0), seq.tau) @ u
+        if block[0] == "target":
+            ax, ay = _window_drive(p, block[1] + mids, "target")
+            steps.append(np.column_stack(
+                [ax, ay, np.full_like(ax, dt), np.ones_like(ax)]))
         else:
-            grid = TimeGrid(t0, t0 + seq.tau, steps_per_block)
-            u = propagate(target_h, grid) @ u
+            steps.append(rows[block[0]])
+    ax, ay, dts, weight = np.concatenate(steps).T
+    units = _su2_exp(ax[:, None], ay[:, None],
+                     weight[:, None] * _hyperfine_z(nv), dts[:, None])
+    units[dts == 0.0] = SIGMA_X
+    u = np.zeros((4, 4), dtype=complex)
+    u[0::2, 0::2], u[1::2, 1::2] = _product_reduce(units)
     return u
 
 
@@ -303,16 +303,6 @@ class SweepResult:
     slope_stderr: np.ndarray
 
 
-def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    dx = x - x.mean()
-    sxx = float(dx @ dx)
-    slope = float(dx @ (y - y.mean())) / sxx
-    resid = y - y.mean() - slope * dx
-    dof = x.size - 2
-    var = float(resid @ resid) / dof / sxx if dof > 0 else 0.0
-    return slope, float(np.sqrt(var))
-
-
 def sweep_signal(axis: str, values, p: FieldParams, nv: NvParams,
                  n_reps: int, tau: float, pulse: PiPulseModel,
                  readout: ReadoutModel, seed: int = 0,
@@ -336,31 +326,38 @@ def sweep_signal(axis: str, values, p: FieldParams, nv: NvParams,
     k = readout.n_signals
     probe = bell_state("phi+")
     probs = np.empty((values.size, 4))
-    signals = np.empty((values.size, k))
     for i, v in enumerate(values):
         pv = replace(p, B=v) if axis == "B" else replace(p, omega=v)
         seq = build_sequence(n_reps, tau, pulse, pv)
-        psi = simulate_sequence(seq, nv, pv, probe, steps_per_block)
-        pr = bell_readout(psi)
-        probs[i] = pr
-        spam = readout.baseline + readout.contrast * pr
-        sig = 1.0 - spam[:k]
-        if add_noise:
-            rng = np.random.default_rng([seed, i])
-            sig = sig + rng.normal(0.0, readout.sigma, size=k)
-        signals[i] = sig
+        probs[i] = bell_readout(simulate_sequence(seq, nv, pv, probe,
+                                                  steps_per_block))
+    signals = 1.0 - (readout.baseline + readout.contrast * probs[:, :k])
+    if add_noise:
+        signals += np.array([np.random.default_rng([seed, i]).normal(
+            0.0, readout.sigma, size=k) for i in range(values.size)])
 
     center = p.B if axis == "B" else p.omega
     idx = int(np.argmin(np.abs(values - center)))
     lo = max(0, min(idx - 2, values.size - 5))
     hi = min(values.size, lo + 5)
     win = slice(lo, hi)
-    slopes = np.empty(k)
-    stderr = np.empty(k)
-    for j in range(k):
-        slopes[j], stderr[j] = _ols_slope(values[win], signals[win, j])
+    slopes, stderr = np.array(
+        [ols_slope(values[win], signals[win, j]) for j in range(k)]).T
     return SweepResult(axis=axis, values=values, probs=probs,
                        signals=signals, slopes=slopes, slope_stderr=stderr)
+
+
+def _sweep_pair(p: FieldParams, nv: NvParams, n_reps: int, tau: float,
+                pulse: PiPulseModel, readout: ReadoutModel, hb: float,
+                hw: float, points: int, seed: int, add_noise: bool,
+                steps_per_block: int) -> tuple[SweepResult, SweepResult]:
+    """Sweeps of B over p.B +- hb and of omega over p.omega +- hw."""
+    args = (nv, n_reps, tau, pulse, readout)
+    kw = dict(add_noise=add_noise, steps_per_block=steps_per_block)
+    return (sweep_signal("B", p.B + np.linspace(-hb, hb, points), p, *args,
+                         seed=seed, **kw),
+            sweep_signal("omega", p.omega + np.linspace(-hw, hw, points), p,
+                         *args, seed=seed + 1, **kw))
 
 
 @dataclass(frozen=True)
@@ -375,8 +372,7 @@ class UncertaintyResult:
 
 
 def _cov_from_jacobian(j: np.ndarray, sigma: float) -> np.ndarray:
-    jtj = j.T @ j
-    return sigma**2 * np.linalg.inv(jtj)
+    return sigma**2 * np.linalg.inv(j.T @ j)
 
 
 def parameter_uncertainty(sweep_b: SweepResult, sweep_w: SweepResult,
@@ -398,23 +394,15 @@ def parameter_uncertainty(sweep_b: SweepResult, sweep_w: SweepResult,
     # first-order propagation of the slope standard errors
     se = np.column_stack([sweep_b.slope_stderr[:k], sweep_w.slope_stderr[:k]])
     grad_sq = np.zeros(2)
-    for r in range(k):
-        for c in range(2):
-            if se[r, c] == 0.0:
-                continue
-            jp = j.copy()
-            jp[r, c] += se[r, c]
-            dp = np.sqrt(np.diag(_cov_from_jacobian(jp, readout.sigma)))
-            grad_sq += (dp - delta) ** 2
+    for r, c in zip(*np.nonzero(se)):
+        jp = j.copy()
+        jp[r, c] += se[r, c]
+        dp = np.sqrt(np.diag(_cov_from_jacobian(jp, readout.sigma)))
+        grad_sq += (dp - delta) ** 2
     err = np.sqrt(grad_sq)
     return UncertaintyResult(delta_b=float(delta[0]), delta_w=float(delta[1]),
                              delta_b_err=float(err[0]), delta_w_err=float(err[1]),
                              covariance=cov)
-
-
-def fit_scaling_exponent(n_values, deltas) -> tuple[float, float]:
-    """Least-squares slope of log(delta) vs log(N) with standard error."""
-    return loglog_slope(n_values, deltas)
 
 
 @dataclass(frozen=True)
@@ -446,24 +434,16 @@ def scaling_study(nv: NvParams, readout: ReadoutModel,
     """
     p = operating_field(nv, B_c, phi)
     n_values = np.asarray(n_values, dtype=int)
-    db = np.empty(n_values.size)
-    dw = np.empty(n_values.size)
-    dbe = np.empty(n_values.size)
-    dwe = np.empty(n_values.size)
+    db, dw, dbe, dwe = np.empty((4, n_values.size))
     for i, n in enumerate(n_values):
-        vb = p.B + np.linspace(-halfwidth_b / n, halfwidth_b / n, points)
-        vw = p.omega + np.linspace(-halfwidth_w / n**2, halfwidth_w / n**2, points)
-        sb = sweep_signal("B", vb, p, nv, int(n), tau, pulse, readout,
-                          seed=seed, add_noise=add_noise,
-                          steps_per_block=steps_per_block)
-        sw = sweep_signal("omega", vw, p, nv, int(n), tau, pulse, readout,
-                          seed=seed + 1, add_noise=add_noise,
-                          steps_per_block=steps_per_block)
-        res = parameter_uncertainty(sb, sw, readout)
+        sweeps = _sweep_pair(p, nv, int(n), tau, pulse, readout,
+                             halfwidth_b / n, halfwidth_w / n**2, points,
+                             seed, add_noise, steps_per_block)
+        res = parameter_uncertainty(*sweeps, readout)
         db[i], dw[i] = res.delta_b, res.delta_w
         dbe[i], dwe[i] = res.delta_b_err, res.delta_w_err
-    eb, ebs = fit_scaling_exponent(n_values, db)
-    ew, ews = fit_scaling_exponent(n_values, dw)
+    eb, ebs = loglog_slope(n_values, db)
+    ew, ews = loglog_slope(n_values, dw)
     return ScalingResult(n_values=n_values, delta_b=db, delta_w=dw,
                          delta_b_err=dbe, delta_w_err=dwe,
                          exponent_b=eb, exponent_b_stderr=ebs,
@@ -510,18 +490,13 @@ def adaptive_loop(true_field: tuple[float, float],
             meas = meas + rng.normal(0.0, sigma, size=2)
         # local Jacobian around the current estimate (control matched there)
         at = replace(ctrl, B=est[0], omega=est[1])
-        vb = est[0] + np.linspace(-jacobian_halfwidth[0], jacobian_halfwidth[0], 5)
-        vw = est[1] + np.linspace(-jacobian_halfwidth[1], jacobian_halfwidth[1], 5)
-        sb = sweep_signal("B", vb, at, nv, n_reps, tau, pulse, readout,
-                          add_noise=False, steps_per_block=steps_per_block)
-        sw = sweep_signal("omega", vw, at, nv, n_reps, tau, pulse, readout,
-                          add_noise=False, steps_per_block=steps_per_block)
+        sb, sw = _sweep_pair(at, nv, n_reps, tau, pulse, readout,
+                             *jacobian_halfwidth, points=5, seed=0,
+                             add_noise=False, steps_per_block=steps_per_block)
         j = np.column_stack([sb.slopes, sw.slopes])
         if np.linalg.cond(j) > 1e8:
             raise JacobianError("adaptive Jacobian is singular")
-        seq0 = build_sequence(n_reps, tau, pulse, at)
-        s0 = 1.0 - bell_readout(simulate_sequence(seq0, nv, at, probe,
-                                                  steps_per_block))[:2]
-        est = est + np.linalg.solve(j, meas - s0)
+        # the sweep's center point holds the noiseless signals at est
+        est = est + np.linalg.solve(j, meas - sb.signals[2])
         traj.append(est.copy())
     return np.array(traj)

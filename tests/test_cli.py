@@ -169,3 +169,50 @@ class TestExitCodes:
         code = main(["adaptive", "--config", str(cfg), "--out", str(out)])
         assert code == 3
         assert not (out / "adaptive.csv").exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"protocol": {"tau": "0.017"}},
+        {"protocol": {"n_reps": 0}},
+        {"readout": {"n_avg": 0}},
+        {"sweep": {"points": 2}},
+        {"protocol": {"tau": -1}},
+    ], ids=["tau-string", "n-reps-zero", "n-avg-zero", "two-points",
+            "negative-tau"])
+    def test_malformed_nv_sweep_config_is_2(self, tmp_path, capsys, payload):
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        assert main(["nv-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_mistyped_leaves_rejected(self):
+        with pytest.raises(ConfigError, match="wrong type"):
+            resolve_config("nv-sweep", {"sweep": {"noise": 1}}, None)
+        with pytest.raises(ConfigError, match="wrong type"):
+            resolve_config("nv-sweep", {"protocol": {"b_c": True}}, None)
+        with pytest.raises(ConfigError, match="wrong type"):
+            resolve_config("bounds", {"field": {"omega_mhz": "1"}}, None)
+        # optional numbers take null or a number; the unused NV constants
+        # stay accepted
+        cfg = resolve_config("nv-sweep", {"readout": {"sigma": 1e-3},
+                                          "nv": {"q_mhz": -5.0,
+                                                 "gamma_n_mhz_per_g": 0.0}},
+                             None)
+        assert cfg["readout"]["sigma"] == 1e-3
+        assert resolve_config("nv-sweep", {"readout": {"sigma": None}},
+                              None)["readout"]["sigma"] is None
+
+    @pytest.mark.parametrize("command,payload", [
+        ("nv-sweep", {"seed": -1}),
+        ("nv-sweep", {"protocol": {"steps_per_block": 0}}),
+        ("nv-scaling", {"scaling": {"n_min": 0}}),
+        ("adaptive", {"adaptive": {"shots": 0}}),
+        ("qfim-scan", {"scan": {"t": 0.0}}),
+    ])
+    def test_out_of_range_values_are_config_errors(self, command, payload):
+        with pytest.raises(ConfigError, match="must be"):
+            resolve_config(command, payload, None)
+
+    def test_negative_seed_override_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed"):
+            resolve_config("nv-sweep", {}, -5)

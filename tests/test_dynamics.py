@@ -84,10 +84,10 @@ class TestPropagate:
         for a, b in zip(errs, errs[1:]):
             assert 3.5 <= a / b <= 4.5
 
-    def test_dim4_batch_path(self):
+    def test_rejects_4x4_hamiltonian(self):
         h4 = np.kron(SIGMA_X, SIGMA_Z) * 0.3
-        u = propagate(lambda t: h4, TimeGrid(0, 1.0, 3))
-        np.testing.assert_allclose(u, expm_hermitian(h4, 1.0), atol=1e-12)
+        with pytest.raises(ValueError, match="2x2"):
+            propagate(lambda t: h4, TimeGrid(0, 1.0, 3))
 
     def test_rejects_non_hermitian_sample(self):
         bad = np.array([[0, 1], [0, 0]], dtype=complex)

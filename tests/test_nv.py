@@ -5,15 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from acmag.linalg import bell_state, haar_state
-from acmag.nv import (SX_E, SZ_E, SZ_EN, SZ_N, AdaptiveDivergenceError,
+from acmag.fitting import loglog_slope
+from acmag.linalg import bell_state, expm_hermitian, haar_state
+from acmag.nv import (SX_E, SY_E, SZ_E, SZ_EN, SZ_N, AdaptiveDivergenceError,
                       JacobianError, NvParams, PiPulseModel, ReadoutModel,
                       SweepResult, adaptive_loop, bell_readout, build_sequence,
-                      conjugate_by_pi, control_frequency, fit_scaling_exponent,
-                      interaction_term, nv_rotating_hamiltonian,
-                      operating_field, parameter_uncertainty, scaling_study,
-                      sensor_coupling, sequence_unitary, simulate_sequence,
-                      sweep_signal)
+                      conjugate_by_pi, control_frequency, interaction_term,
+                      nv_rotating_hamiltonian, operating_field,
+                      parameter_uncertainty, scaling_study, sensor_coupling,
+                      sequence_unitary, simulate_sequence, sweep_signal)
 
 TWO_PI = 2.0 * np.pi
 NV = NvParams()
@@ -156,6 +156,81 @@ class TestSimulateSequence:
             assert 3.5 <= a / b <= 4.5
 
 
+def _reference_sequence_unitary(seq, nv, p, steps_per_block):
+    """Four-level reference: a product of per-step 4x4 exponentials.
+
+    Target windows take ``steps_per_block`` midpoint steps of the full
+    rotating-frame Hamiltonian, control windows one exact step, and pi
+    pulses are sx_e or the exact finite-pulse exponential.
+    """
+    pulse = seq.pulse
+    if pulse.kind == "ideal":
+        u_pi = SX_E
+    else:
+        h_pi = 0.5 * pulse.rabi_freq * SX_E
+        if pulse.hyperfine_on:
+            h_pi = h_pi + interaction_term(nv)
+        u_pi = expm_hermitian(h_pi, np.pi / pulse.rabi_freq)
+    u_ctrl = expm_hermitian(nv_rotating_hamiltonian(nv, p, 0.0, "control"),
+                            seq.tau)
+    dt = seq.tau / steps_per_block
+    u = np.eye(4, dtype=complex)
+    for block in seq.blocks:
+        if block[0] == "pi":
+            u = u_pi @ u
+        elif block[0] == "control":
+            u = u_ctrl @ u
+        else:
+            for j in range(steps_per_block):
+                h = nv_rotating_hamiltonian(nv, p, block[1] + (j + 0.5) * dt,
+                                            "target")
+                u = expm_hermitian(h, dt) @ u
+    return u
+
+
+class TestTwoBlockEngine:
+    def test_builders_match_the_operator_form(self):
+        np.testing.assert_allclose(interaction_term(NV),
+                                   (NV.A / 4.0) * (-SZ_E - SZ_EN), atol=1e-15)
+        p = replace(operating_field(NV, 5.65, phi=0.4), B=5.9,
+                    omega=control_frequency(NV) + 2.0)
+        t = 0.013
+        ph = (p.omega - p.omega_c) * t + p.phi
+        drive = p.gamma * p.B * (np.cos(ph) * SX_E - np.sin(ph) * SY_E)
+        np.testing.assert_allclose(nv_rotating_hamiltonian(NV, p, t, "target"),
+                                   drive + interaction_term(NV), atol=1e-12)
+        ctrl = -p.gamma * p.B_c * (np.cos(p.phi_c) * SX_E
+                                   - np.sin(p.phi_c) * SY_E)
+        np.testing.assert_allclose(nv_rotating_hamiltonian(NV, p, t, "control"),
+                                   ctrl + interaction_term(NV), atol=1e-12)
+
+    @pytest.mark.parametrize("n_reps", [1, 3, 8])
+    @pytest.mark.parametrize("detuning", [0.0, 2.0])
+    @pytest.mark.parametrize("pulse", [
+        IDEAL,
+        PiPulseModel(kind="ideal", hyperfine_on=False),
+        PiPulseModel(kind="finite", rabi_freq=TWO_PI * 20.0),
+        PiPulseModel(kind="finite", rabi_freq=TWO_PI * 20.0,
+                     hyperfine_on=False),
+    ], ids=["ideal", "ideal-no-hyperfine", "finite", "finite-no-hyperfine"])
+    def test_matches_four_level_reference(self, pulse, detuning, n_reps):
+        p = replace(operating_field(NV, 5.65, phi=0.4), B=5.9,
+                    omega=control_frequency(NV) + detuning)
+        seq = build_sequence(n_reps, 0.017, pulse, p)
+        u = sequence_unitary(seq, NV, p, steps_per_block=16)
+        ref = _reference_sequence_unitary(seq, NV, p, 16)
+        assert np.max(np.abs(u - ref)) <= 1e-12
+        # the propagator never couples the two nuclear blocks
+        assert np.all(u[0::2, 1::2] == 0.0)
+        assert np.all(u[1::2, 0::2] == 0.0)
+
+    def test_rejects_empty_target_windows(self):
+        p = operating_field(NV, 5.65)
+        seq = build_sequence(1, 0.017, IDEAL, p)
+        with pytest.raises(ValueError, match="steps_per_block"):
+            sequence_unitary(seq, NV, p, steps_per_block=0)
+
+
 class TestBellReadout:
     def test_operating_point_distribution_is_flat(self):
         p = operating_field(NV, 5.65)
@@ -292,15 +367,15 @@ class TestParameterUncertainty:
 class TestScaling:
     def test_exact_power_law_recovered(self):
         n = np.arange(1, 9)
-        exponent, stderr = fit_scaling_exponent(n, 3.7 / n)
+        exponent, stderr = loglog_slope(n, 3.7 / n)
         assert exponent == pytest.approx(-1.0, abs=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_positive_data(self):
         with pytest.raises(ValueError):
-            fit_scaling_exponent([1, 2, 3], [1.0, -1.0, 0.5])
+            loglog_slope([1, 2, 3], [1.0, -1.0, 0.5])
         with pytest.raises(ValueError):
-            fit_scaling_exponent([1, 2], [1.0, 0.5])
+            loglog_slope([1, 2], [1.0, 0.5])
 
     def test_ideal_pulse_exponents(self):
         res = scaling_study(NV, ReadoutModel())

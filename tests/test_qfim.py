@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -97,6 +98,40 @@ class TestDeterminant:
             d2 = qfim_closed_form(p, T).det()
             assert abs(d1 - d2) / abs(d1) < 1e-6
             assert d1 > 0.0
+
+
+def _mp_qfim(g, B, w, T):
+    """Closed-form entries and determinant evaluated with 60 digits."""
+    with mp.workdps(60):
+        g, B, w, T = map(mp.mpf, (g, B, w, T))
+        x = w * T
+        s, c = mp.sin(2 * x), mp.cos(2 * x)
+        f_bb = g**2 * (1 + 2 * x**2 - c + 2 * x * s) / (2 * w**2)
+        f_bw = g**2 * B * (-1 - x**2 + (1 + 3 * x**2) * c) / (4 * w**3)
+        f_ww = g**2 * B**2 * (1 + 4 * x**2 + 2 * x**4
+                              - (1 + 2 * x**2) * (c + 2 * x * s)) / (8 * w**4)
+        det = g**4 * B**2 * T**4 / (16 * w**2) * (2 * x - mp.sin(2 * x))**2
+        return f_bb, f_bw, f_ww, det
+
+
+class TestSmallOmegaT:
+    @pytest.mark.parametrize("omega_t", [1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 1.0,
+                                         10.0])
+    def test_matches_high_precision_oracle(self, omega_t):
+        g, B, T = 1.3, 0.7, 2.0
+        p = FieldParams.matched(B, omega_t / T, gamma=g)
+        f = qfim_closed_form(p, T)
+        d = qfim_determinant(p, T)
+        assert f.f_ww > 0.0
+        exact = _mp_qfim(g, B, p.omega, T)
+        for got, want in zip((f.f_bb, f.f_bw, f.f_ww, d), exact):
+            assert abs(got / want - 1) <= 1e-9
+        # f_bb*f_ww - f_bw^2 cancels down to (omega*T)^2/16 of f_bb*f_ww, so
+        # rounded entries fix it only to a few ulp of f_bb*f_ww; that bound
+        # is the tighter one below omega*T ~ 2.4e-3
+        eps = np.finfo(float).eps
+        tol = max(1e-8 * d, 8 * eps * (f.f_bb * f.f_ww + f.f_bw**2))
+        assert abs(f.det() - d) <= tol
 
 
 class TestQcrb:
