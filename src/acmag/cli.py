@@ -30,9 +30,8 @@ from .nv import (AdaptiveDivergenceError, JacobianError, NvParams,
                  PiPulseModel, ReadoutModel, _sweep_pair, adaptive_loop,
                  control_frequency, operating_field, parameter_uncertainty,
                  scaling_study)
-from .qfim import (SingularQfimError, bell_probe_determinant,
-                   qfim_closed_form, qfim_determinant, relative_error_curves,
-                   sample_probe_determinants)
+from .qfim import (SingularQfimError, _closed_form, bell_probe_determinant,
+                   relative_error_curves, sample_probe_determinants)
 
 TWO_PI = 2.0 * np.pi
 
@@ -131,15 +130,17 @@ _POSITIVE = ("protocol.tau", "scan.t")
 
 
 def _is_number(value) -> bool:
-    return type(value) is int or type(value) is float and math.isfinite(value)
+    # beyond 2**53 a float no longer holds every integer
+    return (type(value) is int and abs(value) <= 2**53
+            or type(value) is float and math.isfinite(value))
 
 
 def _check_leaf(default, value, path: str):
     """Reject a leaf that is mistyped or that no study can run with.
 
-    Numbers are finite ints or floats, never strings or booleans; an int
-    default takes an int, a None default also null, and a list default a
-    list of numbers.
+    Numbers are finite floats or ints of magnitude at most 2**53, never
+    strings or booleans; an int default takes an int, a None default also
+    null, and a list default a list of numbers.
     """
     if isinstance(default, list):
         ok = isinstance(value, list) and all(map(_is_number, value))
@@ -188,6 +189,10 @@ def resolve_config(command: str, user: dict, seed: int | None) -> dict:
         cfg["seed"] = int(seed)
         _check_leaf(0, cfg["seed"], "seed")
     _check_required(cfg)
+    sc = cfg.get("scaling")
+    if sc is not None and sc["n_max"] < sc["n_min"] + 2:
+        raise ConfigError("scaling.n_max must be >= scaling.n_min + 2 for a "
+                          f"slope fit, got {sc['n_min']}..{sc['n_max']}")
     return cfg
 
 
@@ -231,25 +236,53 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def emit_results(header: list[str], rows: list[list], summary: dict,
-                 out_dir: str | Path, name: str) -> tuple[Path, Path]:
+def _first_non_finite(rows):
+    """(row, column) index of the first non-finite table cell, or None."""
+    if isinstance(rows, np.ndarray):
+        cells = zip(*np.nonzero(~np.isfinite(rows)))
+    else:
+        cells = ((i, j) for i, row in enumerate(rows)
+                 for j, x in enumerate(row)
+                 if isinstance(x, (float, np.floating)) and not np.isfinite(x))
+    return next(cells, None)
+
+
+def emit_results(header: list[str], rows: list[list] | np.ndarray,
+                 summary: dict, out_dir: str | Path,
+                 name: str) -> tuple[Path, Path]:
     """Write a CSV table and a JSON summary with stable formatting.
 
-    Floats are printed with 17 significant digits so numeric tables
-    round-trip exactly; summary keys are sorted.
+    ``rows`` is a list of rows, or a 2-D float array for an all-float
+    table. Floats are printed with 17 significant digits so numeric tables
+    round-trip exactly; summary keys are sorted. A non-finite table cell or
+    summary value raises FloatingPointError before anything is written.
     """
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != len(header):
+            raise ValueError("table rows must match the header length")
+        fmt = ",".join(["{:.17g}"] * len(header)).format
+        body = [fmt(*row) for row in rows.tolist()]
+    else:
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError("table rows must match the header length")
+        body = [",".join(_fmt(x) for x in row) for row in rows]
+    bad = _first_non_finite(rows)
+    if bad is not None:
+        i, j = bad
+        raise FloatingPointError(f"non-finite value {rows[i][j]} in column "
+                                 f"{header[j]!r} at row {i}")
+    try:
+        summary_text = json.dumps(summary, sort_keys=True, indent=2,
+                                  default=_json_default, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(
+            f"the summary holds a non-finite value: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     json_path = out / f"{name}.summary.json"
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError("table rows must match the header length")
-        lines.append(",".join(_fmt(x) for x in row))
-    csv_path.write_text("\n".join(lines) + "\n")
-    json_path.write_text(json.dumps(summary, sort_keys=True, indent=2,
-                                    default=_json_default) + "\n")
+    csv_path.write_text("\n".join([",".join(header)] + body) + "\n")
+    json_path.write_text(summary_text + "\n")
     return csv_path, json_path
 
 
@@ -287,19 +320,16 @@ def _run_qfim_scan(cfg: dict):
     sc = cfg["scan"]
     t = float(sc["t"])
     xs = _log_grid(sc)
+    p = _field_from(cfg, xs[-1] / t)
+    g, b = p.gamma, p.B
+    f_bb, f_bw, f_ww, det = _closed_form(g, b, xs / t, t)
     header = ["omega_t", "f_bb", "f_bw", "f_ww", "det"]
-    rows = []
-    for x in xs:
-        p = _field_from(cfg, x / t)
-        f = qfim_closed_form(p, t)
-        rows.append([x, f.f_bb, f.f_bw, f.f_ww, qfim_determinant(p, t)])
-    g, b = p.gamma, p.B  # the summary reads the last (largest omega*T) row
-    summary = {
-        "f_bb_over_limit": f.f_bb / (g**2 * t**2),
-        "f_ww_over_limit": f.f_ww / (g**2 * b**2 * t**4 / 4),
-        "offdiag_ratio": abs(f.f_bw) / np.sqrt(f.f_bb * f.f_ww),
+    summary = {  # read at the last (largest omega*T) row
+        "f_bb_over_limit": f_bb[-1] / (g**2 * t**2),
+        "f_ww_over_limit": f_ww[-1] / (g**2 * b**2 * t**4 / 4),
+        "offdiag_ratio": abs(f_bw[-1]) / np.sqrt(f_bb[-1] * f_ww[-1]),
     }
-    return header, rows, summary
+    return header, np.column_stack([xs, f_bb, f_bw, f_ww, det]), summary
 
 
 def _run_convergence(cfg: dict):
@@ -308,13 +338,12 @@ def _run_convergence(cfg: dict):
     curves = relative_error_curves(p, xs)
     keys = ["dh_b", "dh_omega", "df_bb", "df_ww", "df_bw"]
     header = ["omega_t"] + keys
-    rows = [[curves["omega_t"][i]] + [curves[k][i] for k in keys]
-            for i in range(xs.size)]
+    table = np.column_stack([curves[k] for k in header])
     summary = {}
     for k in keys:
         summary[f"slope_{k}"], summary[f"slope_{k}_stderr"] = envelope_slope(
             xs, curves[k])
-    return header, rows, summary
+    return header, table, summary
 
 
 def _run_bounds(cfg: dict):
@@ -339,11 +368,11 @@ def _run_probe_search(cfg: dict):
     dets = sample_probe_determinants(gen, int(sc["samples"]), cfg["seed"])
     bell = bell_probe_determinant(gen)
     header = ["index", "det"]
-    rows = [[i, d] for i, d in enumerate(dets)]
+    table = np.column_stack([np.arange(dets.size), dets])
     summary = {"bell_det": bell, "best_sampled_det": float(dets.max()),
                "max_excess": float(dets.max() - bell),
                "samples": int(sc["samples"])}
-    return header, rows, summary
+    return header, table, summary
 
 
 def _run_nv_sweep(cfg: dict):
@@ -456,7 +485,13 @@ def run(command: str, config_path: str | Path, seed: int | None = None,
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     cfg = resolve_config(command, user, seed)
-    header, rows, summary = _RUNNERS[command](cfg)
+    try:
+        # emit_results names the first non-finite output cell, which says
+        # more than numpy's overflow and invalid-value warnings would
+        with np.errstate(all="ignore"):
+            header, rows, summary = _RUNNERS[command](cfg)
+    except OverflowError as exc:
+        raise ConfigError(f"config values overflow in {command}: {exc}") from exc
     summary = {**_base_summary(command, cfg), **summary}
     return emit_results(header, rows, summary, out_dir, command)
 

@@ -277,6 +277,24 @@ def generator_numeric(p: FieldParams, theta: str, grid: TimeGrid,
     return g
 
 
+def _generator_coeffs(g, B, w, T, mode: str = "exact"):
+    """sigma_x and sigma_y coefficients (b_x, b_y, w_x, w_y) of h_B and h_omega.
+
+    Matched control with phi = 0; the arguments broadcast against each
+    other. The asymptotic mode gives (gamma*T/2, 0) and (0, gamma*B*T^2/4).
+    """
+    if mode == "asymptotic":
+        return 0.5 * g * T, 0.0, 0.0, 0.25 * g * B * T * T
+    if mode != "exact":
+        raise ValueError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
+    s = np.sin(2 * w * T)
+    c = np.cos(2 * w * T)
+    return (0.5 * g * (T + s / (2 * w)),
+            -(0.5 * g * ((1 - c) / (2 * w))),
+            -0.5 * g * B * (-T * c / (2 * w) + s / (4 * w * w)),
+            0.5 * g * B * (T * T / 2 - T * s / (2 * w) - (c - 1) / (4 * w * w)))
+
+
 def generator_closed_form(p: FieldParams, T: float,
                           mode: str = "exact") -> GeneratorPair:
     """Generators under matched control, exact or in the long-time limit.
@@ -284,17 +302,6 @@ def generator_closed_form(p: FieldParams, T: float,
     The exact expressions assume phi = 0 and matched control. The
     asymptotic mode returns (gamma*T/2) sigma_x and (gamma*B*T^2/4) sigma_y.
     """
-    g, B, w = p.gamma, p.B, p.omega
-    if mode == "asymptotic":
-        return GeneratorPair(h_b=0.5 * g * T * SIGMA_X,
-                             h_omega=0.25 * g * B * T * T * SIGMA_Y)
-    if mode != "exact":
-        raise ValueError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
-    s = np.sin(2 * w * T)
-    c = np.cos(2 * w * T)
-    hb = (0.5 * g * (T + s / (2 * w)) * SIGMA_X
-          - 0.5 * g * ((1 - c) / (2 * w)) * SIGMA_Y)
-    hw = (-0.5 * g * B * (-T * c / (2 * w) + s / (4 * w * w)) * SIGMA_X
-          + 0.5 * g * B * (T * T / 2 - T * s / (2 * w) - (c - 1) / (4 * w * w))
-          * SIGMA_Y)
-    return GeneratorPair(h_b=hb, h_omega=hw)
+    bx, by, wx, wy = _generator_coeffs(p.gamma, p.B, p.omega, T, mode)
+    return GeneratorPair(h_b=bx * SIGMA_X + by * SIGMA_Y,
+                         h_omega=wx * SIGMA_X + wy * SIGMA_Y)

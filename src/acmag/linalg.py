@@ -133,19 +133,22 @@ def partial_trace(rho: np.ndarray, keep: str = "first") -> np.ndarray:
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-def pure_cov(psi: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def pure_cov(psi: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Symmetrized covariance  <{a,b}>/2 - <a><b>  in the pure state psi.
 
-    Both operators must be Hermitian and match the state dimension.
+    Both operators must be Hermitian and match the state dimension. A stack
+    of states (..., d) gives the covariances over the stack.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if a.shape != (psi.size, psi.size) or b.shape != (psi.size, psi.size):
+    psi = np.asarray(psi, dtype=complex)
+    d = psi.shape[-1]
+    if a.shape != (d, d) or b.shape != (d, d):
         raise ValueError("operator dimensions do not match the state")
     if not (is_hermitian(a, 1e-10) and is_hermitian(b, 1e-10)):
         raise ValueError("pure_cov requires Hermitian operators")
-    apsi = a @ psi
-    bpsi = b @ psi
-    ea = float(np.real(psi.conj() @ apsi))
-    eb = float(np.real(psi.conj() @ bpsi))
-    eab = float(np.real(apsi.conj() @ bpsi))  # Re<a psi|b psi> = <{a,b}>/2
+    apsi = psi @ a.T
+    bpsi = psi @ b.T
+    ea = np.einsum("...i,...i->...", psi.conj(), apsi).real
+    eb = np.einsum("...i,...i->...", psi.conj(), bpsi).real
+    # Re<a psi|b psi> = <{a,b}>/2
+    eab = np.einsum("...i,...i->...", apsi.conj(), bpsi).real
     return eab - ea * eb

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FieldParams, GeneratorPair, generator_closed_form
-from .linalg import (I2, bell_state, density, haar_state, is_unitary,
-                     partial_trace, pure_cov, tensor)
+from .dynamics import FieldParams, GeneratorPair, _generator_coeffs
+from .linalg import (I2, bell_state, density, is_unitary, partial_trace,
+                     pure_cov, tensor)
 
 
 class SingularQfimError(ValueError):
@@ -61,15 +61,16 @@ def qfim_from_generators(probe: np.ndarray, gen: GeneratorPair,
 
     With ``ancilla`` the probe is a two-qubit state and the generators act
     on the first qubit only (h x I); otherwise the probe is single-qubit.
+    A stack of probes (..., d) gives a Qfim2 of arrays over the stack.
     """
-    probe = np.asarray(probe, dtype=complex).reshape(-1)
+    probe = np.asarray(probe, dtype=complex)
     if ancilla:
-        if probe.size != 4:
+        if probe.shape[-1] != 4:
             raise ValueError("ancilla-assisted probe must be two-qubit")
         hb = tensor(gen.h_b, I2)
         hw = tensor(gen.h_omega, I2)
     else:
-        if probe.size != gen.h_b.shape[0]:
+        if probe.shape[-1] != gen.h_b.shape[0]:
             raise ValueError("probe dimension does not match the generators")
         hb, hw = gen.h_b, gen.h_omega
     return Qfim2(f_bb=4.0 * pure_cov(probe, hb, hb),
@@ -92,26 +93,49 @@ _SIN_GAP_SERIES = (-4 / 10854718875, 16 / 638512875, -8 / 6081075,
                    8 / 155925, -4 / 2835, 8 / 315, -4 / 15, 4 / 3)
 
 
+def _closed_form(g, B, w, T):
+    """(f_bb, f_bw, f_ww, det) of the matched-control Bell-probe QFIM.
+
+    The arguments broadcast against each other. Below omega*T = 0.5 the
+    entries and the 2 omega T - sin 2 omega T of the determinant come from
+    their Taylor series. Each branch is evaluated at harmless stand-in
+    values (x = 0, or omega = T = 1) where the other branch is selected.
+    """
+    g, B, w, T = (np.asarray(v, dtype=float) for v in (g, B, w, T))
+    x = w * T
+    small = np.abs(x) < _SERIES_BELOW
+    xs = np.where(small, x, 0.0)
+    x2 = xs * xs
+    we = np.where(small, 1.0, w)
+    te = np.where(small, 1.0, T)
+    s = np.sin(2 * we * te)
+    c = np.cos(2 * we * te)
+    f_bb = np.where(
+        small, g**2 * T**2 * np.polyval(_F_BB_SERIES, x2),
+        g**2 * (1 + 2 * we**2 * te**2 - c + 2 * we * te * s) / (2 * we**2))
+    f_bw = np.where(
+        small, g**2 * B * T**3 * xs * np.polyval(_F_BW_SERIES, x2),
+        g**2 * B * (-1 - we**2 * te**2 + (1 + 3 * we**2 * te**2) * c)
+        / (4 * we**3))
+    f_ww = np.where(
+        small, g**2 * B**2 * T**4 * x2 * np.polyval(_F_WW_SERIES, x2),
+        g**2 * B**2 * (1 + 4 * we**2 * te**2 + 2 * we**4 * te**4
+                       - (1 + 2 * we**2 * te**2) * (c + 2 * we * te * s))
+        / (8 * we**4))
+    gap = np.where(small, xs**3 * np.polyval(_SIN_GAP_SERIES, x2),
+                   2 * we * te - s)
+    det = g**4 * B**2 * T**4 / (16 * w**2) * gap**2
+    return f_bb, f_bw, f_ww, det
+
+
 def qfim_closed_form(p: FieldParams, T: float) -> Qfim2:
     """Exact matched-control QFIM for the Bell probe.
 
     Reduces to diag(gamma^2 T^2, gamma^2 B^2 T^4 / 4) as omega*T -> inf.
     Below omega*T = 0.5 the entries come from their Taylor series.
     """
-    g, B, w = p.gamma, p.B, p.omega
-    x = w * T
-    if abs(x) < _SERIES_BELOW:
-        x2 = x * x
-        return Qfim2(f_bb=g**2 * T**2 * np.polyval(_F_BB_SERIES, x2),
-                     f_bw=g**2 * B * T**3 * x * np.polyval(_F_BW_SERIES, x2),
-                     f_ww=g**2 * B**2 * T**4 * x2 * np.polyval(_F_WW_SERIES, x2))
-    s = np.sin(2 * w * T)
-    c = np.cos(2 * w * T)
-    f_bb = g**2 * (1 + 2 * w**2 * T**2 - c + 2 * w * T * s) / (2 * w**2)
-    f_bw = g**2 * B * (-1 - w**2 * T**2 + (1 + 3 * w**2 * T**2) * c) / (4 * w**3)
-    f_ww = g**2 * B**2 * (1 + 4 * w**2 * T**2 + 2 * w**4 * T**4
-                          - (1 + 2 * w**2 * T**2) * (c + 2 * w * T * s)) / (8 * w**4)
-    return Qfim2(f_bb=f_bb, f_bw=f_bw, f_ww=f_ww)
+    f_bb, f_bw, f_ww, _ = _closed_form(p.gamma, p.B, p.omega, T)
+    return Qfim2(f_bb=float(f_bb), f_bw=float(f_bw), f_ww=float(f_ww))
 
 
 def qfim_determinant(p: FieldParams, T: float) -> float:
@@ -121,13 +145,7 @@ def qfim_determinant(p: FieldParams, T: float) -> float:
     sin(x) < x for all x > 0. Below omega*T = 0.5 the difference
     2 omega T - sin 2 omega T comes from its Taylor series.
     """
-    g, B, w = p.gamma, p.B, p.omega
-    if abs(w * T) < _SERIES_BELOW:
-        gap = (w * T) ** 3 * np.polyval(_SIN_GAP_SERIES, (w * T) ** 2)
-    else:
-        x = 2 * w * T
-        gap = x - np.sin(x)
-    return g**4 * B**2 * T**4 / (16 * w**2) * gap**2
+    return float(_closed_form(p.gamma, p.B, p.omega, T)[3])
 
 
 def qcrb(f: Qfim2, repetitions: int = 1) -> CovBound:
@@ -147,41 +165,33 @@ def qcrb(f: Qfim2, repetitions: int = 1) -> CovBound:
 # long-time convergence
 # ---------------------------------------------------------------------------
 
-def _specnorm2(h: np.ndarray) -> float:
-    return float(np.linalg.norm(h, 2))
-
-
 def relative_error_curves(p: FieldParams, omega_t_values) -> dict[str, np.ndarray]:
     """Relative errors of generators and QFIM entries vs their limits.
 
     Returns a dict of arrays keyed 'omega_t', 'dh_b', 'dh_omega', 'df_bb',
     'df_ww', 'df_bw'. Deviations are exact-minus-asymptotic, normalized by
-    the asymptotic values (the off-diagonal one by sqrt(F_BB * F_ww)).
-    All entries depend on omega*T only. Requires omega*T > 2*pi and B > 0.
+    the asymptotic values (the off-diagonal one by sqrt(F_BB * F_ww)); a
+    generator's norm is the spectral norm, which for a real combination
+    a*sigma_x + b*sigma_y is hypot(a, b). All entries depend on omega*T
+    only, so they are evaluated at T = 1. Requires omega*T > 2*pi and B > 0.
     """
     xs = np.asarray(omega_t_values, dtype=float)
     if np.any(xs <= 2 * np.pi):
         raise ValueError("omega*T values must exceed 2*pi")
     if p.B <= 0:
         raise ValueError("frequency curves require B > 0")
-    out = {k: np.empty_like(xs) for k in
-           ("omega_t", "dh_b", "dh_omega", "df_bb", "df_ww", "df_bw")}
-    out["omega_t"] = xs
-    for i, x in enumerate(xs):
-        q = FieldParams.matched(B=p.B, omega=x, gamma=p.gamma)  # T = 1
-        exact = generator_closed_form(q, 1.0, "exact")
-        limit = generator_closed_form(q, 1.0, "asymptotic")
-        out["dh_b"][i] = (_specnorm2(exact.h_b - limit.h_b)
-                          / _specnorm2(limit.h_b))
-        out["dh_omega"][i] = (_specnorm2(exact.h_omega - limit.h_omega)
-                              / _specnorm2(limit.h_omega))
-        f = qfim_closed_form(q, 1.0)
-        fbb_inf = q.gamma**2
-        fww_inf = q.gamma**2 * q.B**2 / 4
-        out["df_bb"][i] = abs(f.f_bb - fbb_inf) / fbb_inf
-        out["df_ww"][i] = abs(f.f_ww - fww_inf) / fww_inf
-        out["df_bw"][i] = abs(f.f_bw) / np.sqrt(fbb_inf * fww_inf)
-    return out
+    g, B = p.gamma, p.B
+    bx, by, wx, wy = _generator_coeffs(g, B, xs, 1.0, "exact")
+    lbx, _, _, lwy = _generator_coeffs(g, B, xs, 1.0, "asymptotic")
+    f_bb, f_bw, f_ww, _ = _closed_form(g, B, xs, 1.0)
+    fbb_inf = g**2
+    fww_inf = g**2 * B**2 / 4
+    return {"omega_t": xs,
+            "dh_b": np.hypot(bx - lbx, by) / abs(lbx),
+            "dh_omega": np.hypot(wx, wy - lwy) / abs(lwy),
+            "df_bb": np.abs(f_bb - fbb_inf) / fbb_inf,
+            "df_ww": np.abs(f_ww - fww_inf) / fww_inf,
+            "df_bw": np.abs(f_bw) / np.sqrt(fbb_inf * fww_inf)}
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +237,15 @@ def sample_probe_determinants(gen: GeneratorPair, n_samples: int,
                               seed: int) -> np.ndarray:
     """det(QFIM) over Haar-random two-qubit probes.
 
-    Each sample uses an independent generator seeded by (seed, index) so
-    partitions of the index range reproduce identically.
+    Each probe is a normalized complex-normal vector drawn from an
+    independent generator seeded by (seed, index), so partitions of the
+    index range reproduce identically.
     """
-    dets = np.empty(n_samples)
-    for i in range(n_samples):
-        rng = np.random.default_rng([seed, i])
-        psi = haar_state(4, rng)
-        dets[i] = qfim_from_generators(psi, gen, ancilla=True).det()
-    return dets
+    z = np.array([np.random.default_rng([seed, i]).standard_normal(8)
+                  for i in range(n_samples)]).reshape(n_samples, 2, 4)
+    psi = z[:, 0] + 1j * z[:, 1]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return qfim_from_generators(psi, gen, ancilla=True).det()
 
 
 def bell_probe_determinant(gen: GeneratorPair) -> float:

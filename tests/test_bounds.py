@@ -1,5 +1,6 @@
 """Envelope integrals, single-parameter ceilings, strategy ratios."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -33,6 +34,29 @@ def _segment_simpson(kind, omega, T, m=1000):
     return total
 
 
+def _mp_envelope(kind, omega, T):
+    """30-digit oracle built from mpmath quadratures over one period.
+
+    With x = omega*T = m*pi + r, the m completed periods of |cos| add m
+    times its period integral; the period [j pi, (j+1) pi] of t|sin| adds
+    a + j*pi*b with a, b the integrals of v sin v and sin v over [0, pi].
+    """
+    with mp.workdps(30):
+        w = mp.mpf(omega)
+        x = w * mp.mpf(T)
+        pi = mp.pi
+        m = int(mp.floor(x / pi))
+        r = x - m * pi
+        if kind == "abs_cos":
+            f = lambda v: abs(mp.cos(v))
+            part = mp.quad(f, [0, r] if r <= pi / 2 else [0, pi / 2, r])
+            return float((m * mp.quad(f, [0, pi / 2, pi]) + part) / w)
+        a = mp.quad(lambda v: v * mp.sin(v), [0, pi])
+        b = mp.quad(mp.sin, [0, pi])
+        part = mp.quad(lambda v: (v + m * pi) * mp.sin(v), [0, r])
+        return float((m * a + pi * b * m * (m - 1) / 2 + part) / w**2)
+
+
 class TestEnvelopeIntegral:
     def test_abs_cos_one_period(self):
         val = envelope_integral("abs_cos", 2 * np.pi, 1.0)
@@ -62,6 +86,24 @@ class TestEnvelopeIntegral:
                 exact = envelope_integral(kind, omega, T)
                 oracle = _segment_simpson(kind, omega, T)
                 assert abs(exact - oracle) / oracle <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 1001, 10**5, 318309])
+    def test_matches_mpmath_at_sign_changes_and_peaks(self, k):
+        # the integrands change sign or peak at k*pi and k*pi +- pi/2,
+        # where the count of completed half-periods steps
+        for x in (k * np.pi - np.pi / 2, k * np.pi, k * np.pi + np.pi / 2):
+            for kind in ("abs_cos", "t_abs_sin"):
+                want = _mp_envelope(kind, 1.0, x)
+                got = envelope_integral(kind, 1.0, x)
+                assert abs(got - want) <= 8 * np.finfo(float).eps * want
+
+    def test_matches_mpmath_up_to_omega_t_1e6(self):
+        omega = 2 * np.pi * 1591.5
+        for omega_t in (0.3, 7.7, 1234.5, 5e4, 1e5, 9.99e5, 1e6):
+            for kind in ("abs_cos", "t_abs_sin"):
+                want = _mp_envelope(kind, omega, omega_t / omega)
+                got = envelope_integral(kind, omega, omega_t / omega)
+                assert abs(got - want) <= 8 * np.finfo(float).eps * want
 
     def test_asymptotic_form_of_abs_cos(self):
         for omega_t in (100.0, 1000.0, 10000.0):

@@ -68,6 +68,30 @@ class TestEmitResults:
     def test_ragged_row_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results(["x"], [[1, 2]], {}, tmp_path, "bad")
+        with pytest.raises(ValueError):
+            emit_results(["x"], np.zeros((2, 2)), {}, tmp_path, "bad")
+        with pytest.raises(ValueError):
+            emit_results(["x"], np.zeros(2), {}, tmp_path, "bad")
+
+    def test_float_table_writes_the_bytes_of_row_lists(self, tmp_path):
+        table = np.array([[0.0, 0.1, -2.5e-300], [1.0, np.pi, 1e17],
+                          [2.0, -0.0, 123456789.0]])
+        a, _ = emit_results(["i", "x", "y"], table, {}, tmp_path / "a", "t")
+        rows = [[int(r[0]), r[1], r[2]] for r in table.tolist()]
+        b, _ = emit_results(["i", "x", "y"], rows, {}, tmp_path / "b", "t")
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("table,summary,match", [
+        (np.array([[1.0, 2.0], [3.0, np.inf]]), {}, "column 'y' at row 1"),
+        ([[1, 2.0], [3, float("nan")]], {}, "column 'y' at row 1"),
+        (np.ones((2, 2)), {"s": float("nan")}, "summary"),
+    ])
+    def test_non_finite_output_writes_nothing(self, tmp_path, table, summary,
+                                              match):
+        out = tmp_path / "out"
+        with pytest.raises(FloatingPointError, match=match):
+            emit_results(["x", "y"], table, summary, out, "t")
+        assert not out.exists()
 
 
 class TestCommands:
@@ -192,6 +216,12 @@ class TestExitCodes:
             resolve_config("nv-sweep", {"protocol": {"b_c": True}}, None)
         with pytest.raises(ConfigError, match="wrong type"):
             resolve_config("bounds", {"field": {"omega_mhz": "1"}}, None)
+        # a float holds every integer only up to 2**53
+        with pytest.raises(ConfigError, match="wrong type"):
+            resolve_config("qfim-scan", {"scan": {"omega_t_max": 10**29}},
+                           None)
+        assert resolve_config("qfim-scan", {"scan": {"omega_t_max": 2**53}},
+                              None)["scan"]["omega_t_max"] == 2**53
         # optional numbers take null or a number; the unused NV constants
         # stay accepted
         cfg = resolve_config("nv-sweep", {"readout": {"sigma": 1e-3},
@@ -208,10 +238,39 @@ class TestExitCodes:
         ("nv-scaling", {"scaling": {"n_min": 0}}),
         ("adaptive", {"adaptive": {"shots": 0}}),
         ("qfim-scan", {"scan": {"t": 0.0}}),
+        ("nv-scaling", {"scaling": {"n_min": 3, "n_max": 4}}),
     ])
     def test_out_of_range_values_are_config_errors(self, command, payload):
         with pytest.raises(ConfigError, match="must be"):
             resolve_config(command, payload, None)
+
+    @pytest.mark.parametrize("command,payload,message", [
+        ("qfim-scan", {"scan": {"omega_t_max": 1e308}},
+         "non-finite value nan in column 'f_ww' at row 50"),
+        ("probe-search", {"field": {"b": 1e200}},
+         "non-finite value nan in column 'det' at row 0"),
+    ])
+    def test_non_finite_output_is_3(self, tmp_path, capsys, command, payload,
+                                    message):
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical error in {command}: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,payload", [
+        ("qfim-scan", {"field": {"b": 1e200}}),
+        ("convergence", {"field": {"gamma": 1e200}}),
+        ("bounds", {"field": {"omega_mhz": 1.0}, "scan": {"t_values": [1e300]}}),
+    ])
+    def test_overflowing_config_is_2(self, tmp_path, capsys, command, payload):
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: config values overflow in {command}")
+        assert not out.exists()
 
     def test_negative_seed_override_is_config_error(self):
         with pytest.raises(ConfigError, match="seed"):

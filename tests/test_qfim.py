@@ -5,13 +5,16 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acmag.dynamics import (FieldParams, GeneratorPair, TimeGrid,
-                            generator_closed_form, generator_numeric)
+                            _generator_coeffs, generator_closed_form,
+                            generator_numeric)
 from acmag.fitting import envelope_slope, upper_envelope
 from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state,
                           expm_hermitian, haar_state, ket, tensor)
-from acmag.qfim import (CovBound, Qfim2, SingularQfimError,
+from acmag.qfim import (CovBound, Qfim2, SingularQfimError, _closed_form,
                         bell_probe_determinant, classical_fim, probe_overlap,
                         probe_overlap_closed_form, qcrb, qfim_closed_form,
                         qfim_determinant, qfim_from_generators,
@@ -134,6 +137,67 @@ class TestSmallOmegaT:
         assert abs(f.det() - d) <= tol
 
 
+class TestArrayClosedForms:
+    # one call spans both branches: below, at and above omega*T = 0.5
+    OMEGA_T = np.array([1e-3, 0.49, 0.5 * (1 - 1e-12), 0.5, 0.5 * (1 + 1e-12),
+                        0.51, 7.0, 1e4])
+
+    def test_qfim_matches_scalar_functions_and_oracle(self):
+        g, B, T = 1.3, 0.7, 2.0
+        got = _closed_form(g, B, self.OMEGA_T / T, T)
+        for i, x in enumerate(self.OMEGA_T):
+            p = FieldParams.matched(B, x / T, gamma=g)
+            f = qfim_closed_form(p, T)
+            scalar = (f.f_bb, f.f_bw, f.f_ww, qfim_determinant(p, T))
+            np.testing.assert_allclose([v[i] for v in got], scalar,
+                                       rtol=4 * np.finfo(float).eps)
+            exact = _mp_qfim(g, B, p.omega, T)
+            for value, want in zip(scalar, exact):
+                assert abs(value / want - 1) <= 1e-13
+
+    def test_unselected_branch_raises_no_floating_point_error(self):
+        # the series would overflow at omega*T = 1e30
+        with np.errstate(all="raise"):
+            entries = _closed_form(1.3, 0.7, np.array([1e-6, 0.7, 1e30]), 1.0)
+        assert np.all(np.isfinite(entries))
+
+    def test_generator_coefficients_match_scalar_generators(self):
+        g, B, T = 1.3, 0.7, 2.0
+        for mode in ("exact", "asymptotic"):
+            bx, by, wx, wy = (
+                np.broadcast_to(c, self.OMEGA_T.shape)
+                for c in _generator_coeffs(g, B, self.OMEGA_T / T, T, mode))
+            for i, x in enumerate(self.OMEGA_T):
+                gen = generator_closed_form(
+                    FieldParams.matched(B, x / T, gamma=g), T, mode)
+                np.testing.assert_allclose(
+                    bx[i] * SIGMA_X + by[i] * SIGMA_Y, gen.h_b,
+                    rtol=0, atol=4 * np.finfo(float).eps * np.abs(gen.h_b).max())
+                np.testing.assert_allclose(
+                    wx[i] * SIGMA_X + wy[i] * SIGMA_Y, gen.h_omega, rtol=0,
+                    atol=4 * np.finfo(float).eps * np.abs(gen.h_omega).max())
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0**e)
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(omega_t=st.lists(st.floats(-6.0, 8.0), min_size=1, max_size=16)
+           .map(lambda e: 10.0 ** np.array(e)),
+           g=_log_uniform(1e-2, 1e2), B=_log_uniform(1e-3, 1e3),
+           T=_log_uniform(1e-3, 1e3))
+    def test_positive_with_determinant_identity(self, omega_t, g, B, T):
+        f_bb, f_bw, f_ww, det = _closed_form(g, B, omega_t / T, T)
+        assert np.all(f_bb > 0) and np.all(f_ww > 0) and np.all(det > 0)
+        # the bound of TestSmallOmegaT: 1e-8 relative, or a few ulp of
+        # f_bb*f_ww where the difference cancels at small omega*T
+        eps = np.finfo(float).eps
+        tol = np.maximum(1e-8 * det, 8 * eps * (f_bb * f_ww + f_bw**2))
+        assert np.all(np.abs(f_bb * f_ww - f_bw**2 - det) <= tol)
+
+
 class TestQcrb:
     def test_diagonal_inverse(self):
         bound = qcrb(Qfim2(4.0, 0.0, 16.0), 1)
@@ -174,6 +238,30 @@ class TestRelativeErrorCurves:
         ex, ey = upper_envelope(xs, c["df_ww"], bins_per_decade=2)
         assert np.all(np.diff(ey) < 0)
         assert ey[-1] < 1e-4
+
+    def test_matches_spectral_norm_reference(self):
+        p = FieldParams.matched(1.3, 1.0, gamma=0.8)
+        xs = np.geomspace(7.0, 1e6, 120)
+        got = relative_error_curves(p, xs)
+        ref = {k: [] for k in ("dh_b", "dh_omega", "df_bb", "df_ww", "df_bw")}
+        for x in xs:
+            q = FieldParams.matched(B=p.B, omega=x, gamma=p.gamma)
+            exact = generator_closed_form(q, 1.0, "exact")
+            limit = generator_closed_form(q, 1.0, "asymptotic")
+            for key, h, h_inf in (("dh_b", exact.h_b, limit.h_b),
+                                  ("dh_omega", exact.h_omega, limit.h_omega)):
+                ref[key].append(np.linalg.norm(h - h_inf, 2)
+                                / np.linalg.norm(h_inf, 2))
+            f = qfim_closed_form(q, 1.0)
+            fbb_inf, fww_inf = q.gamma**2, q.gamma**2 * q.B**2 / 4
+            ref["df_bb"].append(abs(f.f_bb - fbb_inf) / fbb_inf)
+            ref["df_ww"].append(abs(f.f_ww - fww_inf) / fww_inf)
+            ref["df_bw"].append(abs(f.f_bw) / np.sqrt(fbb_inf * fww_inf))
+        # hypot against an SVD, on differences of O(1) coefficients
+        eps = np.finfo(float).eps
+        for key, values in ref.items():
+            np.testing.assert_allclose(got[key], values, rtol=16 * eps,
+                                       atol=16 * eps, err_msg=key)
 
     def test_requires_long_time_regime(self):
         with pytest.raises(ValueError):
@@ -232,6 +320,21 @@ class TestProbeSearch:
         a = sample_probe_determinants(gen, 10, seed=1)
         b = sample_probe_determinants(gen, 10, seed=1)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_batch_matches_per_sample_loop(self, seed):
+        p = FieldParams.matched(1.3, 1.0)
+        gen = generator_closed_form(p, 2.0)
+        got = sample_probe_determinants(gen, 300, seed)
+        want = np.array([
+            qfim_from_generators(haar_state(4, np.random.default_rng([seed, i])),
+                                 gen).det() for i in range(300)])
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+        # any prefix of the index range reproduces bit for bit
+        for n in (1, 7, 64, 299):
+            np.testing.assert_array_equal(
+                sample_probe_determinants(gen, n, seed), got[:n])
 
     def test_qcrb_ordering_against_bell(self):
         p = FieldParams.matched(1.0, 1.0)
