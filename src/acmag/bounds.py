@@ -79,8 +79,7 @@ def single_param_qfi_bound(theta: str, p: FieldParams, T: float) -> float:
     raise ValueError(f"theta must be 'B' or 'omega', got {theta!r}")
 
 
-def strategy_comparison(p: FieldParams, T: float,
-                        repetitions: int = 1) -> StrategyComparison:
+def strategy_comparison(p: FieldParams, T: float) -> StrategyComparison:
     """Compare the joint protocol against per-parameter optima.
 
     ratio_* = F_max / F_diag (per-shot information penalty of running both
@@ -89,8 +88,6 @@ def strategy_comparison(p: FieldParams, T: float,
     same repetition budget between the two parameters. Both limits are
     16/pi^2 and 8/pi^2. Repetition count cancels in every ratio.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be a positive integer")
     f = qfim_closed_form(p, T)
     fb = single_param_qfi_bound("B", p, T)
     fw = single_param_qfi_bound("omega", p, T)

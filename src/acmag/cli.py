@@ -42,6 +42,8 @@ class ConfigError(ValueError):
 
 _REQUIRED = "__required__"
 
+# q_mhz and gamma_n_mhz_per_g are accepted and ignored: the four-level
+# model has no nuclear quadrupole or nuclear Zeeman term.
 _NV_DEFAULTS = {
     "d_mhz": 2870.0,
     "q_mhz": -4.95,
@@ -125,8 +127,12 @@ DEFAULTS: dict[str, dict] = {
 # Smallest value a study can run with, and keys that must exceed 0.
 _MINIMA = {"seed": 0, "protocol.n_reps": 1, "protocol.steps_per_block": 1,
            "readout.n_avg": 1, "sweep.points": 3, "scaling.n_min": 1,
+           "scaling.points": 3, "search.samples": 1, "adaptive.rounds": 0,
            "adaptive.shots": 1}
-_POSITIVE = ("protocol.tau", "scan.t")
+_POSITIVE = ("protocol.tau", "scan.t", "sweep.halfwidth_b",
+             "sweep.halfwidth_w_mhz", "scaling.halfwidth_b",
+             "scaling.halfwidth_w_mhz", "adaptive.jac_halfwidth_b",
+             "adaptive.jac_halfwidth_w_mhz")
 
 
 def _is_number(value) -> bool:
@@ -152,7 +158,7 @@ def _check_leaf(default, value, path: str):
         raise ConfigError(f"config key {path!r} has the wrong type: {value!r}")
     if path in _MINIMA and value < _MINIMA[path]:
         raise ConfigError(f"{path} must be >= {_MINIMA[path]}, got {value}")
-    if path in _POSITIVE and value <= 0:
+    if path in _POSITIVE and value is not None and value <= 0:
         raise ConfigError(f"{path} must be positive, got {value}")
 
 
@@ -206,10 +212,8 @@ def _cfg_guard(factory, *args, **kwargs):
 
 def _nv_from(cfg: dict) -> NvParams:
     c = cfg["nv"]
-    return _cfg_guard(NvParams, D=TWO_PI * c["d_mhz"], Q=TWO_PI * c["q_mhz"],
-                      A=TWO_PI * c["a_mhz"],
-                      gamma_e=TWO_PI * c["gamma_e_mhz_per_g"],
-                      gamma_n=TWO_PI * c["gamma_n_mhz_per_g"], B_z0=c["b_z0"])
+    return _cfg_guard(NvParams, D=TWO_PI * c["d_mhz"], A=TWO_PI * c["a_mhz"],
+                      gamma_e=TWO_PI * c["gamma_e_mhz_per_g"], B_z0=c["b_z0"])
 
 
 def _pulse_from(cfg: dict) -> PiPulseModel:

@@ -301,7 +301,10 @@ def generator_closed_form(p: FieldParams, T: float,
 
     The exact expressions assume phi = 0 and matched control. The
     asymptotic mode returns (gamma*T/2) sigma_x and (gamma*B*T^2/4) sigma_y.
+    Raises OverflowError when a coefficient overflows a float.
     """
     bx, by, wx, wy = _generator_coeffs(p.gamma, p.B, p.omega, T, mode)
+    if not np.all(np.isfinite([bx, by, wx, wy])):
+        raise OverflowError(f"generator coefficients overflow a float at T = {T}")
     return GeneratorPair(h_b=bx * SIGMA_X + by * SIGMA_Y,
                          h_omega=wx * SIGMA_X + wy * SIGMA_Y)

@@ -46,6 +46,9 @@ SZ_EN = tensor(SIGMA_Z, SIGMA_Z)
 # at the operating point while keeping their parameter derivatives finite.
 READOUT_ROTATION = expm_hermitian(
     (np.pi / (3.0 * np.sqrt(3.0))) * (SIGMA_X + SIGMA_Y + SIGMA_Z), 1.0)
+_READOUT_ROTATION_E = tensor(READOUT_ROTATION, I2)
+_BELL_BRAS = [b.conj() for b in bell_basis()]
+_PROBE = bell_state("phi+")
 
 
 class JacobianError(RuntimeError):
@@ -65,10 +68,8 @@ class NvParams:
     """NV electronic/nuclear constants (rad/us; static field in Gauss)."""
 
     D: float = TWO_PI * 2870.0       # zero-field splitting
-    Q: float = -TWO_PI * 4.95        # nuclear quadrupole
     A: float = -TWO_PI * 2.16        # hyperfine coupling
     gamma_e: float = TWO_PI * 2.8    # electron gyromagnetic ratio, per Gauss
-    gamma_n: float = -TWO_PI * 3.1e-4
     B_z0: float = 357.0              # static bias field
 
     def __post_init__(self):
@@ -172,8 +173,7 @@ class PulseSequence:
     total_duration: float
 
 
-def build_sequence(n_reps: int, tau: float, pulse: PiPulseModel,
-                   p: FieldParams) -> PulseSequence:
+def build_sequence(n_reps: int, tau: float, pulse: PiPulseModel) -> PulseSequence:
     """Lay out the decoupled interleaving schedule.
 
     Assumes the control phase is locked to -phi (see ``operating_field``);
@@ -207,24 +207,21 @@ def sequence_unitary(seq: PulseSequence, nv: NvParams, p: FieldParams,
     pulse, tau = seq.pulse, seq.tau
     dt = tau / steps_per_block
     mids = (np.arange(steps_per_block) + 0.5) * dt
-    # rows of (sx, sy, duration, hyperfine weight); an ideal pulse takes
-    # no time and its step is replaced by sigma_x after exponentiation
+    # per repetition, as in seq.blocks: target steps, pi, control, pi, each
+    # (sx, sy, duration, hyperfine weight); an ideal pi takes no time and
+    # its step is replaced by sigma_x after exponentiation
+    table = np.empty((seq.n_reps, steps_per_block + 3, 4))
+    times = (2 * np.arange(seq.n_reps))[:, None] * tau + mids
+    table[:, :-3, 0], table[:, :-3, 1] = _window_drive(p, times, "target")
+    table[:, :-3, 2:] = dt, 1.0
     if pulse.kind == "ideal":
-        pi_row = [[0.0, 0.0, 0.0, 0.0]]
+        table[:, -3] = table[:, -1] = 0.0
     else:
-        pi_row = [[0.5 * pulse.rabi_freq, 0.0, np.pi / pulse.rabi_freq,
-                   float(pulse.hyperfine_on)]]
-    rows = {"pi": pi_row,
-            "control": [[*_window_drive(p, 0.0, "control"), tau, 1.0]]}
-    steps = []
-    for block in seq.blocks:
-        if block[0] == "target":
-            ax, ay = _window_drive(p, block[1] + mids, "target")
-            steps.append(np.column_stack(
-                [ax, ay, np.full_like(ax, dt), np.ones_like(ax)]))
-        else:
-            steps.append(rows[block[0]])
-    ax, ay, dts, weight = np.concatenate(steps).T
+        table[:, -3] = table[:, -1] = (0.5 * pulse.rabi_freq, 0.0,
+                                       np.pi / pulse.rabi_freq,
+                                       float(pulse.hyperfine_on))
+    table[:, -2] = (*_window_drive(p, 0.0, "control"), tau, 1.0)
+    ax, ay, dts, weight = table.reshape(-1, 4).T
     units = _su2_exp(ax[:, None], ay[:, None],
                      weight[:, None] * _hyperfine_z(nv), dts[:, None])
     units[dts == 0.0] = SIGMA_X
@@ -248,7 +245,7 @@ class ReadoutModel:
     """Shot-noise and SPAM model for the Bell-basis readout.
 
     sigma defaults to the binomial deviation sqrt(p(1-p)/n_avg) at
-    p = 1/4. SPAM acts as the affine map p -> baseline + contrast * p.
+    p = 1/4. ``spam`` is the SPAM map p -> baseline + contrast * p.
     """
 
     sigma: float | None = None
@@ -274,6 +271,9 @@ class ReadoutModel:
     def n_signals(self) -> int:
         return 2 if self.signals_used == "two" else 3
 
+    def spam(self, probs):
+        return self.baseline + self.contrast * probs
+
 
 def bell_readout(state: np.ndarray, readout: ReadoutModel | None = None,
                  rotate: bool = True) -> np.ndarray:
@@ -284,11 +284,9 @@ def bell_readout(state: np.ndarray, readout: ReadoutModel | None = None,
     """
     psi = as_state(state)
     if rotate:
-        psi = tensor(READOUT_ROTATION, I2) @ psi
-    probs = np.array([abs(b.conj() @ psi) ** 2 for b in bell_basis()])
-    if readout is not None:
-        probs = readout.baseline + readout.contrast * probs
-    return probs
+        psi = _READOUT_ROTATION_E @ psi
+    probs = np.array([abs(b @ psi) ** 2 for b in _BELL_BRAS])
+    return probs if readout is None else readout.spam(probs)
 
 
 @dataclass(frozen=True)
@@ -324,14 +322,13 @@ def sweep_signal(axis: str, values, p: FieldParams, nv: NvParams,
     if values.max() == values.min():
         raise ValueError("sweep range has zero width")
     k = readout.n_signals
-    probe = bell_state("phi+")
+    seq = build_sequence(n_reps, tau, pulse)
     probs = np.empty((values.size, 4))
     for i, v in enumerate(values):
         pv = replace(p, B=v) if axis == "B" else replace(p, omega=v)
-        seq = build_sequence(n_reps, tau, pulse, pv)
-        probs[i] = bell_readout(simulate_sequence(seq, nv, pv, probe,
+        probs[i] = bell_readout(simulate_sequence(seq, nv, pv, _PROBE,
                                                   steps_per_block))
-    signals = 1.0 - (readout.baseline + readout.contrast * probs[:, :k])
+    signals = 1.0 - readout.spam(probs[:, :k])
     if add_noise:
         signals += np.array([np.random.default_rng([seed, i]).normal(
             0.0, readout.sigma, size=k) for i in range(values.size)])
@@ -474,16 +471,15 @@ def adaptive_loop(true_field: tuple[float, float],
     traj = [est.copy()]
     gamma = sensor_coupling(nv)
     sigma = float(np.sqrt(0.25 * 0.75 / shots))
-    probe = bell_state("phi+")
     readout = ReadoutModel(sigma=sigma, signals_used="two")
+    seq = build_sequence(n_reps, tau, pulse)
     for r in range(rounds):
         if abs(est[0] - b_true) > window[0] or abs(est[1] - w_true) > window[1]:
             raise AdaptiveDivergenceError(
                 r, f"estimate left the linear window at round {r}")
         ctrl = FieldParams(B=b_true, omega=w_true, phi=phi, B_c=est[0],
                            omega_c=est[1], phi_c=-phi, gamma=gamma)
-        seq = build_sequence(n_reps, tau, pulse, ctrl)
-        psi = simulate_sequence(seq, nv, ctrl, probe, steps_per_block)
+        psi = simulate_sequence(seq, nv, ctrl, _PROBE, steps_per_block)
         meas = 1.0 - bell_readout(psi)[:2]
         if not noiseless:
             rng = np.random.default_rng([seed, r])

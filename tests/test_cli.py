@@ -239,6 +239,15 @@ class TestExitCodes:
         ("adaptive", {"adaptive": {"shots": 0}}),
         ("qfim-scan", {"scan": {"t": 0.0}}),
         ("nv-scaling", {"scaling": {"n_min": 3, "n_max": 4}}),
+        ("nv-scaling", {"scaling": {"points": 2}}),
+        ("probe-search", {"search": {"samples": 0}}),
+        ("adaptive", {"adaptive": {"rounds": -1}}),
+        ("nv-scaling", {"scaling": {"halfwidth_b": 0.0}}),
+        ("nv-scaling", {"scaling": {"halfwidth_w_mhz": -0.1}}),
+        ("adaptive", {"adaptive": {"jac_halfwidth_b": 0.0}}),
+        ("adaptive", {"adaptive": {"jac_halfwidth_w_mhz": 0.0}}),
+        ("nv-sweep", {"sweep": {"halfwidth_b": 0.0}}),
+        ("nv-sweep", {"sweep": {"halfwidth_w_mhz": -1.0}}),
     ])
     def test_out_of_range_values_are_config_errors(self, command, payload):
         with pytest.raises(ConfigError, match="must be"):
@@ -263,6 +272,7 @@ class TestExitCodes:
         ("qfim-scan", {"field": {"b": 1e200}}),
         ("convergence", {"field": {"gamma": 1e200}}),
         ("bounds", {"field": {"omega_mhz": 1.0}, "scan": {"t_values": [1e300]}}),
+        ("probe-search", {"search": {"t": 1e200}}),
     ])
     def test_overflowing_config_is_2(self, tmp_path, capsys, command, payload):
         cfg = _write(tmp_path, "c.json", payload)

@@ -69,32 +69,29 @@ class TestConjugateByPi:
 
 class TestBuildSequence:
     def test_block_structure(self):
-        p = operating_field(NV, 5.65)
-        seq = build_sequence(1, 0.02, IDEAL, p)
+        seq = build_sequence(1, 0.02, IDEAL)
         assert len(seq.blocks) == 4
         assert seq.total_duration == pytest.approx(0.04)
         kinds = [b[0] for b in seq.blocks]
         assert kinds == ["target", "pi", "control", "pi"]
 
     def test_target_windows_are_even_intervals(self):
-        p = operating_field(NV, 5.65)
-        seq = build_sequence(3, 0.02, IDEAL, p)
+        seq = build_sequence(3, 0.02, IDEAL)
         starts = [b[1] for b in seq.blocks if b[0] == "target"]
         np.testing.assert_allclose(starts, [0.0, 0.04, 0.08])
 
     def test_validation(self):
-        p = operating_field(NV, 5.65)
         with pytest.raises(ValueError):
-            build_sequence(0, 0.02, IDEAL, p)
+            build_sequence(0, 0.02, IDEAL)
         with pytest.raises(ValueError):
-            build_sequence(1, -0.1, IDEAL, p)
+            build_sequence(1, -0.1, IDEAL)
 
 
 class TestSimulateSequence:
     def test_interaction_echoes_out_without_drive(self):
         p = replace(operating_field(NV, 5.65), B=0.0, B_c=0.0)
         for n in (1, 3, 7):
-            seq = build_sequence(n, 0.03, IDEAL, p)
+            seq = build_sequence(n, 0.03, IDEAL)
             u = sequence_unitary(seq, NV, p)
             assert _global_phase_distance(u, np.eye(4)) < 1e-8
 
@@ -102,7 +99,7 @@ class TestSimulateSequence:
         for phi in (0.0, 0.4):
             p = operating_field(NV, 5.65, phi=phi)
             for n in (1, 4):
-                seq = build_sequence(n, 0.03, IDEAL, p)
+                seq = build_sequence(n, 0.03, IDEAL)
                 u = sequence_unitary(seq, NV, p)
                 assert _global_phase_distance(u, np.eye(4)) < 1e-10
 
@@ -114,7 +111,7 @@ class TestSimulateSequence:
         errs = []
         # keep gamma*B_c*tau well below 1 so the block defect is quadratic
         for tau in (0.004, 0.002, 0.001):
-            seq = build_sequence(1, tau, IDEAL, p)
+            seq = build_sequence(1, tau, IDEAL)
             u = sequence_unitary(seq, NV, p)
             h_t = nv_rotating_hamiltonian(NV, p, 0.0, "target") - interaction_term(NV)
             h_c = conjugate_by_pi(
@@ -126,13 +123,13 @@ class TestSimulateSequence:
 
     def test_finite_pulse_converges_to_ideal(self):
         p = replace(operating_field(NV, 5.65), B=5.7)
-        seq_i = build_sequence(2, 0.02, IDEAL, p)
+        seq_i = build_sequence(2, 0.02, IDEAL)
         u_ideal = sequence_unitary(seq_i, NV, p)
         fast = PiPulseModel(kind="finite", rabi_freq=1000.0 * abs(NV.A))
-        seq_f = build_sequence(2, 0.02, fast, p)
+        seq_f = build_sequence(2, 0.02, fast)
         u_fast = sequence_unitary(seq_f, NV, p)
         slow = PiPulseModel(kind="finite", rabi_freq=10.0 * abs(NV.A))
-        seq_s = build_sequence(2, 0.02, slow, p)
+        seq_s = build_sequence(2, 0.02, slow)
         u_slow = sequence_unitary(seq_s, NV, p)
         assert (_global_phase_distance(u_fast, u_ideal)
                 < 0.1 * _global_phase_distance(u_slow, u_ideal))
@@ -140,7 +137,7 @@ class TestSimulateSequence:
 
     def test_requires_normalized_two_qubit_probe(self):
         p = operating_field(NV, 5.65)
-        seq = build_sequence(1, 0.02, IDEAL, p)
+        seq = build_sequence(1, 0.02, IDEAL)
         with pytest.raises(ValueError):
             simulate_sequence(seq, NV, p, np.array([1.0, 1.0, 0, 0]))
 
@@ -148,7 +145,7 @@ class TestSimulateSequence:
         # with the hyperfine term switched off, the simulator must agree
         # with itself at any resolution up to midpoint quadrature error
         p = replace(operating_field(NV, 5.65), omega=control_frequency(NV) + 2.0)
-        seq = build_sequence(4, 0.05, IDEAL, p)
+        seq = build_sequence(4, 0.05, IDEAL)
         ref = sequence_unitary(seq, NV, p, steps_per_block=2048)
         errs = [np.linalg.norm(sequence_unitary(seq, NV, p, steps_per_block=s)
                                - ref, 2) for s in (8, 16, 32)]
@@ -204,7 +201,11 @@ class TestTwoBlockEngine:
         np.testing.assert_allclose(nv_rotating_hamiltonian(NV, p, t, "control"),
                                    ctrl + interaction_term(NV), atol=1e-12)
 
-    @pytest.mark.parametrize("n_reps", [1, 3, 8])
+    # a one-step target window is the edge case of the step table; the
+    # 16-step cases keep their plain n_reps ids
+    @pytest.mark.parametrize("n_reps,steps_per_block", [
+        (1, 16), (3, 16), (8, 16), (1, 1), (3, 1), (8, 1),
+    ], ids=["1", "3", "8", "1-one-step", "3-one-step", "8-one-step"])
     @pytest.mark.parametrize("detuning", [0.0, 2.0])
     @pytest.mark.parametrize("pulse", [
         IDEAL,
@@ -213,12 +214,13 @@ class TestTwoBlockEngine:
         PiPulseModel(kind="finite", rabi_freq=TWO_PI * 20.0,
                      hyperfine_on=False),
     ], ids=["ideal", "ideal-no-hyperfine", "finite", "finite-no-hyperfine"])
-    def test_matches_four_level_reference(self, pulse, detuning, n_reps):
+    def test_matches_four_level_reference(self, pulse, detuning, n_reps,
+                                          steps_per_block):
         p = replace(operating_field(NV, 5.65, phi=0.4), B=5.9,
                     omega=control_frequency(NV) + detuning)
-        seq = build_sequence(n_reps, 0.017, pulse, p)
-        u = sequence_unitary(seq, NV, p, steps_per_block=16)
-        ref = _reference_sequence_unitary(seq, NV, p, 16)
+        seq = build_sequence(n_reps, 0.017, pulse)
+        u = sequence_unitary(seq, NV, p, steps_per_block=steps_per_block)
+        ref = _reference_sequence_unitary(seq, NV, p, steps_per_block)
         assert np.max(np.abs(u - ref)) <= 1e-12
         # the propagator never couples the two nuclear blocks
         assert np.all(u[0::2, 1::2] == 0.0)
@@ -226,7 +228,7 @@ class TestTwoBlockEngine:
 
     def test_rejects_empty_target_windows(self):
         p = operating_field(NV, 5.65)
-        seq = build_sequence(1, 0.017, IDEAL, p)
+        seq = build_sequence(1, 0.017, IDEAL)
         with pytest.raises(ValueError, match="steps_per_block"):
             sequence_unitary(seq, NV, p, steps_per_block=0)
 
@@ -234,7 +236,7 @@ class TestTwoBlockEngine:
 class TestBellReadout:
     def test_operating_point_distribution_is_flat(self):
         p = operating_field(NV, 5.65)
-        seq = build_sequence(8, 0.017, IDEAL, p)
+        seq = build_sequence(8, 0.017, IDEAL)
         psi = simulate_sequence(seq, NV, p, bell_state("phi+"))
         probs = bell_readout(psi)
         np.testing.assert_allclose(probs, 0.25, atol=1e-3)
@@ -291,7 +293,7 @@ class TestSweepSignal:
         pops = []
         for v in values:
             pv = replace(p, omega=v)
-            seq = build_sequence(2, 0.017, IDEAL, pv)
+            seq = build_sequence(2, 0.017, IDEAL)
             psi = simulate_sequence(seq, NV, pv, bell_state("phi+"))
             pops.append(bell_readout(psi, rotate=False)[0])
         assert np.argmax(pops) == 10  # center of the grid

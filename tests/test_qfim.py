@@ -388,7 +388,7 @@ class TestClassicalFim:
 
         def prob_fn(b_val, w_val):
             pv = replace(p, B=b_val, omega=w_val)
-            seq = build_sequence(2, 0.017, pulse, pv)
+            seq = build_sequence(2, 0.017, pulse)
             return bell_readout(simulate_sequence(seq, nv, pv, probe))
 
         f = classical_fim(prob_fn, p, step=(5e-4, 0.05))
