@@ -212,8 +212,14 @@ def _cfg_guard(factory, *args, **kwargs):
 
 def _nv_from(cfg: dict) -> NvParams:
     c = cfg["nv"]
-    return _cfg_guard(NvParams, D=TWO_PI * c["d_mhz"], A=TWO_PI * c["a_mhz"],
-                      gamma_e=TWO_PI * c["gamma_e_mhz_per_g"], B_z0=c["b_z0"])
+    nv = _cfg_guard(NvParams, D=TWO_PI * c["d_mhz"], A=TWO_PI * c["a_mhz"],
+                    gamma_e=TWO_PI * c["gamma_e_mhz_per_g"], B_z0=c["b_z0"])
+    if not control_frequency(nv) > 0:
+        raise ConfigError(
+            f"nv.b_z0 = {c['b_z0']} puts the control frequency d_mhz - "
+            f"gamma_e_mhz_per_g * b_z0 - a_mhz / 2 at "
+            f"{control_frequency(nv) / TWO_PI:.6g} MHz; it must be positive")
+    return nv
 
 
 def _pulse_from(cfg: dict) -> PiPulseModel:
@@ -494,7 +500,8 @@ def run(command: str, config_path: str | Path, seed: int | None = None,
         # more than numpy's overflow and invalid-value warnings would
         with np.errstate(all="ignore"):
             header, rows, summary = _RUNNERS[command](cfg)
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:
+        # a Python float operation on an extreme config value
         raise ConfigError(f"config values overflow in {command}: {exc}") from exc
     summary = {**_base_summary(command, cfg), **summary}
     return emit_results(header, rows, summary, out_dir, command)

@@ -104,12 +104,12 @@ def _drive_coeffs(p: FieldParams, t, which: str):
     """sigma_x, sigma_z coefficients of the target, control or total H(t)."""
     if which not in ("target", "control", "total"):
         raise ValueError(f"which must be 'target', 'control' or 'total', got {which!r}")
-    fx = fz = np.zeros_like(t, dtype=float)
+    fx = fz = 0.0
     if which != "control":
         fx = p.gamma * p.B * np.cos(p.omega * t + p.phi)
     if which != "target":
         fx = fx - p.gamma * p.B_c * np.cos(p.omega_c * t + p.phi_c)
-        fz = np.full_like(t, 0.5 * p.omega_c, dtype=float)
+        fz = 0.5 * p.omega_c
     return fx, fz
 
 
@@ -122,54 +122,101 @@ def hamiltonian_eval(p: FieldParams, which: str, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# vectorized step machinery
+# vectorized step machinery: every step propagator is in SU(2), so the
+# kernels carry the pair (a, b) that stands for [[a, -b*], [b, a*]], stacked
+# on a leading axis of length 2
 # ---------------------------------------------------------------------------
+
+_SCAN_BLOCK = 64
+
 
 def _su2_exp(ax: np.ndarray, ay: np.ndarray, az: np.ndarray,
              dt) -> np.ndarray:
-    """Batched exp(-i*(ax*sx + ay*sy + az*sz)*dt) as an (..., 2, 2) array.
+    """Batched exp(-i*(ax*sx + ay*sy + az*sz)*dt) as a (2, ...) SU(2) pair.
 
     The coefficients and the step length dt broadcast against each other.
     """
-    r = np.sqrt(ax * ax + ay * ay + az * az)
+    r2 = ax * ax + ay * ay + az * az
+    r = np.sqrt(r2)
+    # squares of coefficients below ~1e-154 underflow; hypot does not, but
+    # costs several sqrt per element, so it only runs on a batch that needs it
+    low = r2 < np.finfo(float).tiny
+    if np.any(low):
+        r = np.where(low, np.hypot(np.hypot(ax, ay), az), r)
     phase = r * dt
-    c = np.cos(phase)
     # sin(r*dt)/r, continuous at r=0
     s = np.where(r > 0.0, np.sin(phase) / np.where(r > 0.0, r, 1.0), dt)
-    u = np.empty(np.broadcast(ax, ay, az).shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = c - 1j * az * s
-    u[..., 1, 1] = c + 1j * az * s
-    u[..., 0, 1] = (-1j * ax - ay) * s
-    u[..., 1, 0] = (-1j * ax + ay) * s
-    return u
+    q = np.empty((2,) + np.shape(s), dtype=complex)
+    q.real[0], q.imag[0] = np.cos(phase), -az * s
+    q.real[1], q.imag[1] = ay * s, -ax * s
+    return q
 
 
-def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched 2x2 matrix product, faster than matmul for tiny matrices."""
-    out = np.empty(np.broadcast(a[..., 0, 0], b[..., 0, 0]).shape + (2, 2),
-                   dtype=complex)
-    out[..., 0, 0] = a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0]
-    out[..., 0, 1] = a[..., 0, 0] * b[..., 0, 1] + a[..., 0, 1] * b[..., 1, 1]
-    out[..., 1, 0] = a[..., 1, 0] * b[..., 0, 0] + a[..., 1, 1] * b[..., 1, 0]
-    out[..., 1, 1] = a[..., 1, 0] * b[..., 0, 1] + a[..., 1, 1] * b[..., 1, 1]
+def _su2_mul(p: np.ndarray, q: np.ndarray, out=None) -> np.ndarray:
+    """Batched product p @ q of SU(2) pairs; trailing axes broadcast.
+
+    ``out``, when given, receives the product and must not overlap p or q.
+    """
+    (a1, b1), (a2, b2) = p, q
+    if out is None:
+        out = np.empty((2,) + np.broadcast(a1, a2).shape, dtype=complex)
+    np.multiply(a1, a2, out=out[0])
+    out[0] -= np.conj(b1) * b2
+    np.multiply(b1, a2, out=out[1])
+    out[1] += np.conj(a1) * b2
     return out
 
 
-def _product_reduce(units: np.ndarray) -> np.ndarray:
-    """Ordered product of 2x2 step unitaries (time order along axis 0).
+def _su2_matrix(q: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2) matrices [[a, -b*], [b, a*]] of SU(2) pairs."""
+    a, b = q
+    return np.stack([np.stack([a, -np.conj(b)], -1),
+                     np.stack([b, np.conj(a)], -1)], -2)
 
-    Later steps multiply from the left: result = U[n-1] @ ... @ U[0].
-    Axes between the first and the last two are independent batches.
+
+def _product_reduce(q: np.ndarray) -> np.ndarray:
+    """Ordered product of SU(2) step pairs (time order along axis 1).
+
+    Later steps multiply from the left: result = q[n-1] @ ... @ q[0].
+    Axes after the second are independent batches.
     """
-    while units.shape[0] > 1:
-        n = units.shape[0]
-        even = units[0 : n - n % 2 : 2]
-        odd = units[1 : n : 2]
-        merged = _mul2(odd, even)
+    while q.shape[1] > 1:
+        n = q.shape[1]
+        merged = _su2_mul(q[:, 1:n:2], q[:, 0 : n - n % 2 : 2])
         if n % 2:
-            merged = np.concatenate([merged, units[-1:]], axis=0)
-        units = merged
-    return units[0]
+            merged = np.concatenate([merged, q[:, -1:]], axis=1)
+        q = merged
+    return q[:, 0]
+
+
+def _prefix_products(q: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products q[j] @ ... @ q[0] of a (2, n) pair array.
+
+    Blocked scan: a loop over the steps of each block of _SCAN_BLOCK,
+    vectorized across blocks, then a recursion on the block totals whose
+    prefixes multiply every later block at once.
+    """
+    n = q.shape[1]
+    blocks = -(-n // _SCAN_BLOCK)
+    last = n - (blocks - 1) * _SCAN_BLOCK
+    # step j of block k at [:, j, k], so each step of the loop is contiguous;
+    # identities pad the last block
+    x = np.empty((2, _SCAN_BLOCK, blocks), dtype=complex)
+    by_block = x.transpose(0, 2, 1)
+    by_block[:, :-1] = q[:, : n - last].reshape(2, blocks - 1, _SCAN_BLOCK)
+    by_block[:, -1, :last] = q[:, n - last :]
+    by_block[:, -1, last:] = ((1.0,), (0.0,))
+    for j in range(1, _SCAN_BLOCK):
+        x[:, j] = _su2_mul(x[:, j], x[:, j - 1])
+    local = np.ascontiguousarray(by_block)
+    # back in time order; x's buffer takes the result once the block
+    # totals have been scanned
+    out = x.reshape(local.shape)
+    if blocks > 1:
+        offsets = _prefix_products(x[:, -1, :-1])
+        _su2_mul(local[:, 1:], offsets[:, :, None], out=out[:, 1:])
+    out[:, 0] = local[:, 0]
+    return out.reshape(2, -1)[:, :n]
 
 
 def propagate(h, grid: TimeGrid) -> np.ndarray:
@@ -190,9 +237,8 @@ def propagate(h, grid: TimeGrid) -> np.ndarray:
     ay = -hs[:, 0, 1].imag
     az = 0.5 * (hs[:, 0, 0] - hs[:, 1, 1]).real
     a0 = 0.5 * (hs[:, 0, 0] + hs[:, 1, 1]).real
-    units = _su2_exp(ax, ay, az, grid.dt)
-    units *= np.exp(-1j * a0 * grid.dt)[:, None, None]
-    return _product_reduce(units)
+    u = _su2_matrix(_product_reduce(_su2_exp(ax, ay, az, grid.dt)))
+    return np.exp(-1j * np.sum(a0) * grid.dt) * u
 
 
 # ---------------------------------------------------------------------------
@@ -212,47 +258,22 @@ def _generator_quadrature(p: FieldParams, theta: str, grid: TimeGrid,
                           control: bool) -> np.ndarray:
     """Midpoint quadrature of U(0->t)^dag dH/dtheta U(0->t) over the grid.
 
-    The step propagators and the integrand share one midpoint grid.
-    Implemented as a chunked prefix scan so large grids stay vectorized.
+    The step propagators and the integrand share one midpoint grid: with
+    half steps h_j and prefixes P_j = h_j h_j ... h_0 h_0, the midpoint
+    propagator is V_j = h_j P_(j-1), and V^dag sx V has the sx, sy, sz
+    coefficients (Re(a^2 - b^2), Im(a^2 - b^2), 2 Re(a* b)) of V = (a, b).
     """
-    n = grid.steps
-    dt = grid.dt
     mids = grid.midpoints()
     fx, fz = _drive_coeffs(p, mids, "total" if control else "target")
-    m = _dtheta_coeff(p, theta, mids)
-
-    zeros = np.zeros_like(fx)
-    full = _su2_exp(fx, zeros, fz, dt)
-    half = _su2_exp(fx, zeros, fz, dt / 2.0)
-
-    chunks = int(np.clip(int(np.sqrt(n)), 1, 8192))
-    length = -(-n // chunks)  # ceil
-    pad = chunks * length - n
-    if pad:
-        eye = np.broadcast_to(np.eye(2, dtype=complex), (pad, 2, 2))
-        full = np.concatenate([full, eye])
-        half = np.concatenate([half, eye])
-        m = np.concatenate([m, np.zeros(pad)])
-    full = full.reshape(chunks, length, 2, 2)
-    half = half.reshape(chunks, length, 2, 2)
-    m = m.reshape(chunks, length)
-
-    prefix = np.broadcast_to(np.eye(2, dtype=complex), (chunks, 2, 2)).copy()
-    acc = np.zeros((chunks, 2, 2), dtype=complex)
-    sx = np.broadcast_to(SIGMA_X, (chunks, 2, 2))
-    for j in range(length):
-        vm = _mul2(half[:, j], prefix)  # prefix up to the step midpoint
-        vd = np.swapaxes(vm.conj(), -1, -2)
-        acc += (dt * m[:, j])[:, None, None] * _mul2(vd, _mul2(sx, vm))
-        prefix = _mul2(full[:, j], prefix)
-
-    # stitch chunk-local integrals with the cross-chunk prefixes
-    total = np.zeros((2, 2), dtype=complex)
-    left = np.eye(2, dtype=complex)
-    for c in range(chunks):
-        total += left.conj().T @ acc[c] @ left
-        left = prefix[c] @ left
-    return 0.5 * (total + total.conj().T)
+    w = grid.dt * _dtheta_coeff(p, theta, mids)
+    half = _su2_exp(fx, 0.0, fz, 0.5 * grid.dt)
+    steps = np.empty_like(half)
+    steps[:, 0] = (1.0, 0.0)
+    _su2_mul(half[:, :-1], half[:, :-1], out=steps[:, 1:])
+    a, b = _su2_mul(half, _prefix_products(steps))
+    x_iy = a @ (w * a) - b @ (w * b)
+    z = 2.0 * np.vdot(a, w * b).real
+    return x_iy.real * SIGMA_X + x_iy.imag * SIGMA_Y + z * SIGMA_Z
 
 
 def generator_numeric(p: FieldParams, theta: str, grid: TimeGrid,
@@ -277,22 +298,44 @@ def generator_numeric(p: FieldParams, theta: str, grid: TimeGrid,
     return g
 
 
+# Taylor series in x = omega*T (coefficients of x^2k, highest first) of
+# w_x/(g B T^2 x) and w_y/(g B T^2 x^2), used below x = 0.5 where the
+# closed forms cancel
+_SERIES_BELOW = 0.5
+_W_X_SERIES = (-2 / 206239658625, 8 / 10854718875, -4 / 91216125,
+               4 / 2027025, -2 / 31185, 4 / 2835, -2 / 105, 2 / 15, -1 / 3)
+_W_Y_SERIES = (1 / 976924698750, -1 / 11493231750, 1 / 170270100,
+               -1 / 3274425, 1 / 85050, -1 / 3150, 1 / 180, -1 / 18, 1 / 4)
+
+
 def _generator_coeffs(g, B, w, T, mode: str = "exact"):
     """sigma_x and sigma_y coefficients (b_x, b_y, w_x, w_y) of h_B and h_omega.
 
     Matched control with phi = 0; the arguments broadcast against each
     other. The asymptotic mode gives (gamma*T/2, 0) and (0, gamma*B*T^2/4).
+    Below omega*T = 0.5, w_x and w_y come from their Taylor series.
     """
     if mode == "asymptotic":
         return 0.5 * g * T, 0.0, 0.0, 0.25 * g * B * T * T
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
-    s = np.sin(2 * w * T)
-    c = np.cos(2 * w * T)
-    return (0.5 * g * (T + s / (2 * w)),
-            -(0.5 * g * ((1 - c) / (2 * w))),
-            -0.5 * g * B * (-T * c / (2 * w) + s / (4 * w * w)),
-            0.5 * g * B * (T * T / 2 - T * s / (2 * w) - (c - 1) / (4 * w * w)))
+    x = w * T
+    s = np.sin(2 * x)
+    c = np.cos(2 * x)
+    sin2 = np.sin(x) ** 2  # (1 - cos 2x) / 2 without the cancellation
+    bx = 0.5 * g * (T + s / (2 * w))
+    by = -(0.5 * g * (sin2 / w))
+    wx = -0.5 * g * B * (-T * c / (2 * w) + s / (4 * w * w))
+    wy = 0.5 * g * B * (T * T / 2 - T * s / (2 * w) + sin2 / (2 * w * w))
+    small = np.abs(x) < _SERIES_BELOW
+    if np.any(small):
+        shape = np.shape(small)
+        wx, wy = (np.array(np.broadcast_to(v, shape)) for v in (wx, wy))
+        scale, xs = (np.broadcast_to(v, shape)[small]
+                     for v in (g * B * T * T, x))
+        wx[small] = scale * xs * np.polyval(_W_X_SERIES, xs * xs)
+        wy[small] = scale * xs * xs * np.polyval(_W_Y_SERIES, xs * xs)
+    return bx, by, wx, wy
 
 
 def generator_closed_form(p: FieldParams, T: float,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import FieldParams, _product_reduce, _su2_exp
+from .dynamics import FieldParams, _product_reduce, _su2_exp, _su2_matrix
 from .fitting import loglog_slope, ols_slope
 from .linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_state, bell_basis,
                      bell_state, expm_hermitian, tensor)
@@ -198,8 +198,8 @@ def sequence_unitary(seq: PulseSequence, nv: NvParams, p: FieldParams,
     """Full propagator of the pulse sequence in the rotating frame.
 
     Target windows take ``steps_per_block`` midpoint steps, control windows
-    and finite pi pulses one exact step each, and ideal pi pulses are a
-    literal sx_e. Both nuclear blocks run as one batch of electron SU(2)
+    and finite pi pulses one exact step each, and ideal pi pulses are an
+    exact sx_e. Both nuclear blocks run as one batch of electron SU(2)
     problems, placed on the diagonal of the four-level propagator.
     """
     if steps_per_block < 1:
@@ -208,8 +208,9 @@ def sequence_unitary(seq: PulseSequence, nv: NvParams, p: FieldParams,
     dt = tau / steps_per_block
     mids = (np.arange(steps_per_block) + 0.5) * dt
     # per repetition, as in seq.blocks: target steps, pi, control, pi, each
-    # (sx, sy, duration, hyperfine weight); an ideal pi takes no time and
-    # its step is replaced by sigma_x after exponentiation
+    # (sx, sy, duration, hyperfine weight); an ideal pi takes no time, and
+    # its step becomes the SU(2) pair (0, -i) = -i sx, whose lost factor i
+    # multiplies the product
     table = np.empty((seq.n_reps, steps_per_block + 3, 4))
     times = (2 * np.arange(seq.n_reps))[:, None] * tau + mids
     table[:, :-3, 0], table[:, :-3, 1] = _window_drive(p, times, "target")
@@ -222,11 +223,13 @@ def sequence_unitary(seq: PulseSequence, nv: NvParams, p: FieldParams,
                                        float(pulse.hyperfine_on))
     table[:, -2] = (*_window_drive(p, 0.0, "control"), tau, 1.0)
     ax, ay, dts, weight = table.reshape(-1, 4).T
-    units = _su2_exp(ax[:, None], ay[:, None],
+    steps = _su2_exp(ax[:, None], ay[:, None],
                      weight[:, None] * _hyperfine_z(nv), dts[:, None])
-    units[dts == 0.0] = SIGMA_X
+    ideal = dts == 0.0
+    steps[0, ideal], steps[1, ideal] = 0.0, -1j
+    phase = 1j ** (np.count_nonzero(ideal) % 4)
     u = np.zeros((4, 4), dtype=complex)
-    u[0::2, 0::2], u[1::2, 1::2] = _product_reduce(units)
+    u[0::2, 0::2], u[1::2, 1::2] = phase * _su2_matrix(_product_reduce(steps))
     return u
 
 

@@ -1,10 +1,15 @@
 """Config ingestion, result emission, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import acmag
 from acmag.cli import (ConfigError, emit_results, main, resolve_config, run)
 from acmag.dynamics import FieldParams
 from acmag.qfim import qfim_closed_form
@@ -200,8 +205,9 @@ class TestExitCodes:
         {"readout": {"n_avg": 0}},
         {"sweep": {"points": 2}},
         {"protocol": {"tau": -1}},
+        {"nv": {"b_z0": 1100.0}},
     ], ids=["tau-string", "n-reps-zero", "n-avg-zero", "two-points",
-            "negative-tau"])
+            "negative-tau", "negative-control-frequency"])
     def test_malformed_nv_sweep_config_is_2(self, tmp_path, capsys, payload):
         cfg = _write(tmp_path, "c.json", payload)
         out = tmp_path / "out"
@@ -273,6 +279,7 @@ class TestExitCodes:
         ("convergence", {"field": {"gamma": 1e200}}),
         ("bounds", {"field": {"omega_mhz": 1.0}, "scan": {"t_values": [1e300]}}),
         ("probe-search", {"search": {"t": 1e200}}),
+        ("bounds", {"field": {"omega_mhz": 1e-300}}),
     ])
     def test_overflowing_config_is_2(self, tmp_path, capsys, command, payload):
         cfg = _write(tmp_path, "c.json", payload)
@@ -281,6 +288,37 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             f"config error: config values overflow in {command}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["nv-sweep", "nv-scaling", "adaptive"])
+    def test_non_positive_control_frequency_names_the_field(self, tmp_path,
+                                                            capsys, command):
+        cfg = _write(tmp_path, "c.json", {"nv": {"b_z0": 1100.0}})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "nv.b_z0 = 1100.0" in err and "-208.92 MHz" in err
+        assert not out.exists()
+
+    def test_underflowing_rabi_frequency_runs(self, tmp_path):
+        # the pulse step's squared coefficients underflow to 0
+        cfg = _write(tmp_path, "c.json", {"protocol": {"pulse": {
+            "kind": "finite", "rabi_mhz": 1e-300}}})
+        out = tmp_path / "out"
+        assert main(["nv-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = _read_csv(out / "nv-sweep.csv")
+        assert np.all(np.isfinite([[float(x) for x in r[1:]] for r in rows]))
+
+    def test_module_entry_point_keeps_the_exit_code(self, tmp_path):
+        cfg = _write(tmp_path, "c.json", {"protocol": {"n_reps": "8"}})
+        src = str(Path(acmag.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "acmag", "nv-sweep", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error:")
+        assert "Traceback" not in done.stderr
 
     def test_negative_seed_override_is_config_error(self):
         with pytest.raises(ConfigError, match="seed"):

@@ -1,12 +1,18 @@
 """Hamiltonian evaluation, midpoint propagation, and generator quadrature."""
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acmag.dynamics import (ConvergenceError, FieldParams, TimeGrid,
+from acmag.dynamics import (_SCAN_BLOCK, ConvergenceError, FieldParams,
+                            TimeGrid, _generator_coeffs, _prefix_products,
+                            _product_reduce, _su2_exp, _su2_matrix,
                             generator_closed_form, generator_numeric,
                             hamiltonian_eval, propagate)
-from acmag.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, max_abs
+from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian,
+                          max_abs)
 
 # frozen from the closed-form expressions at gamma=1, B=1, omega=1, T=1,
 # cross-checked against the midpoint quadrature in test_matches_quadrature
@@ -94,6 +100,86 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(lambda t: bad, TimeGrid(0, 1.0, 3))
 
+    def test_trace_part_is_a_global_phase(self):
+        h = lambda t: ((0.7 + t) * I2 + np.cos(t) * SIGMA_X - 0.3 * SIGMA_Y
+                       + 0.2 * t * SIGMA_Z)
+        grid = TimeGrid(0, 1.5, 9)
+        ref = np.eye(2)
+        for t in grid.midpoints():
+            ref = expm_hermitian(h(t), grid.dt) @ ref
+        assert max_abs(propagate(h, grid) - ref) <= 1e-14
+
+
+def _random_pairs(rng, *shape):
+    z = rng.standard_normal((2, 2) + shape)
+    z = z[0] + 1j * z[1]
+    return z / np.sqrt(np.sum(np.abs(z) ** 2, axis=0))
+
+
+def _sequential_prefixes(mats):
+    out, acc = np.empty_like(mats), np.eye(2)
+    for j, m in enumerate(mats):
+        acc = np.matmul(m, acc)
+        out[j] = acc
+    return out
+
+
+class TestSu2Kernels:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-100, 1.0])
+    @pytest.mark.parametrize("axes", [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                      (1, 1, 1), (1, -1, 0)])
+    def test_steps_stay_unitary_for_tiny_coefficients(self, scale, axes):
+        ax, ay, az = scale * np.array(axes, dtype=float)
+        norm = scale * np.sqrt(np.dot(axes, axes))
+        for dt in (1.0, 0.5 * np.pi / norm):
+            a, b = _su2_exp(ax, ay, az, dt)
+            assert abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-14
+        # a quarter turn: exp(-i (pi/2) n.sigma) = -i n.sigma
+        n = np.array(axes) / np.sqrt(np.dot(axes, axes))
+        u = _su2_matrix(_su2_exp(ax, ay, az, 0.5 * np.pi / norm))
+        turn = -1j * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
+        assert max_abs(u - turn) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 65])
+    def test_product_reduce_matches_sequential_matmul(self, n):
+        q = _random_pairs(np.random.default_rng(n), n, 3)
+        ref = [_sequential_prefixes(_su2_matrix(q[:, :, k]))[-1]
+               for k in range(3)]
+        assert max_abs(_su2_matrix(_product_reduce(q)) - ref) <= 1e-13
+
+    # padding of the last block, one block exactly, and the recursion on
+    # the block totals
+    @pytest.mark.parametrize("n", [1, _SCAN_BLOCK - 1, _SCAN_BLOCK,
+                                   _SCAN_BLOCK + 1, _SCAN_BLOCK**2 + 1])
+    def test_prefix_products_match_sequential_matmul(self, n):
+        q = _random_pairs(np.random.default_rng(n), n)
+        ref = _sequential_prefixes(_su2_matrix(q))
+        assert max_abs(_su2_matrix(_prefix_products(q)) - ref) <= 1e-13
+
+
+def _mp_generator_coeffs(g, B, w, T):
+    """(b_x, b_y, w_x, w_y) of the closed form, evaluated with 60 digits."""
+    with mp.workdps(60):
+        g, B, w, T = map(mp.mpf, (g, B, w, T))
+        s, c = mp.sin(2 * w * T), mp.cos(2 * w * T)
+        return (g / 2 * (T + s / (2 * w)), -g / 2 * (1 - c) / (2 * w),
+                -g * B / 2 * (-T * c / (2 * w) + s / (4 * w * w)),
+                g * B / 2 * (T * T / 2 - T * s / (2 * w)
+                             - (c - 1) / (4 * w * w)))
+
+
+class TestGeneratorCoefficients:
+    # omega*T from 1e-6 to 10, across the series crossover at 0.5
+    @pytest.mark.parametrize("g,B,T", [(1.3, 0.7, 2.0), (0.01, 1e3, 1e-3)])
+    def test_match_high_precision_oracle(self, g, B, T):
+        xs = np.concatenate([np.logspace(-6, 1, 29),
+                             0.5 * (1 + np.array([-1e-12, 0.0, 1e-12]))])
+        got = _generator_coeffs(g, B, xs / T, T)
+        for i, x in enumerate(xs):
+            exact = _mp_generator_coeffs(g, B, x / T, T)
+            for coeff, want in zip(got, exact):
+                assert abs(coeff[i] / want - 1) <= 1e-13
+
 
 class TestGeneratorClosedForm:
     def test_exact_at_reference_point(self):
@@ -162,6 +248,19 @@ class TestGeneratorNumeric:
         p = FieldParams.matched(1.0, 30.0)
         with pytest.raises(ConvergenceError):
             generator_numeric(p, "B", TimeGrid(0, 5.0, 40), check_tol=1e-10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(B=st.floats(0.0, 5.0), B_c=st.floats(0.0, 5.0),
+           omega=st.floats(0.05, 50.0), phi=st.floats(-np.pi, np.pi),
+           T=st.floats(0.01, 10.0), steps=st.integers(1, 3 * _SCAN_BLOCK + 5),
+           theta=st.sampled_from(["B", "omega"]), control=st.booleans())
+    def test_hermitian_and_traceless(self, B, B_c, omega, phi, T, steps,
+                                     theta, control):
+        p = FieldParams(B=B, omega=omega, phi=phi, B_c=B_c, phi_c=phi)
+        h = generator_numeric(p, theta, TimeGrid(0, T, steps), control)
+        assert h.shape == (2, 2) and np.all(np.isfinite(h))
+        assert np.array_equal(h, h.conj().T)
+        assert h[0, 0] + h[1, 1] == 0.0
 
     def test_orthogonality_emerges_at_long_times(self):
         p = FieldParams.matched(1.0, 1000.0)
