@@ -12,8 +12,7 @@ Library layout:
 
 from .bounds import StrategyComparison, envelope_integral, single_param_qfi_bound, strategy_comparison
 from .dynamics import (ConvergenceError, FieldParams, GeneratorPair, TimeGrid,
-                       generator_closed_form, generator_numeric,
-                       hamiltonian_eval, propagate)
+                       generator_closed_form, generator_numeric, propagate)
 from .fitting import envelope_slope, loglog_slope, upper_envelope
 from .linalg import (bell_basis, bell_state, expm_hermitian, haar_state,
                      is_hermitian, is_unitary, partial_trace, pauli_op,

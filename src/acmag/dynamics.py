@@ -100,25 +100,14 @@ class GeneratorPair:
                 raise ValueError("generators must be Hermitian")
 
 
-def _drive_coeffs(p: FieldParams, t, which: str):
-    """sigma_x, sigma_z coefficients of the target, control or total H(t)."""
-    if which not in ("target", "control", "total"):
-        raise ValueError(f"which must be 'target', 'control' or 'total', got {which!r}")
-    fx = fz = 0.0
-    if which != "control":
-        fx = p.gamma * p.B * np.cos(p.omega * t + p.phi)
-    if which != "target":
-        fx = fx - p.gamma * p.B_c * np.cos(p.omega_c * t + p.phi_c)
-        fz = 0.5 * p.omega_c
-    return fx, fz
-
-
-def hamiltonian_eval(p: FieldParams, which: str, t: float) -> np.ndarray:
-    """Evaluate the target, control, or total Hamiltonian at time t."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    fx, fz = _drive_coeffs(p, t, which)
-    return fx * SIGMA_X + fz * SIGMA_Z
+def _drive_coeffs(p: FieldParams, t, control: bool):
+    """sigma_x, sigma_z coefficients of the target H(t), or with ``control``
+    of the total target + control H(t)."""
+    fx = p.gamma * p.B * np.cos(p.omega * t + p.phi)
+    if not control:
+        return fx, 0.0
+    return (fx - p.gamma * p.B_c * np.cos(p.omega_c * t + p.phi_c),
+            0.5 * p.omega_c)
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +125,15 @@ def _su2_exp(ax: np.ndarray, ay: np.ndarray, az: np.ndarray,
 
     The coefficients and the step length dt broadcast against each other.
     """
-    r2 = ax * ax + ay * ay + az * az
+    with np.errstate(over="ignore"):
+        r2 = ax * ax + ay * ay + az * az
     r = np.sqrt(r2)
-    # squares of coefficients below ~1e-154 underflow; hypot does not, but
-    # costs several sqrt per element, so it only runs on a batch that needs it
-    low = r2 < np.finfo(float).tiny
-    if np.any(low):
-        r = np.where(low, np.hypot(np.hypot(ax, ay), az), r)
+    # squares of coefficients below ~1e-154 underflow and above ~1e154
+    # overflow; hypot does neither, but costs several sqrt per element, so
+    # it only runs on a batch that needs it
+    if not np.finfo(float).tiny <= np.min(r2) <= np.max(r2) < np.inf:
+        r = np.where((r2 < np.finfo(float).tiny) | (r2 == np.inf),
+                     np.hypot(np.hypot(ax, ay), az), r)
     phase = r * dt
     # sin(r*dt)/r, continuous at r=0
     s = np.where(r > 0.0, np.sin(phase) / np.where(r > 0.0, r, 1.0), dt)
@@ -220,21 +211,21 @@ def _prefix_products(q: np.ndarray) -> np.ndarray:
 
 
 def propagate(h, grid: TimeGrid) -> np.ndarray:
-    """Time-ordered midpoint propagator for a 2x2 Hamiltonian function h(t).
+    """Time-ordered midpoint propagator of a 2x2 Hamiltonian function h.
 
-    Each step contributes exp(-i*h(t_mid)*dt); later steps are applied on
-    the left. Converges at second order in the step size. Every sampled
-    matrix must be 2x2 and Hermitian within 1e-10.
+    h is called once, on the grid's midpoints, and returns a (steps, 2, 2)
+    stack or one 2x2 matrix for every step, Hermitian within 1e-10. Each
+    step contributes exp(-i*h(t_mid)*dt); later steps are applied on the
+    left. Converges at second order in the step size.
     """
-    mids = grid.midpoints()
-    hs = np.stack([np.asarray(h(t), dtype=complex) for t in mids])
-    if hs.shape[1:] != (2, 2):
-        raise ValueError(
-            f"propagate requires 2x2 Hamiltonians, got {hs.shape[1:]}")
+    hs = np.asarray(h(grid.midpoints()), dtype=complex)
+    if hs.shape not in ((2, 2), (grid.steps, 2, 2)):
+        raise ValueError("propagate requires 2x2 Hamiltonians, one per step "
+                         f"or one for all, got shape {hs.shape}")
     if max_abs(hs - np.swapaxes(hs.conj(), -1, -2)) > 1e-10:
         raise ValueError("propagate sampled a non-Hermitian Hamiltonian")
-    ax = hs[:, 0, 1].real
-    ay = -hs[:, 0, 1].imag
+    hs = np.broadcast_to(hs, (grid.steps, 2, 2))
+    ax, ay = hs[:, 0, 1].real, -hs[:, 0, 1].imag
     az = 0.5 * (hs[:, 0, 0] - hs[:, 1, 1]).real
     a0 = 0.5 * (hs[:, 0, 0] + hs[:, 1, 1]).real
     u = _su2_matrix(_product_reduce(_su2_exp(ax, ay, az, grid.dt)))
@@ -264,7 +255,7 @@ def _generator_quadrature(p: FieldParams, theta: str, grid: TimeGrid,
     coefficients (Re(a^2 - b^2), Im(a^2 - b^2), 2 Re(a* b)) of V = (a, b).
     """
     mids = grid.midpoints()
-    fx, fz = _drive_coeffs(p, mids, "total" if control else "target")
+    fx, fz = _drive_coeffs(p, mids, control)
     w = grid.dt * _dtheta_coeff(p, theta, mids)
     half = _su2_exp(fx, 0.0, fz, 0.5 * grid.dt)
     steps = np.empty_like(half)

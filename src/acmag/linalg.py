@@ -28,22 +28,17 @@ def pauli_op(axis: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli axis {axis!r}; expected 'x', 'y' or 'z'")
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
 def max_abs(a: np.ndarray) -> float:
     """Max absolute entry; the default operator distance in this package."""
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    return max_abs(a - dagger(a)) <= tol
+    return max_abs(a - a.conj().T) <= tol
 
 
 def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
-    return max_abs(dagger(a) @ a - np.eye(a.shape[0])) <= tol
+    return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= tol
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

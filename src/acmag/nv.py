@@ -46,8 +46,8 @@ SZ_EN = tensor(SIGMA_Z, SIGMA_Z)
 # at the operating point while keeping their parameter derivatives finite.
 READOUT_ROTATION = expm_hermitian(
     (np.pi / (3.0 * np.sqrt(3.0))) * (SIGMA_X + SIGMA_Y + SIGMA_Z), 1.0)
-_READOUT_ROTATION_E = tensor(READOUT_ROTATION, I2)
-_BELL_BRAS = [b.conj() for b in bell_basis()]
+_BELL_BRAS = np.conj(bell_basis())
+_BELL_READOUT = _BELL_BRAS @ tensor(READOUT_ROTATION, I2)  # after the rotation
 _PROBE = bell_state("phi+")
 
 
@@ -118,13 +118,13 @@ def interaction_term(nv: NvParams) -> np.ndarray:
     return tensor(SIGMA_Z, np.diag(_hyperfine_z(nv)))
 
 
-def _window_drive(p: FieldParams, t, segment: str):
+def _window_drive(p: FieldParams, B, omega, t, segment: str):
     """sx_e, sy_e coefficients of the drive in one evolution window: target
-    gamma*B*[cos((omega-omega_c)t+phi) sx_e - sin(...) sy_e], control the
-    static -gamma*B_c*[cos(phi_c) sx_e - sin(phi_c) sy_e]."""
+    gamma*B*[cos((omega-omega_c)t+phi) sx_e - sin(...) sy_e] at the given B
+    and omega, control the static -gamma*B_c*[cos(phi_c) sx_e - sin(...) sy_e]."""
     if segment == "target":
-        ph = (p.omega - p.omega_c) * t + p.phi
-        return p.gamma * p.B * np.cos(ph), -p.gamma * p.B * np.sin(ph)
+        ph = (omega - p.omega_c) * t + p.phi
+        return p.gamma * B * np.cos(ph), -p.gamma * B * np.sin(ph)
     if segment == "control":
         return (-p.gamma * p.B_c * np.cos(p.phi_c),
                 p.gamma * p.B_c * np.sin(p.phi_c))
@@ -134,7 +134,7 @@ def _window_drive(p: FieldParams, t, segment: str):
 def nv_rotating_hamiltonian(nv: NvParams, p: FieldParams, t: float,
                             segment: str) -> np.ndarray:
     """Rotating-frame Hamiltonian of one window: drive plus hyperfine term."""
-    ax, ay = _window_drive(p, t, segment)
+    ax, ay = _window_drive(p, p.B, p.omega, t, segment)
     return ax * SX_E + ay * SY_E + interaction_term(nv)
 
 
@@ -193,44 +193,57 @@ def build_sequence(n_reps: int, tau: float, pulse: PiPulseModel) -> PulseSequenc
                          blocks=tuple(blocks), total_duration=2 * n_reps * tau)
 
 
-def sequence_unitary(seq: PulseSequence, nv: NvParams, p: FieldParams,
-                     steps_per_block: int = 32) -> np.ndarray:
-    """Full propagator of the pulse sequence in the rotating frame.
+def _sequence_unitaries(seq: PulseSequence, nv: NvParams, p: FieldParams,
+                        B, omega, steps_per_block: int) -> np.ndarray:
+    """Propagators (points, 4, 4) at target amplitudes B and frequencies
+    omega (1-D arrays, or scalars that broadcast), control at p's values.
 
     Target windows take ``steps_per_block`` midpoint steps, control windows
     and finite pi pulses one exact step each, and ideal pi pulses are an
-    exact sx_e. Both nuclear blocks run as one batch of electron SU(2)
-    problems, placed on the diagonal of the four-level propagator.
+    exact sx_e. All points and both nuclear blocks run as one batch of
+    electron SU(2) problems, placed on the propagators' block diagonals.
     """
     if steps_per_block < 1:
         raise ValueError("steps_per_block must be >= 1")
+    B, omega = np.broadcast_arrays(np.ravel(B), np.ravel(omega))
     pulse, tau = seq.pulse, seq.tau
     dt = tau / steps_per_block
     mids = (np.arange(steps_per_block) + 0.5) * dt
-    # per repetition, as in seq.blocks: target steps, pi, control, pi, each
-    # (sx, sy, duration, hyperfine weight); an ideal pi takes no time, and
+    # per point and repetition, as in seq.blocks: target steps, pi,
+    # control, pi, each (sx, sy, duration, hyperfine weight); an ideal pi
+    # takes no time (a unit sx keeps zeros off _su2_exp's hypot path), and
     # its step becomes the SU(2) pair (0, -i) = -i sx, whose lost factor i
     # multiplies the product
-    table = np.empty((seq.n_reps, steps_per_block + 3, 4))
+    table = np.empty((B.size, seq.n_reps, steps_per_block + 3, 4))
     times = (2 * np.arange(seq.n_reps))[:, None] * tau + mids
-    table[:, :-3, 0], table[:, :-3, 1] = _window_drive(p, times, "target")
-    table[:, :-3, 2:] = dt, 1.0
+    table[..., :-3, 0], table[..., :-3, 1] = _window_drive(
+        p, B[:, None, None], omega[:, None, None], times, "target")
+    table[..., :-3, 2:] = dt, 1.0
     if pulse.kind == "ideal":
-        table[:, -3] = table[:, -1] = 0.0
+        table[..., -3, :] = table[..., -1, :] = (1.0, 0.0, 0.0, 0.0)
     else:
-        table[:, -3] = table[:, -1] = (0.5 * pulse.rabi_freq, 0.0,
-                                       np.pi / pulse.rabi_freq,
-                                       float(pulse.hyperfine_on))
-    table[:, -2] = (*_window_drive(p, 0.0, "control"), tau, 1.0)
-    ax, ay, dts, weight = table.reshape(-1, 4).T
-    steps = _su2_exp(ax[:, None], ay[:, None],
-                     weight[:, None] * _hyperfine_z(nv), dts[:, None])
-    ideal = dts == 0.0
+        table[..., -3, :] = table[..., -1, :] = (
+            0.5 * pulse.rabi_freq, 0.0, np.pi / pulse.rabi_freq,
+            float(pulse.hyperfine_on))
+    table[..., -2, :] = (*_window_drive(p, p.B, p.omega, 0.0, "control"),
+                         tau, 1.0)
+    # time order on axis 0, points on axis 1, nuclear blocks last
+    ax, ay, dts, weight = table.reshape(B.size, -1, 4).T
+    steps = _su2_exp(ax[..., None], ay[..., None],
+                     weight[..., None] * _hyperfine_z(nv), dts[..., None])
+    ideal = dts[:, 0] == 0.0
     steps[0, ideal], steps[1, ideal] = 0.0, -1j
     phase = 1j ** (np.count_nonzero(ideal) % 4)
-    u = np.zeros((4, 4), dtype=complex)
-    u[0::2, 0::2], u[1::2, 1::2] = phase * _su2_matrix(_product_reduce(steps))
+    u = np.zeros((B.size, 4, 4), dtype=complex)
+    u[:, 0::2, 0::2], u[:, 1::2, 1::2] = (
+        phase * _su2_matrix(_product_reduce(steps))).swapaxes(0, 1)
     return u
+
+
+def sequence_unitary(seq: PulseSequence, nv: NvParams, p: FieldParams,
+                     steps_per_block: int = 32) -> np.ndarray:
+    """Rotating-frame propagator, ``steps_per_block`` steps per target window."""
+    return _sequence_unitaries(seq, nv, p, p.B, p.omega, steps_per_block)[0]
 
 
 def simulate_sequence(seq: PulseSequence, nv: NvParams, p: FieldParams,
@@ -286,9 +299,7 @@ def bell_readout(state: np.ndarray, readout: ReadoutModel | None = None,
     applied; with ``rotate=False`` the basis rotation is skipped.
     """
     psi = as_state(state)
-    if rotate:
-        psi = _READOUT_ROTATION_E @ psi
-    probs = np.array([abs(b @ psi) ** 2 for b in _BELL_BRAS])
+    probs = np.abs((_BELL_READOUT if rotate else _BELL_BRAS) @ psi) ** 2
     return probs if readout is None else readout.spam(probs)
 
 
@@ -311,11 +322,11 @@ def sweep_signal(axis: str, values, p: FieldParams, nv: NvParams,
                  steps_per_block: int = 32) -> SweepResult:
     """Simulate the measured signals across a parameter sweep.
 
-    For each swept value the sequence is run from the Bell probe and the
-    first two (or three) signals 1 - p_i are recorded, with optional
-    Gaussian shot noise of deviation ``readout.sigma`` seeded per point.
-    Local slopes are fitted on a five-point window centered on the
-    operating point.
+    All swept values run from the Bell probe as one batch of sequences.
+    The first two (or three) signals 1 - p_i are recorded, with optional
+    Gaussian shot noise of deviation ``readout.sigma`` seeded per point
+    (FloatingPointError if it makes a signal non-finite). Local slopes are
+    fitted on a five-point window centered on the operating point.
     """
     if axis not in ("B", "omega"):
         raise ValueError(f"axis must be 'B' or 'omega', got {axis!r}")
@@ -324,23 +335,26 @@ def sweep_signal(axis: str, values, p: FieldParams, nv: NvParams,
         raise ValueError("need at least 3 sweep points for slope fitting")
     if values.max() == values.min():
         raise ValueError("sweep range has zero width")
+    replace(p, **{axis: values.min()})  # FieldParams' lower bounds hold for all
     k = readout.n_signals
-    seq = build_sequence(n_reps, tau, pulse)
-    probs = np.empty((values.size, 4))
-    for i, v in enumerate(values):
-        pv = replace(p, B=v) if axis == "B" else replace(p, omega=v)
-        probs[i] = bell_readout(simulate_sequence(seq, nv, pv, _PROBE,
-                                                  steps_per_block))
+    u = _sequence_unitaries(build_sequence(n_reps, tau, pulse), nv, p,
+                            values if axis == "B" else p.B,
+                            values if axis == "omega" else p.omega,
+                            steps_per_block)
+    probs = np.abs(u @ _PROBE @ _BELL_READOUT.T) ** 2
     signals = 1.0 - readout.spam(probs[:, :k])
     if add_noise:
         signals += np.array([np.random.default_rng([seed, i]).normal(
             0.0, readout.sigma, size=k) for i in range(values.size)])
+        bad = ~np.isfinite(signals).all(axis=1)
+        if np.any(bad):
+            raise FloatingPointError(
+                f"non-finite noisy signal at {axis} = {float(values[bad][0])!r}"
+                f" (readout.sigma = {readout.sigma!r})")
 
-    center = p.B if axis == "B" else p.omega
-    idx = int(np.argmin(np.abs(values - center)))
+    idx = int(np.argmin(np.abs(values - getattr(p, axis))))
     lo = max(0, min(idx - 2, values.size - 5))
-    hi = min(values.size, lo + 5)
-    win = slice(lo, hi)
+    win = slice(lo, lo + 5)
     slopes, stderr = np.array(
         [ols_slope(values[win], signals[win, j]) for j in range(k)]).T
     return SweepResult(axis=axis, values=values, probs=probs,

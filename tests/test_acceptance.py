@@ -147,7 +147,7 @@ def test_c08_measurement_saturation():
     def prob_fn(b_val, w_val):
         def h(t):
             fx = g * (b_val * np.cos(w_val * t) - B * np.cos(w * t))
-            return fx * SIGMA_X + 0.5 * w * SIGMA_Z
+            return fx[:, None, None] * SIGMA_X + 0.5 * w * SIGMA_Z
         u = propagate(h, TimeGrid(0.0, T, 100_000))
         psi = tensor(u, I2) @ bell
         return np.array([abs(e.conj() @ psi) ** 2 for e in effects])

@@ -264,6 +264,9 @@ class TestExitCodes:
          "non-finite value nan in column 'f_ww' at row 50"),
         ("probe-search", {"field": {"b": 1e200}},
          "non-finite value nan in column 'det' at row 0"),
+        ("nv-sweep", {"readout": {"sigma": 1e308}},
+         "non-finite noisy signal at omega = 11758.868138680453 "
+         "(readout.sigma = 1e+308)"),
     ])
     def test_non_finite_output_is_3(self, tmp_path, capsys, command, payload,
                                     message):
@@ -300,13 +303,17 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_underflowing_rabi_frequency_runs(self, tmp_path):
-        # the pulse step's squared coefficients underflow to 0
-        cfg = _write(tmp_path, "c.json", {"protocol": {"pulse": {
-            "kind": "finite", "rabi_mhz": 1e-300}}})
-        out = tmp_path / "out"
-        assert main(["nv-sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        _, rows = _read_csv(out / "nv-sweep.csv")
-        assert np.all(np.isfinite([[float(x) for x in r[1:]] for r in rows]))
+        # the pulse step's squared coefficients underflow to 0, or overflow
+        # to inf
+        for rabi_mhz in (1e-300, 1e300):
+            cfg = _write(tmp_path, "c.json", {"protocol": {"pulse": {
+                "kind": "finite", "rabi_mhz": rabi_mhz}}})
+            out = tmp_path / f"out{rabi_mhz}"
+            assert main(["nv-sweep", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+            _, rows = _read_csv(out / "nv-sweep.csv")
+            assert np.all(np.isfinite([[float(x) for x in r[1:]]
+                                       for r in rows]))
 
     def test_module_entry_point_keeps_the_exit_code(self, tmp_path):
         cfg = _write(tmp_path, "c.json", {"protocol": {"n_reps": "8"}})

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acmag.dynamics import (_SCAN_BLOCK, ConvergenceError, FieldParams,
-                            TimeGrid, _generator_coeffs, _prefix_products,
-                            _product_reduce, _su2_exp, _su2_matrix,
-                            generator_closed_form, generator_numeric,
-                            hamiltonian_eval, propagate)
+                            TimeGrid, _drive_coeffs, _generator_coeffs,
+                            _prefix_products, _product_reduce, _su2_exp,
+                            _su2_matrix, generator_closed_form,
+                            generator_numeric, propagate)
 from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian,
                           max_abs)
 
@@ -40,25 +40,17 @@ class TestFieldParams:
 
 
 class TestHamiltonianEval:
+    # the sigma_x, sigma_z coefficients of the target and the total H
     def test_target_at_zero_phase(self):
         p = FieldParams(B=2.0, omega=5.0, gamma=3.0)
-        np.testing.assert_allclose(hamiltonian_eval(p, "target", 0.0),
-                                   6.0 * SIGMA_X, atol=1e-15)
+        np.testing.assert_allclose(_drive_coeffs(p, 0.0, False), (6.0, 0.0),
+                                   atol=1e-15)
 
     def test_matched_total_is_pure_z_rotation(self):
         p = FieldParams.matched(1.3, 2.7, phi=0.4)
-        for t in (0.0, 0.31, 2.9, 17.0):
-            np.testing.assert_allclose(hamiltonian_eval(p, "total", t),
-                                       0.5 * p.omega_c * SIGMA_Z, atol=1e-12)
-
-    def test_control_without_drive(self):
-        p = FieldParams(B=1.0, omega=2.0, B_c=0.0)
-        np.testing.assert_allclose(hamiltonian_eval(p, "control", 1.1),
-                                   SIGMA_Z, atol=1e-15)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            hamiltonian_eval(FieldParams(B=1, omega=1), "target", -0.1)
+        fx, fz = _drive_coeffs(p, np.array([0.0, 0.31, 2.9, 17.0]), True)
+        np.testing.assert_allclose(fx, 0.0, atol=1e-12)
+        np.testing.assert_allclose(fz, 0.5 * p.omega_c, atol=1e-12)
 
 
 class TestPropagate:
@@ -71,19 +63,24 @@ class TestPropagate:
     def test_matched_control_total(self):
         p = FieldParams.matched(1.0, 4.0)
         T = 2.5
-        u = propagate(lambda t: hamiltonian_eval(p, "total", t),
-                      TimeGrid(0, T, 200))
+
+        def h(t):
+            fx, fz = _drive_coeffs(p, t, True)
+            return fx[:, None, None] * SIGMA_X + fz * SIGMA_Z
+
+        u = propagate(h, TimeGrid(0, T, 200))
         expected = np.diag([np.exp(-1j * p.omega_c * T / 2),
                             np.exp(1j * p.omega_c * T / 2)])
         np.testing.assert_allclose(u, expected, atol=1e-10)
 
     def test_unitary_output(self):
-        u = propagate(lambda t: np.cos(t) * SIGMA_X + t * SIGMA_Z,
+        u = propagate(lambda t: (np.cos(t)[:, None, None] * SIGMA_X
+                                 + t[:, None, None] * SIGMA_Z),
                       TimeGrid(0, 1.0, 500))
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
     def test_second_order_self_convergence(self):
-        h = lambda t: np.cos(t) * SIGMA_X
+        h = lambda t: np.cos(t)[:, None, None] * SIGMA_X
         ref = propagate(h, TimeGrid(0, 1.0, 1_000_000))
         errs = [max_abs(propagate(h, TimeGrid(0, 1.0, n)) - ref)
                 for n in (100, 200, 400)]
@@ -101,13 +98,27 @@ class TestPropagate:
             propagate(lambda t: bad, TimeGrid(0, 1.0, 3))
 
     def test_trace_part_is_a_global_phase(self):
-        h = lambda t: ((0.7 + t) * I2 + np.cos(t) * SIGMA_X - 0.3 * SIGMA_Y
-                       + 0.2 * t * SIGMA_Z)
+        # scalar times for the per-step reference, an array for propagate
+        h = lambda t: (np.multiply.outer(0.7 + t, I2)
+                       + np.multiply.outer(np.cos(t), SIGMA_X) - 0.3 * SIGMA_Y
+                       + np.multiply.outer(0.2 * t, SIGMA_Z))
         grid = TimeGrid(0, 1.5, 9)
         ref = np.eye(2)
         for t in grid.midpoints():
             ref = expm_hermitian(h(t), grid.dt) @ ref
         assert max_abs(propagate(h, grid) - ref) <= 1e-14
+
+    def test_calls_h_once_on_the_midpoints(self):
+        grid = TimeGrid(0, 1.0, 5)
+        calls = []
+
+        def h(t):
+            calls.append(np.copy(t))
+            return np.cos(t)[:, None, None] * SIGMA_X
+
+        propagate(h, grid)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], grid.midpoints())
 
 
 def _random_pairs(rng, *shape):
@@ -125,7 +136,8 @@ def _sequential_prefixes(mats):
 
 
 class TestSu2Kernels:
-    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-100, 1.0])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-100, 1.0,
+                                       1e160, 1e300])
     @pytest.mark.parametrize("axes", [(1, 0, 0), (0, 1, 0), (0, 0, 1),
                                       (1, 1, 1), (1, -1, 0)])
     def test_steps_stay_unitary_for_tiny_coefficients(self, scale, axes):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from acmag import nv as nv_module
 from acmag.fitting import loglog_slope
 from acmag.linalg import bell_state, expm_hermitian, haar_state
 from acmag.nv import (SX_E, SY_E, SZ_E, SZ_EN, SZ_N, AdaptiveDivergenceError,
@@ -297,6 +298,30 @@ class TestSweepSignal:
             psi = simulate_sequence(seq, NV, pv, bell_state("phi+"))
             pops.append(bell_readout(psi, rotate=False)[0])
         assert np.argmax(pops) == 10  # center of the grid
+
+    # a one-step target window is the edge case of the step table
+    @pytest.mark.parametrize("steps_per_block", [1, 16])
+    @pytest.mark.parametrize("pulse", [IDEAL, PiPulseModel(kind="finite")],
+                             ids=["ideal", "finite"])
+    @pytest.mark.parametrize("axis,halfwidth", [("B", 0.1), ("omega", 1.0)])
+    def test_one_batch_matches_per_point_readout(self, monkeypatch, axis,
+                                                 halfwidth, pulse,
+                                                 steps_per_block):
+        p = operating_field(NV, 5.65)
+        values = getattr(p, axis) + np.linspace(-halfwidth, halfwidth, 7)
+        seq = build_sequence(3, 0.017, pulse)
+        ref = [bell_readout(simulate_sequence(
+            seq, NV, replace(p, **{axis: v}), bell_state("phi+"),
+            steps_per_block)) for v in values]
+        calls = []
+        kernel = nv_module._su2_exp
+        monkeypatch.setattr(nv_module, "_su2_exp",
+                            lambda *a: calls.append(a) or kernel(*a))
+        res = sweep_signal(axis, values, p, NV, 3, 0.017, pulse,
+                           ReadoutModel(), steps_per_block=steps_per_block)
+        # the whole sweep is one SU(2) exponential of every point's steps
+        assert len(calls) == 1
+        assert np.max(np.abs(res.probs - ref)) <= 1e-14
 
     def test_zero_width_range_rejected(self):
         p = operating_field(NV, 5.65)

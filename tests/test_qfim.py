@@ -412,7 +412,7 @@ class TestClassicalFim:
         def prob_fn(b_val, w_val):
             def h(t):
                 f_x = g * (b_val * np.cos(w_val * t) - B * np.cos(w * t))
-                return f_x * SIGMA_X + 0.5 * w * SIGMA_Z
+                return f_x[:, None, None] * SIGMA_X + 0.5 * w * SIGMA_Z
             u = propagate(h, TimeGrid(0.0, T, steps))
             psi = tensor(u, I2) @ bell
             return np.array([abs(e.conj() @ psi) ** 2 for e in effects])
