@@ -21,6 +21,7 @@ dimensionless once these are multiplied out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,11 @@ from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian, max_abs
 
 class ConvergenceError(RuntimeError):
     """Raised when a requested step-halving consistency check fails."""
+
+    def __init__(self, discrepancy: float, tolerance: float):
+        self.discrepancy, self.tolerance = discrepancy, tolerance
+        super().__init__(f"step-halving discrepancy {discrepancy:.3e} "
+                         f"exceeds {tolerance:.3e}; refine the grid")
 
 
 @dataclass(frozen=True)
@@ -100,14 +106,15 @@ class GeneratorPair:
                 raise ValueError("generators must be Hermitian")
 
 
-def _drive_coeffs(p: FieldParams, t, control: bool):
+def _drive_coeffs(p: FieldParams, t, cos, control: bool):
     """sigma_x, sigma_z coefficients of the target H(t), or with ``control``
-    of the total target + control H(t)."""
-    fx = p.gamma * p.B * np.cos(p.omega * t + p.phi)
+    of the total H(t); ``cos`` is the target's cos(omega*t + phi) at t."""
+    fx = p.gamma * p.B * cos
     if not control:
         return fx, 0.0
-    return (fx - p.gamma * p.B_c * np.cos(p.omega_c * t + p.phi_c),
-            0.5 * p.omega_c)
+    if (p.omega_c, p.phi_c) != (p.omega, p.phi):
+        cos = np.cos(p.omega_c * t + p.phi_c)
+    return fx - p.gamma * p.B_c * cos, 0.5 * p.omega_c
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +137,14 @@ def _su2_exp(ax: np.ndarray, ay: np.ndarray, az: np.ndarray,
     r = np.sqrt(r2)
     # squares of coefficients below ~1e-154 underflow and above ~1e154
     # overflow; hypot does neither, but costs several sqrt per element, so
-    # it only runs on a batch that needs it
+    # it only runs on the steps that need it, which an all-zero step does not
     if not np.finfo(float).tiny <= np.min(r2) <= np.max(r2) < np.inf:
-        r = np.where((r2 < np.finfo(float).tiny) | (r2 == np.inf),
-                     np.hypot(np.hypot(ax, ay), az), r)
+        ax, ay, az = np.broadcast_arrays(ax, ay, az)
+        need = (r2 == np.inf) | ((r2 < np.finfo(float).tiny)
+                                 & ((ax != 0) | (ay != 0) | (az != 0)))
+        if np.any(need):
+            r = np.array(r)
+            r[need] = np.hypot(np.hypot(ax[need], ay[need]), az[need])
     phase = r * dt
     # sin(r*dt)/r, continuous at r=0
     s = np.where(r > 0.0, np.sin(phase) / np.where(r > 0.0, r, 1.0), dt)
@@ -236,35 +247,29 @@ def propagate(h, grid: TimeGrid) -> np.ndarray:
 # estimation generators
 # ---------------------------------------------------------------------------
 
-def _dtheta_coeff(p: FieldParams, theta: str, t: np.ndarray) -> np.ndarray:
-    """sigma_x coefficient of the target-Hamiltonian derivative."""
-    if theta == "B":
-        return p.gamma * np.cos(p.omega * t + p.phi)
-    if theta == "omega":
-        return -p.gamma * p.B * t * np.sin(p.omega * t + p.phi)
-    raise ValueError(f"theta must be 'B' or 'omega', got {theta!r}")
-
-
-def _generator_quadrature(p: FieldParams, theta: str, grid: TimeGrid,
-                          control: bool) -> np.ndarray:
-    """Midpoint quadrature of U(0->t)^dag dH/dtheta U(0->t) over the grid.
-
-    The step propagators and the integrand share one midpoint grid: with
-    half steps h_j and prefixes P_j = h_j h_j ... h_0 h_0, the midpoint
-    propagator is V_j = h_j P_(j-1), and V^dag sx V has the sx, sy, sz
-    coefficients (Re(a^2 - b^2), Im(a^2 - b^2), 2 Re(a* b)) of V = (a, b).
-    """
+@lru_cache(maxsize=1)
+def _generator_quadrature(p: FieldParams, grid: TimeGrid,
+                          control: bool) -> dict[str, np.ndarray]:
+    """Midpoint quadratures of U(0->t)^dag dH/dtheta U(0->t) for theta = B
+    and omega, dH/dtheta = gamma cos(omega t + phi) sx and -gamma B t
+    sin(omega t + phi) sx, from one scan: over half steps h_j, the prefix
+    products of q_0 = h_0, q_j = h_j h_(j-1) are the midpoint propagators
+    V_j = h_j h_(j-1)^2 ... h_0^2, and V^dag sx V has the sx, sy, sz
+    coefficients (Re(a^2 - b^2), Im(a^2 - b^2), 2 Re(a* b)) of V = (a, b)."""
     mids = grid.midpoints()
-    fx, fz = _drive_coeffs(p, mids, control)
-    w = grid.dt * _dtheta_coeff(p, theta, mids)
-    half = _su2_exp(fx, 0.0, fz, 0.5 * grid.dt)
-    steps = np.empty_like(half)
-    steps[:, 0] = (1.0, 0.0)
-    _su2_mul(half[:, :-1], half[:, :-1], out=steps[:, 1:])
-    a, b = _su2_mul(half, _prefix_products(steps))
-    x_iy = a @ (w * a) - b @ (w * b)
-    z = 2.0 * np.vdot(a, w * b).real
-    return x_iy.real * SIGMA_X + x_iy.imag * SIGMA_Y + z * SIGMA_Z
+    phase = p.omega * mids + p.phi
+    cos = np.cos(phase)
+    fx, fz = _drive_coeffs(p, mids, cos, control)
+    q = _su2_exp(fx, 0.0, fz, 0.5 * grid.dt)
+    q[:, 1:] = _su2_mul(q[:, 1:], q[:, :-1])
+    w = np.stack([grid.dt * p.gamma * cos,
+                  -grid.dt * p.gamma * p.B * mids * np.sin(phase, out=phase)])
+    del mids, phase, cos, fx  # before the scan, whose buffers set the peak
+    a, b = _prefix_products(q)
+    v = a * a - b * b
+    c = w @ np.stack([v.real, v.imag, 2.0 * (np.conj(a) * b).real], axis=1)
+    return {theta: x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+            for theta, (x, y, z) in zip(("B", "omega"), c)}
 
 
 def generator_numeric(p: FieldParams, theta: str, grid: TimeGrid,
@@ -273,19 +278,20 @@ def generator_numeric(p: FieldParams, theta: str, grid: TimeGrid,
     """Numerical Heisenberg-picture generator h_theta over [0, T].
 
     ``control`` selects whether the propagation runs under the total
-    (target + control) Hamiltonian or under the bare target field. With
+    (target + control) Hamiltonian or under the bare target field. One scan
+    gives both generators; the last pair is kept for the other theta. With
     ``check_tol`` set, the grid is re-run at half resolution and a
     ConvergenceError is raised if the two results differ by more than the
     tolerance (max absolute entry).
     """
-    g = _generator_quadrature(p, theta, grid, control)
+    if theta not in ("B", "omega"):
+        raise ValueError(f"theta must be 'B' or 'omega', got {theta!r}")
+    g = _generator_quadrature(p, grid, control)[theta].copy()
     if check_tol is not None:
         coarse = TimeGrid(grid.t_start, grid.t_end, max(1, grid.steps // 2))
-        g2 = _generator_quadrature(p, theta, coarse, control)
+        g2 = _generator_quadrature.__wrapped__(p, coarse, control)[theta]
         if max_abs(g - g2) > check_tol:
-            raise ConvergenceError(
-                f"step-halving discrepancy {max_abs(g - g2):.3e} exceeds "
-                f"{check_tol:.3e}; refine the grid")
+            raise ConvergenceError(max_abs(g - g2), check_tol)
     return g
 
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from acmag.dynamics import (_SCAN_BLOCK, ConvergenceError, FieldParams,
                             TimeGrid, _drive_coeffs, _generator_coeffs,
-                            _prefix_products, _product_reduce, _su2_exp,
-                            _su2_matrix, generator_closed_form,
-                            generator_numeric, propagate)
+                            _generator_quadrature, _prefix_products,
+                            _product_reduce, _su2_exp, _su2_matrix,
+                            generator_closed_form, generator_numeric,
+                            propagate)
 from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian,
                           max_abs)
 
@@ -43,12 +44,13 @@ class TestHamiltonianEval:
     # the sigma_x, sigma_z coefficients of the target and the total H
     def test_target_at_zero_phase(self):
         p = FieldParams(B=2.0, omega=5.0, gamma=3.0)
-        np.testing.assert_allclose(_drive_coeffs(p, 0.0, False), (6.0, 0.0),
-                                   atol=1e-15)
+        np.testing.assert_allclose(_drive_coeffs(p, 0.0, np.cos(p.phi), False),
+                                   (6.0, 0.0), atol=1e-15)
 
     def test_matched_total_is_pure_z_rotation(self):
         p = FieldParams.matched(1.3, 2.7, phi=0.4)
-        fx, fz = _drive_coeffs(p, np.array([0.0, 0.31, 2.9, 17.0]), True)
+        t = np.array([0.0, 0.31, 2.9, 17.0])
+        fx, fz = _drive_coeffs(p, t, np.cos(p.omega * t + p.phi), True)
         np.testing.assert_allclose(fx, 0.0, atol=1e-12)
         np.testing.assert_allclose(fz, 0.5 * p.omega_c, atol=1e-12)
 
@@ -65,7 +67,7 @@ class TestPropagate:
         T = 2.5
 
         def h(t):
-            fx, fz = _drive_coeffs(p, t, True)
+            fx, fz = _drive_coeffs(p, t, np.cos(p.omega * t + p.phi), True)
             return fx[:, None, None] * SIGMA_X + fz * SIGMA_Z
 
         u = propagate(h, TimeGrid(0, T, 200))
@@ -135,6 +137,34 @@ def _sequential_prefixes(mats):
     return out
 
 
+def _su2_exp_all_hypot(ax, ay, az, dt):
+    """_su2_exp with hypot evaluated over the whole batch and taken wherever
+    r^2 underflows or overflows: the formula the kernel must reproduce."""
+    with np.errstate(over="ignore"):
+        r2 = ax * ax + ay * ay + az * az
+    r = np.where((r2 < np.finfo(float).tiny) | (r2 == np.inf),
+                 np.hypot(np.hypot(ax, ay), az), np.sqrt(r2))
+    phase = r * dt
+    s = np.where(r > 0.0, np.sin(phase) / np.where(r > 0.0, r, 1.0), dt)
+    q = np.empty((2,) + np.shape(s), dtype=complex)
+    q.real[0], q.imag[0] = np.cos(phase), -az * s
+    q.real[1], q.imag[1] = ay * s, -ax * s
+    return q
+
+
+@pytest.fixture
+def hypot_sizes(monkeypatch):
+    """Element counts of every np.hypot call made while the test runs."""
+    sizes, hypot = [], np.hypot
+
+    def counted(x, y):
+        sizes.append(np.size(x))
+        return hypot(x, y)
+
+    monkeypatch.setattr(np, "hypot", counted)
+    return sizes
+
+
 class TestSu2Kernels:
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-100, 1.0,
                                        1e160, 1e300])
@@ -151,6 +181,25 @@ class TestSu2Kernels:
         u = _su2_matrix(_su2_exp(ax, ay, az, 0.5 * np.pi / norm))
         turn = -1j * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
         assert max_abs(u - turn) <= 1e-14
+
+    # zero, underflowing, overflowing and ordinary coefficients, mixed
+    # within one batch and within one triple
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hypot_runs_only_on_the_steps_that_need_it(self, seed,
+                                                       hypot_sizes):
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, 1e-170, -1e-170, 1e200, -1e200, 0.7, -1.3])
+        ax, ay, az = rng.choice(values, size=(3, 400))
+        ref = _su2_exp_all_hypot(ax, ay, az, 0.3)
+        hypot_sizes.clear()
+        got = _su2_exp(ax, ay, az, 0.3)
+        assert np.array_equal(got, ref, equal_nan=True)
+        with np.errstate(over="ignore"):
+            r2 = ax * ax + ay * ay + az * az
+        need = (r2 == np.inf) | ((r2 < np.finfo(float).tiny)
+                                 & ((ax != 0) | (ay != 0) | (az != 0)))
+        assert 0 < np.count_nonzero(need) < need.size
+        assert hypot_sizes == [np.count_nonzero(need)] * 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 65])
     def test_product_reduce_matches_sequential_matmul(self, n):
@@ -258,8 +307,25 @@ class TestGeneratorNumeric:
 
     def test_coarse_grid_flagged(self):
         p = FieldParams.matched(1.0, 30.0)
-        with pytest.raises(ConvergenceError):
-            generator_numeric(p, "B", TimeGrid(0, 5.0, 40), check_tol=1e-10)
+        grid = TimeGrid(0, 5.0, 40)
+        with pytest.raises(ConvergenceError) as info:
+            generator_numeric(p, "B", grid, check_tol=1e-10)
+        err = info.value
+        gap = max_abs(generator_numeric(p, "B", grid)
+                      - generator_numeric(p, "B", TimeGrid(0, 5.0, 20)))
+        assert err.discrepancy == gap and err.tolerance == 1e-10
+        assert str(err) == (f"step-halving discrepancy {gap:.3e} exceeds "
+                            "1.000e-10; refine the grid")
+
+    def test_zero_field_without_control_skips_hypot(self, hypot_sizes):
+        _generator_quadrature.cache_clear()
+        grid = TimeGrid(0, 1.0, 100)
+        # every step is the identity: h_B is the midpoint sum of cos(t) sx
+        h = generator_numeric(FieldParams(B=0.0, omega=1.0), "B", grid,
+                              control=False)
+        want = grid.dt * np.sum(np.cos(grid.midpoints())) * SIGMA_X
+        assert max_abs(h - want) <= 1e-15
+        assert hypot_sizes == []
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(B=st.floats(0.0, 5.0), B_c=st.floats(0.0, 5.0),
@@ -280,6 +346,85 @@ class TestGeneratorNumeric:
         num = abs(np.trace(g.h_b @ g.h_omega).real)
         den = np.linalg.norm(g.h_b) * np.linalg.norm(g.h_omega)
         assert num / den <= 5e-3
+
+
+def _loop_generators(p, grid, control):
+    """(h_B, h_omega) from a Python loop over per-step half-step matrices:
+    V advances by exp(-i H(t_j) dt/2) to each midpoint t_j, which adds
+    w_j V^dag sx V, and by another half step to the end of the step."""
+    hb, hw, v = np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2)
+    for t in grid.midpoints():
+        cos, sin = np.cos(p.omega * t + p.phi), np.sin(p.omega * t + p.phi)
+        h = p.gamma * p.B * cos * SIGMA_X
+        if control:
+            h = (h - p.gamma * p.B_c * np.cos(p.omega_c * t + p.phi_c)
+                 * SIGMA_X + 0.5 * p.omega_c * SIGMA_Z)
+        half = expm_hermitian(h, 0.5 * grid.dt)
+        v = half @ v
+        sx_t = v.conj().T @ SIGMA_X @ v
+        hb = hb + grid.dt * p.gamma * cos * sx_t
+        hw = hw - grid.dt * p.gamma * p.B * t * sin * sx_t
+        v = half @ v
+    return hb, hw
+
+
+class TestGeneratorScan:
+    # a detuned, partly controlled field: the steps do not commute
+    P = FieldParams(B=1.3, omega=7.0, phi=0.4, B_c=0.6, omega_c=5.5,
+                    phi_c=-0.9, gamma=1.7)
+
+    # one step, within the first block, on both sides of a block boundary,
+    # and past the second one
+    @pytest.mark.parametrize("steps", [1, 2, _SCAN_BLOCK - 1, _SCAN_BLOCK,
+                                       _SCAN_BLOCK + 1, 2 * _SCAN_BLOCK + 1])
+    @pytest.mark.parametrize("control", [True, False])
+    def test_matches_per_step_loop(self, steps, control):
+        grid = TimeGrid(0.2, 2.3, steps)
+        for theta, ref in zip(("B", "omega"),
+                              _loop_generators(self.P, grid, control)):
+            h = generator_numeric(self.P, theta, grid, control)
+            assert max_abs(h - ref) <= 1e-12 * max_abs(ref)
+
+
+class TestGeneratorMemo:
+    P = FieldParams(B=1.3, omega=7.0, phi=0.4, B_c=0.6, phi_c=-0.9)
+    GRID = TimeGrid(0.0, 2.0, 3 * _SCAN_BLOCK + 7)
+
+    def _cold(self, theta, control=True):
+        _generator_quadrature.cache_clear()
+        return generator_numeric(self.P, theta, self.GRID, control)
+
+    def test_returned_generator_is_a_copy(self):
+        first = self._cold("B")
+        first[0, 1] = 99.0
+        assert np.array_equal(generator_numeric(self.P, "B", self.GRID),
+                              self._cold("B"))
+
+    @pytest.mark.parametrize("order", [("B", "omega"), ("omega", "B")])
+    def test_either_order_matches_cold_calls(self, order):
+        _generator_quadrature.cache_clear()
+        warm = {theta: generator_numeric(self.P, theta, self.GRID)
+                for theta in order}
+        assert _generator_quadrature.cache_info().hits == 1
+        for theta in order:
+            assert np.array_equal(warm[theta], self._cold(theta))
+
+    def test_control_is_part_of_the_key(self):
+        controlled = self._cold("B", control=True)
+        free = generator_numeric(self.P, "B", self.GRID, control=False)
+        assert np.array_equal(free, self._cold("B", control=False))
+        assert max_abs(free - controlled) > 1e-3
+
+    def test_check_runs_with_the_fine_pair_cached(self):
+        p, grid = FieldParams.matched(1.0, 30.0), TimeGrid(0, 5.0, 40)
+        _generator_quadrature.cache_clear()
+        generator_numeric(p, "omega", grid)
+        with pytest.raises(ConvergenceError):
+            generator_numeric(p, "B", grid, check_tol=1e-10)
+        # the uncached coarse re-run left the fine pair in place
+        hits = _generator_quadrature.cache_info().hits
+        generator_numeric(p, "omega", grid)
+        assert _generator_quadrature.cache_info().hits == hits + 1
 
 
 class TestTimeGrid:
