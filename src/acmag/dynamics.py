@@ -31,11 +31,6 @@ from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian, max_abs
 class ConvergenceError(RuntimeError):
     """Raised when a requested step-halving consistency check fails."""
 
-    def __init__(self, discrepancy: float, tolerance: float):
-        self.discrepancy, self.tolerance = discrepancy, tolerance
-        super().__init__(f"step-halving discrepancy {discrepancy:.3e} "
-                         f"exceeds {tolerance:.3e}; refine the grid")
-
 
 @dataclass(frozen=True)
 class FieldParams:
@@ -137,14 +132,10 @@ def _su2_exp(ax: np.ndarray, ay: np.ndarray, az: np.ndarray,
     r = np.sqrt(r2)
     # squares of coefficients below ~1e-154 underflow and above ~1e154
     # overflow; hypot does neither, but costs several sqrt per element, so
-    # it only runs on the steps that need it, which an all-zero step does not
+    # it only runs on a batch that needs it
     if not np.finfo(float).tiny <= np.min(r2) <= np.max(r2) < np.inf:
-        ax, ay, az = np.broadcast_arrays(ax, ay, az)
-        need = (r2 == np.inf) | ((r2 < np.finfo(float).tiny)
-                                 & ((ax != 0) | (ay != 0) | (az != 0)))
-        if np.any(need):
-            r = np.array(r)
-            r[need] = np.hypot(np.hypot(ax[need], ay[need]), az[need])
+        r = np.where((r2 < np.finfo(float).tiny) | (r2 == np.inf),
+                     np.hypot(np.hypot(ax, ay), az), r)
     phase = r * dt
     # sin(r*dt)/r, continuous at r=0
     s = np.where(r > 0.0, np.sin(phase) / np.where(r > 0.0, r, 1.0), dt)
@@ -281,8 +272,8 @@ def generator_numeric(p: FieldParams, theta: str, grid: TimeGrid,
     (target + control) Hamiltonian or under the bare target field. One scan
     gives both generators; the last pair is kept for the other theta. With
     ``check_tol`` set, the grid is re-run at half resolution and a
-    ConvergenceError is raised if the two results differ by more than the
-    tolerance (max absolute entry).
+    ConvergenceError, carrying ``discrepancy`` and ``tolerance``, is raised
+    if the two results differ by more than the tolerance (max absolute entry).
     """
     if theta not in ("B", "omega"):
         raise ValueError(f"theta must be 'B' or 'omega', got {theta!r}")
@@ -290,8 +281,11 @@ def generator_numeric(p: FieldParams, theta: str, grid: TimeGrid,
     if check_tol is not None:
         coarse = TimeGrid(grid.t_start, grid.t_end, max(1, grid.steps // 2))
         g2 = _generator_quadrature.__wrapped__(p, coarse, control)[theta]
-        if max_abs(g - g2) > check_tol:
-            raise ConvergenceError(max_abs(g - g2), check_tol)
+        if (gap := max_abs(g - g2)) > check_tol:
+            err = ConvergenceError(f"step-halving discrepancy {gap:.3e} "
+                                   f"exceeds {check_tol:.3e}; refine the grid")
+            err.discrepancy, err.tolerance = gap, check_tol
+            raise err
     return g
 
 

@@ -211,7 +211,7 @@ def _sequence_unitaries(seq: PulseSequence, nv: NvParams, p: FieldParams,
     mids = (np.arange(steps_per_block) + 0.5) * dt
     # per point and repetition, as in seq.blocks: target steps, pi,
     # control, pi, each (sx, sy, duration, hyperfine weight); an ideal pi
-    # takes no time (a unit sx keeps _su2_exp off its underflow branch), and
+    # takes no time (a unit sx keeps zeros off _su2_exp's hypot path), and
     # its step becomes the SU(2) pair (0, -i) = -i sx, whose lost factor i
     # multiplies the product
     table = np.empty((B.size, seq.n_reps, steps_per_block + 3, 4))

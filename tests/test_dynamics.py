@@ -1,5 +1,7 @@
 """Hamiltonian evaluation, midpoint propagation, and generator quadrature."""
 
+import pickle
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -137,34 +139,6 @@ def _sequential_prefixes(mats):
     return out
 
 
-def _su2_exp_all_hypot(ax, ay, az, dt):
-    """_su2_exp with hypot evaluated over the whole batch and taken wherever
-    r^2 underflows or overflows: the formula the kernel must reproduce."""
-    with np.errstate(over="ignore"):
-        r2 = ax * ax + ay * ay + az * az
-    r = np.where((r2 < np.finfo(float).tiny) | (r2 == np.inf),
-                 np.hypot(np.hypot(ax, ay), az), np.sqrt(r2))
-    phase = r * dt
-    s = np.where(r > 0.0, np.sin(phase) / np.where(r > 0.0, r, 1.0), dt)
-    q = np.empty((2,) + np.shape(s), dtype=complex)
-    q.real[0], q.imag[0] = np.cos(phase), -az * s
-    q.real[1], q.imag[1] = ay * s, -ax * s
-    return q
-
-
-@pytest.fixture
-def hypot_sizes(monkeypatch):
-    """Element counts of every np.hypot call made while the test runs."""
-    sizes, hypot = [], np.hypot
-
-    def counted(x, y):
-        sizes.append(np.size(x))
-        return hypot(x, y)
-
-    monkeypatch.setattr(np, "hypot", counted)
-    return sizes
-
-
 class TestSu2Kernels:
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-100, 1.0,
                                        1e160, 1e300])
@@ -181,25 +155,6 @@ class TestSu2Kernels:
         u = _su2_matrix(_su2_exp(ax, ay, az, 0.5 * np.pi / norm))
         turn = -1j * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
         assert max_abs(u - turn) <= 1e-14
-
-    # zero, underflowing, overflowing and ordinary coefficients, mixed
-    # within one batch and within one triple
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_hypot_runs_only_on_the_steps_that_need_it(self, seed,
-                                                       hypot_sizes):
-        rng = np.random.default_rng(seed)
-        values = np.array([0.0, 1e-170, -1e-170, 1e200, -1e200, 0.7, -1.3])
-        ax, ay, az = rng.choice(values, size=(3, 400))
-        ref = _su2_exp_all_hypot(ax, ay, az, 0.3)
-        hypot_sizes.clear()
-        got = _su2_exp(ax, ay, az, 0.3)
-        assert np.array_equal(got, ref, equal_nan=True)
-        with np.errstate(over="ignore"):
-            r2 = ax * ax + ay * ay + az * az
-        need = (r2 == np.inf) | ((r2 < np.finfo(float).tiny)
-                                 & ((ax != 0) | (ay != 0) | (az != 0)))
-        assert 0 < np.count_nonzero(need) < need.size
-        assert hypot_sizes == [np.count_nonzero(need)] * 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 65])
     def test_product_reduce_matches_sequential_matmul(self, n):
@@ -316,16 +271,11 @@ class TestGeneratorNumeric:
         assert err.discrepancy == gap and err.tolerance == 1e-10
         assert str(err) == (f"step-halving discrepancy {gap:.3e} exceeds "
                             "1.000e-10; refine the grid")
-
-    def test_zero_field_without_control_skips_hypot(self, hypot_sizes):
-        _generator_quadrature.cache_clear()
-        grid = TimeGrid(0, 1.0, 100)
-        # every step is the identity: h_B is the midpoint sum of cos(t) sx
-        h = generator_numeric(FieldParams(B=0.0, omega=1.0), "B", grid,
-                              control=False)
-        want = grid.dt * np.sum(np.cos(grid.midpoints())) * SIGMA_X
-        assert max_abs(h - want) <= 1e-15
-        assert hypot_sizes == []
+        # the message-only constructor of a RuntimeError still holds, so the
+        # error and its numbers survive a pickle round trip
+        back = pickle.loads(pickle.dumps(err))
+        assert (str(back), back.discrepancy, back.tolerance) == (
+            str(err), gap, 1e-10)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(B=st.floats(0.0, 5.0), B_c=st.floats(0.0, 5.0),
