@@ -358,17 +358,17 @@ def _run_convergence(cfg: dict):
 
 def _run_bounds(cfg: dict):
     omega = TWO_PI * float(cfg["field"]["omega_mhz"])
-    t_values = cfg["scan"]["t_values"]
-    if not t_values or any(t <= 0 for t in t_values):
+    t = np.asarray(cfg["scan"]["t_values"], dtype=float)
+    if not t.size or np.any(t <= 0):
         raise ConfigError("scan.t_values must be a non-empty list of positive times")
     header = ["t", "omega_t", "f_b_max", "f_w_max", "ratio_b", "ratio_w",
               "seq_var_ratio_b", "seq_var_ratio_w", "sd_ratio_b", "sd_ratio_w"]
-    rows = []
-    for t in t_values:
-        s = strategy_comparison(_field_from(cfg, omega), float(t))
-        rows.append([t, s.regime_omega_t] + [getattr(s, k) for k in header[2:]])
-    summary = {k: getattr(s, k) for k in header[4:] + ["regime_omega_t"]}
-    return header, rows, summary
+    s = strategy_comparison(_field_from(cfg, omega), t)
+    table = np.column_stack([t, s.regime_omega_t]
+                            + [getattr(s, k) for k in header[2:]])
+    summary = {k: float(getattr(s, k)[-1])
+               for k in header[4:] + ["regime_omega_t"]}
+    return header, table, summary
 
 
 def _run_probe_search(cfg: dict):

@@ -1,15 +1,25 @@
 """Envelope integrals, single-parameter ceilings, strategy ratios."""
 
+import json
+
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acmag.bounds import (envelope_integral, single_param_qfi_bound,
                           strategy_comparison)
+from acmag.cli import main
 from acmag.dynamics import FieldParams
 from acmag.qfim import qfim_closed_form
 
 TWO_OVER_PI = 2.0 / np.pi
+EPS = np.finfo(float).eps
+# the angular frequency of the benchmark's bounds config, 1591.5 MHz
+OMEGA_BENCH = 2 * np.pi * 1591.5
+FIELDS = ("f_b_max", "f_w_max", "ratio_b", "ratio_w", "seq_var_ratio_b",
+          "seq_var_ratio_w", "regime_omega_t", "sd_ratio_b", "sd_ratio_w")
 
 
 def _quadrature(kind, omega, T, n=2_000_001):
@@ -105,6 +115,32 @@ class TestEnvelopeIntegral:
                 got = envelope_integral(kind, omega, omega_t / omega)
                 assert abs(got - want) <= 8 * np.finfo(float).eps * want
 
+    def test_array_matches_mpmath_up_to_omega_t_1e9(self):
+        # above omega*T ~ 3e8 the half-period count k(k + 1) is rounded
+        omega_t = np.array([0.3, 7.7, 1234.5, 1e6, 1e7, 1e8, 3e8, 7.3e8, 1e9])
+        T = omega_t / OMEGA_BENCH
+        for kind in ("abs_cos", "t_abs_sin"):
+            got = envelope_integral(kind, OMEGA_BENCH, T)
+            want = np.array([_mp_envelope(kind, OMEGA_BENCH, t) for t in T])
+            assert np.all(np.abs(got - want) <= 8 * EPS * want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(omega=st.floats(-3.0, 4.0).map(lambda e: 10.0**e),
+           omega_t=st.lists(st.floats(-6.0, 9.0), min_size=1, max_size=12)
+           .map(lambda e: 10.0 ** np.array(e)))
+    def test_array_call_equals_scalar_calls(self, omega, omega_t):
+        T = omega_t / omega
+        for kind in ("abs_cos", "t_abs_sin"):
+            got = envelope_integral(kind, omega, T)
+            assert isinstance(got, np.ndarray) and got.shape == T.shape
+            assert got.tolist() == [envelope_integral(kind, omega, t)
+                                    for t in T.tolist()]
+
+    def test_scalar_input_gives_a_float(self):
+        for kind in ("abs_cos", "t_abs_sin"):
+            assert type(envelope_integral(kind, 2.0, 3.0)) is float
+            assert type(envelope_integral(kind, np.float64(2.0), 3)) is float
+
     def test_asymptotic_form_of_abs_cos(self):
         for omega_t in (100.0, 1000.0, 10000.0):
             T = 1.0
@@ -122,6 +158,14 @@ class TestEnvelopeIntegral:
             envelope_integral("abs_cos", 0.0, 1.0)
         with pytest.raises(ValueError):
             envelope_integral("abs_sin", 1.0, 1.0)
+
+    @pytest.mark.parametrize("omega,T", [
+        (1.0, [1.0, 0.0, 2.0]), (1.0, [3.0, -1e-300]),
+        ([2.0, -1.0], 1.0), ([1.0, 2.0], [1.0, np.nan])])
+    def test_rejects_any_non_positive_entry(self, omega, T):
+        for kind in ("abs_cos", "t_abs_sin"):
+            with pytest.raises(ValueError, match="must be positive"):
+                envelope_integral(kind, np.array(omega), np.array(T))
 
 
 class TestSingleParamBound:
@@ -172,3 +216,54 @@ class TestStrategyComparison:
         for value in (s.f_b_max, s.f_w_max, s.ratio_b, s.ratio_w,
                       s.seq_var_ratio_b, s.seq_var_ratio_w, s.regime_omega_t):
             assert value > 0
+
+
+def _batch_grid(omega):
+    """Durations with omega*T on the Taylor branch, at the sign changes and
+    peaks k*pi and k*pi +- pi/2, and the benchmark's linspace(0.1, 10)."""
+    k = np.array([1, 2, 3, 10, 1001])
+    x = np.concatenate([[1e-4, 0.1, 0.3, 0.49],
+                        np.outer(k, np.ones(3)).ravel() * np.pi
+                        + np.tile([-np.pi / 2, 0.0, np.pi / 2], k.size)])
+    return np.concatenate([x / omega, np.linspace(0.1, 10.0, 400)])
+
+
+class TestBatchedComparison:
+    @pytest.mark.parametrize("p", [FieldParams.matched(1.0, OMEGA_BENCH),
+                                   FieldParams.matched(0.37, 2.9, gamma=1.7)])
+    def test_batch_matches_scalar_loop_to_4_ulp(self, p):
+        T = _batch_grid(p.omega)
+        batch = strategy_comparison(p, T)
+        loop = [strategy_comparison(p, t) for t in T.tolist()]
+        for name in FIELDS:
+            got = getattr(batch, name)
+            want = np.array([getattr(s, name) for s in loop])
+            assert got.shape == T.shape
+            assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want)), name
+
+    def test_scalar_t_gives_python_floats(self):
+        p = FieldParams.matched(1.0, 50.0)
+        for T in (2.0, 2, np.float64(2.0), np.array(2.0)):
+            s = strategy_comparison(p, T)
+            for name in FIELDS:
+                assert type(getattr(s, name)) is float, (T, name)
+            assert type(single_param_qfi_bound("B", p, T)) is float
+
+    def test_non_finite_entry_names_the_first_t(self):
+        p = FieldParams.matched(1.0, 1.0)
+        with pytest.raises(OverflowError, match=r"at T = 1e\+300$"):
+            strategy_comparison(p, np.array([1.0, 1e300, 2e300]))
+
+
+def test_int_and_float_t_values_write_the_same_csv(tmp_path):
+    out = {}
+    for name, t_values in (("ints", [1, 2, 5, 10]),
+                           ("floats", [1.0, 2.0, 5.0, 10.0])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"field": {"omega_mhz": 1591.5},
+                                   "scan": {"t_values": t_values}}))
+        assert main(["bounds", "--config", str(cfg), "--out",
+                     str(tmp_path / name)]) == 0
+        out[name] = (tmp_path / name / "bounds.csv").read_bytes()
+    assert out["ints"] == out["floats"]
+    assert out["ints"].splitlines()[1].startswith(b"1,")

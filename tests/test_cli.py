@@ -292,6 +292,18 @@ class TestExitCodes:
             f"config error: config values overflow in {command}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_values", [[1.0, 1e300], [1e300, 1.0]])
+    def test_overflowing_t_value_is_2_and_named(self, tmp_path, capsys,
+                                                t_values):
+        cfg = _write(tmp_path, "c.json", {"field": {"omega_mhz": 1.0},
+                                          "scan": {"t_values": t_values}})
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config values overflow in bounds: strategy "
+            "comparison is not finite at T = 1e+300\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["nv-sweep", "nv-scaling", "adaptive"])
     def test_non_positive_control_frequency_names_the_field(self, tmp_path,
                                                             capsys, command):
