@@ -129,7 +129,7 @@ _MINIMA = {"seed": 0, "protocol.n_reps": 1, "protocol.steps_per_block": 1,
            "readout.n_avg": 1, "sweep.points": 3, "scaling.n_min": 1,
            "scaling.points": 3, "search.samples": 1, "adaptive.rounds": 0,
            "adaptive.shots": 1}
-_POSITIVE = ("protocol.tau", "scan.t", "sweep.halfwidth_b",
+_POSITIVE = ("field.b", "protocol.tau", "scan.t", "sweep.halfwidth_b",
              "sweep.halfwidth_w_mhz", "scaling.halfwidth_b",
              "scaling.halfwidth_w_mhz", "adaptive.jac_halfwidth_b",
              "adaptive.jac_halfwidth_w_mhz")
@@ -163,26 +163,25 @@ def _check_leaf(default, value, path: str):
 
 
 def _merge(defaults, user, path=""):
+    """User values over a copy of the defaults, in one walk that rejects
+    unknown keys, mistyped leaves and missing required keys."""
     if not isinstance(user, dict):
         raise ConfigError(f"expected a mapping at {path or 'top level'}")
-    out = copy.deepcopy(defaults)
-    for key, value in user.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(defaults[key], dict):
-            out[key] = _merge(defaults[key], value, path + key + ".")
-        else:
-            _check_leaf(defaults[key], value, path + key)
-            out[key] = value
-    return out
-
-
-def _check_required(cfg, path=""):
-    for key, value in cfg.items():
-        if isinstance(value, dict):
-            _check_required(value, path + key + ".")
-        elif value == _REQUIRED:
+    unknown = next((key for key in user if key not in defaults), None)
+    if unknown is not None:
+        raise ConfigError(f"unknown config key {path + unknown!r}")
+    out = {}
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            out[key] = _merge(default, user.get(key, {}), path + key + ".")
+        elif key in user:
+            _check_leaf(default, user[key], path + key)
+            out[key] = user[key]
+        elif default == _REQUIRED:
             raise ConfigError(f"missing required config key {path + key!r}")
+        else:
+            out[key] = copy.deepcopy(default)
+    return out
 
 
 def resolve_config(command: str, user: dict, seed: int | None) -> dict:
@@ -194,7 +193,6 @@ def resolve_config(command: str, user: dict, seed: int | None) -> dict:
     if seed is not None:
         cfg["seed"] = int(seed)
         _check_leaf(0, cfg["seed"], "seed")
-    _check_required(cfg)
     sc = cfg.get("scaling")
     if sc is not None and sc["n_max"] < sc["n_min"] + 2:
         raise ConfigError("scaling.n_max must be >= scaling.n_min + 2 for a "
@@ -236,50 +234,27 @@ def _readout_from(cfg: dict) -> ReadoutModel:
                       signals_used=c["signals_used"])
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x)).lower()
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
-
-
-def _first_non_finite(rows):
-    """(row, column) index of the first non-finite table cell, or None."""
-    if isinstance(rows, np.ndarray):
-        cells = zip(*np.nonzero(~np.isfinite(rows)))
-    else:
-        cells = ((i, j) for i, row in enumerate(rows)
-                 for j, x in enumerate(row)
-                 if isinstance(x, (float, np.floating)) and not np.isfinite(x))
-    return next(cells, None)
-
-
-def emit_results(header: list[str], rows: list[list] | np.ndarray,
-                 summary: dict, out_dir: str | Path,
+def emit_results(columns: dict, summary: dict, out_dir: str | Path,
                  name: str) -> tuple[Path, Path]:
     """Write a CSV table and a JSON summary with stable formatting.
 
-    ``rows`` is a list of rows, or a 2-D float array for an all-float
-    table. Floats are printed with 17 significant digits so numeric tables
-    round-trip exactly; summary keys are sorted. A non-finite table cell or
-    summary value raises FloatingPointError before anything is written.
+    ``columns`` maps each column name, in header order, to a 1-D sequence
+    of numbers or strings. Numbers are printed with 17 significant digits
+    so numeric tables round-trip exactly; summary keys are sorted. A
+    non-finite table cell or summary value raises FloatingPointError before
+    anything is written.
     """
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2 or rows.shape[1] != len(header):
-            raise ValueError("table rows must match the header length")
-        fmt = ",".join(["{:.17g}"] * len(header)).format
-        body = [fmt(*row) for row in rows.tolist()]
-    else:
-        if any(len(row) != len(header) for row in rows):
-            raise ValueError("table rows must match the header length")
-        body = [",".join(_fmt(x) for x in row) for row in rows]
-    bad = _first_non_finite(rows)
-    if bad is not None:
-        i, j = bad
-        raise FloatingPointError(f"non-finite value {rows[i][j]} in column "
+    header = list(columns)
+    cols = [np.asarray(c) for c in columns.values()]
+    if not cols or any(c.ndim != 1 or c.size != cols[0].size for c in cols):
+        raise ValueError("table columns must be 1-D and of one length")
+    strings = [c.dtype.kind == "U" for c in cols]
+    bad = np.argwhere(np.stack([np.zeros(c.size, bool) if s
+                                else ~np.isfinite(c)
+                                for c, s in zip(cols, strings)], axis=1))
+    if bad.size:
+        i, j = bad[0]
+        raise FloatingPointError(f"non-finite value {cols[j][i]} in column "
                                  f"{header[j]!r} at row {i}")
     try:
         summary_text = json.dumps(summary, sort_keys=True, indent=2,
@@ -287,11 +262,13 @@ def emit_results(header: list[str], rows: list[list] | np.ndarray,
     except ValueError as exc:
         raise FloatingPointError(
             f"the summary holds a non-finite value: {exc}") from exc
+    fmt = ",".join("{}" if s else "{:.17g}" for s in strings).format
+    lines = [",".join(header), *map(fmt, *(c.tolist() for c in cols))]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     json_path = out / f"{name}.summary.json"
-    csv_path.write_text("\n".join([",".join(header)] + body) + "\n")
+    csv_path.write_text("\n".join(lines) + "\n")
     json_path.write_text(summary_text + "\n")
     return csv_path, json_path
 
@@ -300,11 +277,6 @@ def _json_default(x):
     if isinstance(x, (np.integer, np.floating, np.ndarray)):
         return x.tolist()
     raise TypeError(f"cannot serialize {type(x)!r}")
-
-
-def _base_summary(command: str, cfg: dict) -> dict:
-    return {"command": command, "config": cfg, "seed": cfg["seed"],
-            "version": __version__}
 
 
 def _field_from(cfg: dict, omega: float) -> FieldParams:
@@ -333,27 +305,25 @@ def _run_qfim_scan(cfg: dict):
     p = _field_from(cfg, xs[-1] / t)
     g, b = p.gamma, p.B
     f_bb, f_bw, f_ww, det = _closed_form(g, b, xs / t, t)
-    header = ["omega_t", "f_bb", "f_bw", "f_ww", "det"]
+    columns = {"omega_t": xs, "f_bb": f_bb, "f_bw": f_bw, "f_ww": f_ww,
+               "det": det}
     summary = {  # read at the last (largest omega*T) row
         "f_bb_over_limit": f_bb[-1] / (g**2 * t**2),
         "f_ww_over_limit": f_ww[-1] / (g**2 * b**2 * t**4 / 4),
         "offdiag_ratio": abs(f_bw[-1]) / np.sqrt(f_bb[-1] * f_ww[-1]),
     }
-    return header, np.column_stack([xs, f_bb, f_bw, f_ww, det]), summary
+    return columns, summary
 
 
 def _run_convergence(cfg: dict):
     xs = _log_grid(cfg["scan"], floor=2 * np.pi)
     p = _field_from(cfg, 1.0)
     curves = relative_error_curves(p, xs)
-    keys = ["dh_b", "dh_omega", "df_bb", "df_ww", "df_bw"]
-    header = ["omega_t"] + keys
-    table = np.column_stack([curves[k] for k in header])
     summary = {}
-    for k in keys:
+    for k in list(curves)[1:]:  # every curve after omega_t
         summary[f"slope_{k}"], summary[f"slope_{k}_stderr"] = envelope_slope(
             xs, curves[k])
-    return header, table, summary
+    return curves, summary
 
 
 def _run_bounds(cfg: dict):
@@ -361,14 +331,13 @@ def _run_bounds(cfg: dict):
     t = np.asarray(cfg["scan"]["t_values"], dtype=float)
     if not t.size or np.any(t <= 0):
         raise ConfigError("scan.t_values must be a non-empty list of positive times")
-    header = ["t", "omega_t", "f_b_max", "f_w_max", "ratio_b", "ratio_w",
-              "seq_var_ratio_b", "seq_var_ratio_w", "sd_ratio_b", "sd_ratio_w"]
     s = strategy_comparison(_field_from(cfg, omega), t)
-    table = np.column_stack([t, s.regime_omega_t]
-                            + [getattr(s, k) for k in header[2:]])
-    summary = {k: float(getattr(s, k)[-1])
-               for k in header[4:] + ["regime_omega_t"]}
-    return header, table, summary
+    ratios = ["ratio_b", "ratio_w", "seq_var_ratio_b", "seq_var_ratio_w",
+              "sd_ratio_b", "sd_ratio_w"]
+    columns = {"t": t, "omega_t": s.regime_omega_t, "f_b_max": s.f_b_max,
+               "f_w_max": s.f_w_max, **{k: getattr(s, k) for k in ratios}}
+    summary = {k: float(getattr(s, k)[-1]) for k in ratios + ["regime_omega_t"]}
+    return columns, summary
 
 
 def _run_probe_search(cfg: dict):
@@ -377,12 +346,11 @@ def _run_probe_search(cfg: dict):
     gen = generator_closed_form(p, float(sc["t"]), mode="asymptotic")
     dets = sample_probe_determinants(gen, int(sc["samples"]), cfg["seed"])
     bell = bell_probe_determinant(gen)
-    header = ["index", "det"]
-    table = np.column_stack([np.arange(dets.size), dets])
+    columns = {"index": np.arange(dets.size), "det": dets}
     summary = {"bell_det": bell, "best_sampled_det": float(dets.max()),
                "max_excess": float(dets.max() - bell),
                "samples": int(sc["samples"])}
-    return header, table, summary
+    return columns, summary
 
 
 def _run_nv_sweep(cfg: dict):
@@ -399,13 +367,14 @@ def _run_nv_sweep(cfg: dict):
     sweep_b, sweep_w = _sweep_pair(p, nv, n, pr["tau"], pulse, readout, hb,
                                    hw, sw["points"], cfg["seed"], sw["noise"],
                                    pr["steps_per_block"])
-    k = readout.n_signals
-    header = (["axis", "value"] + [f"signal_{i + 1}" for i in range(k)]
-              + [f"p_{i + 1}" for i in range(4)])
-    rows = []
-    for res in (sweep_b, sweep_w):
-        for i, v in enumerate(res.values):
-            rows.append([res.axis, v] + list(res.signals[i]) + list(res.probs[i]))
+    sweeps = (sweep_b, sweep_w)
+    signals = np.concatenate([res.signals for res in sweeps])
+    probs = np.concatenate([res.probs for res in sweeps])
+    columns = {"axis": np.repeat([res.axis for res in sweeps],
+                                 [res.values.size for res in sweeps]),
+               "value": np.concatenate([res.values for res in sweeps]),
+               **{f"signal_{i + 1}": s for i, s in enumerate(signals.T)},
+               **{f"p_{i + 1}": q for i, q in enumerate(probs.T)}}
     unc = parameter_uncertainty(sweep_b, sweep_w, readout)
     summary = {
         "slopes_b": sweep_b.slopes, "slopes_w": sweep_w.slopes,
@@ -415,7 +384,7 @@ def _run_nv_sweep(cfg: dict):
         "delta_b_err": unc.delta_b_err, "delta_w_err": unc.delta_w_err,
         "omega_c_mhz": control_frequency(nv) / TWO_PI,
     }
-    return header, rows, summary
+    return columns, summary
 
 
 def _run_nv_scaling(cfg: dict):
@@ -429,15 +398,14 @@ def _run_nv_scaling(cfg: dict):
         halfwidth_b=sc["halfwidth_b"], halfwidth_w=TWO_PI * sc["halfwidth_w_mhz"],
         points=int(sc["points"]), seed=cfg["seed"],
         steps_per_block=int(pr["steps_per_block"]))
-    header = ["n", "delta_b", "delta_b_err", "delta_w", "delta_w_err"]
-    rows = [[int(res.n_values[i]), res.delta_b[i], res.delta_b_err[i],
-             res.delta_w[i], res.delta_w_err[i]]
-            for i in range(res.n_values.size)]
+    columns = {"n": res.n_values, "delta_b": res.delta_b,
+               "delta_b_err": res.delta_b_err, "delta_w": res.delta_w,
+               "delta_w_err": res.delta_w_err}
     summary = {"exponent_b": res.exponent_b,
                "exponent_b_stderr": res.exponent_b_stderr,
                "exponent_w": res.exponent_w,
                "exponent_w_stderr": res.exponent_w_stderr}
-    return header, rows, summary
+    return columns, summary
 
 
 def _run_adaptive(cfg: dict):
@@ -457,15 +425,15 @@ def _run_adaptive(cfg: dict):
                             TWO_PI * ad["jac_halfwidth_w_mhz"]),
         noiseless=bool(ad["noiseless"]),
         steps_per_block=int(pr["steps_per_block"]))
-    header = ["round", "b_est", "omega_est", "b_err", "omega_err"]
-    rows = [[r, traj[r, 0], traj[r, 1], traj[r, 0] - truth[0],
-             traj[r, 1] - truth[1]] for r in range(traj.shape[0])]
+    columns = {"round": np.arange(traj.shape[0]), "b_est": traj[:, 0],
+               "omega_est": traj[:, 1], "b_err": traj[:, 0] - truth[0],
+               "omega_err": traj[:, 1] - truth[1]}
     summary = {"final_b_err": float(traj[-1, 0] - truth[0]),
                "final_omega_err": float(traj[-1, 1] - truth[1]),
                "initial_b_err": float(traj[0, 0] - truth[0]),
                "initial_omega_err": float(traj[0, 1] - truth[1]),
                "rounds": int(ad["rounds"])}
-    return header, rows, summary
+    return columns, summary
 
 
 _RUNNERS = {
@@ -499,12 +467,13 @@ def run(command: str, config_path: str | Path, seed: int | None = None,
         # emit_results names the first non-finite output cell, which says
         # more than numpy's overflow and invalid-value warnings would
         with np.errstate(all="ignore"):
-            header, rows, summary = _RUNNERS[command](cfg)
+            columns, summary = _RUNNERS[command](cfg)
     except (OverflowError, ZeroDivisionError) as exc:
         # a Python float operation on an extreme config value
         raise ConfigError(f"config values overflow in {command}: {exc}") from exc
-    summary = {**_base_summary(command, cfg), **summary}
-    return emit_results(header, rows, summary, out_dir, command)
+    summary = {"command": command, "config": cfg, "seed": cfg["seed"],
+               "version": __version__, **summary}
+    return emit_results(columns, summary, out_dir, command)
 
 
 def main(argv=None) -> int:

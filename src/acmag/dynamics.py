@@ -216,17 +216,18 @@ def propagate(h, grid: TimeGrid) -> np.ndarray:
     """Time-ordered midpoint propagator of a 2x2 Hamiltonian function h.
 
     h is called once, on the grid's midpoints, and returns a (steps, 2, 2)
-    stack or one 2x2 matrix for every step, Hermitian within 1e-10. Each
+    stack, Hermitian within 1e-10; a constant Hamiltonian is broadcast to
+    that shape by the caller, so a missing step axis is never guessed. Each
     step contributes exp(-i*h(t_mid)*dt); later steps are applied on the
     left. Converges at second order in the step size.
     """
     hs = np.asarray(h(grid.midpoints()), dtype=complex)
-    if hs.shape not in ((2, 2), (grid.steps, 2, 2)):
-        raise ValueError("propagate requires 2x2 Hamiltonians, one per step "
-                         f"or one for all, got shape {hs.shape}")
+    if hs.shape != (grid.steps, 2, 2):
+        raise ValueError("propagate requires a (steps, 2, 2) stack of 2x2 "
+                         f"Hamiltonians, got shape {hs.shape} for "
+                         f"{grid.steps} steps")
     if max_abs(hs - np.swapaxes(hs.conj(), -1, -2)) > 1e-10:
         raise ValueError("propagate sampled a non-Hermitian Hamiltonian")
-    hs = np.broadcast_to(hs, (grid.steps, 2, 2))
     ax, ay = hs[:, 0, 1].real, -hs[:, 0, 1].imag
     az = 0.5 * (hs[:, 0, 0] - hs[:, 1, 1]).real
     a0 = 0.5 * (hs[:, 0, 0] + hs[:, 1, 1]).real

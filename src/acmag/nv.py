@@ -52,7 +52,18 @@ _PROBE = bell_state("phi+")
 
 
 class JacobianError(RuntimeError):
-    """Signal Jacobian too ill-conditioned to invert."""
+    """Signal Jacobian too ill-conditioned to invert; ``condition`` holds
+    its condition number."""
+
+
+def _check_jacobian(j: np.ndarray, what: str) -> None:
+    """Raise JacobianError if j's condition number exceeds 1e8."""
+    condition = float(np.linalg.cond(j))
+    if condition > 1e8:
+        err = JacobianError(f"{what} Jacobian is singular (condition number "
+                            f"{condition:.3e} > 1e8)")
+        err.condition = condition
+        raise err
 
 
 class AdaptiveDivergenceError(RuntimeError):
@@ -400,8 +411,8 @@ def parameter_uncertainty(sweep_b: SweepResult, sweep_w: SweepResult,
     """
     k = readout.n_signals
     j = np.column_stack([sweep_b.slopes[:k], sweep_w.slopes[:k]])
-    if k == 2 and np.linalg.cond(j) > 1e8:
-        raise JacobianError("signal Jacobian is singular (condition number > 1e8)")
+    if k == 2:
+        _check_jacobian(j, "signal")
     cov = _cov_from_jacobian(j, readout.sigma)
     delta = np.sqrt(np.diag(cov))
 
@@ -507,8 +518,7 @@ def adaptive_loop(true_field: tuple[float, float],
                              *jacobian_halfwidth, points=5, seed=0,
                              add_noise=False, steps_per_block=steps_per_block)
         j = np.column_stack([sb.slopes, sw.slopes])
-        if np.linalg.cond(j) > 1e8:
-            raise JacobianError("adaptive Jacobian is singular")
+        _check_jacobian(j, "adaptive")
         # the sweep's center point holds the noiseless signals at est
         est = est + np.linalg.solve(j, meas - sb.signals[2])
         traj.append(est.copy())

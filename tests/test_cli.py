@@ -55,47 +55,66 @@ class TestConfig:
 
 class TestEmitResults:
     def test_round_trip(self, tmp_path):
-        header = ["a", "b"]
-        rows = [[1, 0.1], [2, np.pi], [3, 1e-17]]
-        csv_path, json_path = emit_results(header, rows, {"x": 1.0},
-                                           tmp_path, "study")
+        columns = {"a": [1, 2, 3], "b": [0.1, np.pi, 1e-17]}
+        csv_path, json_path = emit_results(columns, {"x": 1.0}, tmp_path,
+                                           "study")
         got_header, got_rows = _read_csv(csv_path)
-        assert got_header == header
-        for row, got in zip(rows, got_rows):
-            assert int(got[0]) == row[0]
-            assert float(got[1]) == row[1]  # 17 significant digits round-trip
+        assert got_header == ["a", "b"]
+        for a, b, got in zip(columns["a"], columns["b"], got_rows):
+            assert int(got[0]) == a
+            assert float(got[1]) == b  # 17 significant digits round-trip
         assert json.loads(json_path.read_text()) == {"x": 1.0}
 
     def test_empty_table_is_header_only(self, tmp_path):
-        csv_path, _ = emit_results(["x", "y"], [], {}, tmp_path, "empty")
+        csv_path, _ = emit_results({"x": [], "y": []}, {}, tmp_path, "empty")
         assert csv_path.read_text() == "x,y\n"
 
     def test_ragged_row_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_results(["x"], [[1, 2]], {}, tmp_path, "bad")
-        with pytest.raises(ValueError):
-            emit_results(["x"], np.zeros((2, 2)), {}, tmp_path, "bad")
-        with pytest.raises(ValueError):
-            emit_results(["x"], np.zeros(2), {}, tmp_path, "bad")
+        out = tmp_path / "bad"
+        for columns in ({"x": [1.0], "y": [1.0, 2.0]},
+                        {"x": np.zeros((2, 2))},
+                        {"x": np.zeros(2), "y": np.float64(1.0)},
+                        {}):
+            with pytest.raises(ValueError):
+                emit_results(columns, {}, out, "bad")
+        assert not out.exists()
 
-    def test_float_table_writes_the_bytes_of_row_lists(self, tmp_path):
-        table = np.array([[0.0, 0.1, -2.5e-300], [1.0, np.pi, 1e17],
-                          [2.0, -0.0, 123456789.0]])
-        a, _ = emit_results(["i", "x", "y"], table, {}, tmp_path / "a", "t")
-        rows = [[int(r[0]), r[1], r[2]] for r in table.tolist()]
-        b, _ = emit_results(["i", "x", "y"], rows, {}, tmp_path / "b", "t")
-        assert a.read_bytes() == b.read_bytes()
+    def test_exact_bytes_of_mixed_columns(self, tmp_path):
+        # one .17g format serves every number: ints up to 2**53 print as
+        # their digits, and -0.0 and subnormals keep their sign and value
+        columns = {"axis": np.array(["B", "omega", "B", "omega"]),
+                   "n": np.array([0, 7, 2**53 - 1, 2**53]),
+                   "x": np.array([-0.0, 1e17, -2.5e-300, 5e-324]),
+                   "y": [0.1, np.pi, 123456789.0, -1.5]}
+        csv_path, _ = emit_results(columns, {}, tmp_path, "t")
+        assert csv_path.read_bytes() == (
+            b"axis,n,x,y\n"
+            b"B,0,-0,0.10000000000000001\n"
+            b"omega,7,1e+17,3.1415926535897931\n"
+            b"B,9007199254740991,-2.5e-300,123456789\n"
+            b"omega,9007199254740992,4.9406564584124654e-324,-1.5\n")
 
     @pytest.mark.parametrize("table,summary,match", [
-        (np.array([[1.0, 2.0], [3.0, np.inf]]), {}, "column 'y' at row 1"),
-        ([[1, 2.0], [3, float("nan")]], {}, "column 'y' at row 1"),
-        (np.ones((2, 2)), {"s": float("nan")}, "summary"),
+        ({"x": [1.0, 3.0], "y": [2.0, np.inf]}, {}, "column 'y' at row 1"),
+        ({"x": [1, 3], "y": [2.0, float("nan")]}, {}, "column 'y' at row 1"),
+        ({"x": np.ones(2), "y": np.ones(2)}, {"s": float("nan")}, "summary"),
     ])
     def test_non_finite_output_writes_nothing(self, tmp_path, table, summary,
                                               match):
         out = tmp_path / "out"
         with pytest.raises(FloatingPointError, match=match):
-            emit_results(["x", "y"], table, summary, out, "t")
+            emit_results(table, summary, out, "t")
+        assert not out.exists()
+
+    def test_first_non_finite_cell_in_row_major_order(self, tmp_path):
+        # row 1 holds a bad cell in the last column, row 2 one in the first
+        columns = {"axis": ["B", "B", "omega"], "x": [1.0, 2.0, -np.inf],
+                   "y": [1.0, 2.0, 3.0], "z": [0.0, np.nan, np.nan]}
+        out = tmp_path / "out"
+        with pytest.raises(FloatingPointError,
+                           match="^non-finite value nan in column 'z' at "
+                                 "row 1$"):
+            emit_results(columns, {}, out, "t")
         assert not out.exists()
 
 
@@ -290,6 +309,21 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
             f"config error: config values overflow in {command}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,field", [
+        ("qfim-scan", {"b": 0.0}),
+        ("convergence", {"b": 0.0}),
+        ("bounds", {"b": 0.0, "omega_mhz": 1.0}),
+        ("probe-search", {"b": 0.0}),
+    ])
+    def test_zero_field_amplitude_is_2_and_named(self, tmp_path, capsys,
+                                                 command, field):
+        cfg = _write(tmp_path, "c.json", {"field": field})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: field.b must be positive, got 0.0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("t_values", [[1.0, 1e300], [1e300, 1.0]])

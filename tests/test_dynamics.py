@@ -60,7 +60,9 @@ class TestHamiltonianEval:
 class TestPropagate:
     def test_constant_commuting_case(self):
         omega = 3.1
-        u = propagate(lambda t: 0.5 * omega * SIGMA_Z, TimeGrid(0, 2.0, 7))
+        u = propagate(lambda t: np.broadcast_to(0.5 * omega * SIGMA_Z,
+                                                (t.size, 2, 2)),
+                      TimeGrid(0, 2.0, 7))
         np.testing.assert_allclose(u, expm_hermitian(0.5 * omega * SIGMA_Z, 2.0),
                                    atol=1e-12)
 
@@ -98,8 +100,15 @@ class TestPropagate:
 
     def test_rejects_non_hermitian_sample(self):
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(ValueError):
-            propagate(lambda t: bad, TimeGrid(0, 1.0, 3))
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            propagate(lambda t: np.broadcast_to(bad, (t.size, 2, 2)),
+                      TimeGrid(0, 1.0, 3))
+
+    def test_rejects_a_missing_step_axis(self):
+        # a forgotten [:, None, None] on a 2-step grid gives diag(cos t0,
+        # -cos t1), which is Hermitian and 2x2 but not one matrix per step
+        with pytest.raises(ValueError, match=r"\(steps, 2, 2\).*\(2, 2\)"):
+            propagate(lambda t: np.cos(t) * SIGMA_Z, TimeGrid(0, 1.0, 2))
 
     def test_trace_part_is_a_global_phase(self):
         # scalar times for the per-step reference, an array for propagate

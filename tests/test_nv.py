@@ -1,5 +1,6 @@
 """NV two-qubit protocol: frames, decoupling, readout, uncertainty fits."""
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -363,8 +364,14 @@ class TestParameterUncertainty:
 
     def test_singular_jacobian_raises(self):
         sb, sw = self._fake_sweeps(1.0, 1e-12, 1.0, 1e-12)
-        with pytest.raises(JacobianError):
+        with pytest.raises(JacobianError) as info:
             parameter_uncertainty(sb, sw, ReadoutModel())
+        err = info.value
+        assert err.condition > 1e8
+        assert f"{err.condition:.3e}" in str(err)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is JacobianError and str(back) == str(err)
+        assert back.condition == err.condition
 
     def test_three_signals_never_worse(self):
         p = operating_field(NV, 5.65)
