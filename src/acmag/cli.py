@@ -129,7 +129,8 @@ _MINIMA = {"seed": 0, "protocol.n_reps": 1, "protocol.steps_per_block": 1,
            "readout.n_avg": 1, "sweep.points": 3, "scaling.n_min": 1,
            "scaling.points": 3, "search.samples": 1, "adaptive.rounds": 0,
            "adaptive.shots": 1}
-_POSITIVE = ("field.b", "protocol.tau", "scan.t", "sweep.halfwidth_b",
+_POSITIVE = ("field.b", "nv.gamma_e_mhz_per_g", "protocol.b_c",
+             "protocol.tau", "scan.t", "sweep.halfwidth_b",
              "sweep.halfwidth_w_mhz", "scaling.halfwidth_b",
              "scaling.halfwidth_w_mhz", "adaptive.jac_halfwidth_b",
              "adaptive.jac_halfwidth_w_mhz")
@@ -145,13 +146,15 @@ def _check_leaf(default, value, path: str):
     """Reject a leaf that is mistyped or that no study can run with.
 
     Numbers are finite floats or ints of magnitude at most 2**53, never
-    strings or booleans; an int default takes an int, a None default also
-    null, and a list default a list of numbers.
+    strings or booleans; an int default takes such an int (the seed any
+    int, as a u64), a None default also null, and a list default a list of
+    numbers.
     """
     if isinstance(default, list):
         ok = isinstance(value, list) and all(map(_is_number, value))
     elif type(default) in (bool, int, str) and default != _REQUIRED:
-        ok = type(value) is type(default)
+        ok = type(value) is type(default) and (
+            type(value) is not int or path == "seed" or _is_number(value))
     else:  # float, or an optional (None) or required number
         ok = _is_number(value) or (default is None and value is None)
     if not ok:
@@ -346,6 +349,11 @@ def _run_probe_search(cfg: dict):
     gen = generator_closed_form(p, float(sc["t"]), mode="asymptotic")
     dets = sample_probe_determinants(gen, int(sc["samples"]), cfg["seed"])
     bell = bell_probe_determinant(gen)
+    if bell <= 0:  # a NaN goes on to the non-finite check
+        raise ConfigError(
+            f"config values underflow in probe-search: the Bell-probe QFIM "
+            f"determinant is {bell} at field.gamma = {p.gamma}, field.b = "
+            f"{p.B}, search.t = {sc['t']}")
     columns = {"index": np.arange(dets.size), "det": dets}
     summary = {"bell_det": bell, "best_sampled_det": float(dets.max()),
                "max_excess": float(dets.max() - bell),

@@ -78,61 +78,24 @@ def qfim_from_generators(probe: np.ndarray, gen: GeneratorPair,
                  f_ww=4.0 * pure_cov(probe, hw, hw))
 
 
-# Taylor series in x = omega*T (coefficients of x^2k, highest first) of
-# f_bb/(g^2 T^2), f_bw/(g^2 B T^3 x), f_ww/(g^2 B^2 T^4 x^2) and
-# (2x - sin 2x)/x^3, used below x = 0.5 where the closed forms cancel;
-# either branch is within 3e-15 relative of mpmath for 1e-6 <= x <= 10.
-_SERIES_BELOW = 0.5
-_F_BB_SERIES = (-17 / 638512875, 4 / 2837835, -26 / 467775, 22 / 14175,
-                -1 / 35, 14 / 45, -5 / 3, 4)
-_F_BW_SERIES = (457 / 195384939750, -179 / 1277025750, 271 / 42567525,
-                -14 / 66825, 19 / 4050, -41 / 630, 43 / 90, -4 / 3)
-_F_WW_SERIES = (-13 / 75148053750, 67 / 5746615875, -103 / 170270100,
-                76 / 3274425, -53 / 85050, 17 / 1575, -19 / 180, 4 / 9)
-_SIN_GAP_SERIES = (-4 / 10854718875, 16 / 638512875, -8 / 6081075,
-                   8 / 155925, -4 / 2835, 8 / 315, -4 / 15, 4 / 3)
-
-
 def _closed_form(g, B, w, T):
     """(f_bb, f_bw, f_ww, det) of the matched-control Bell-probe QFIM.
 
-    The arguments broadcast against each other. Below omega*T = 0.5 the
-    entries and the 2 omega T - sin 2 omega T of the determinant come from
-    their Taylor series. Each branch is evaluated at harmless stand-in
-    values (x = 0, or omega = T = 1) where the other branch is selected.
+    The arguments broadcast against each other. The Bell probe's reduced
+    state is I/2, so F = 4 Cov(h_a, h_b) is four times the Gram matrix of the
+    generators' (sigma_x, sigma_y) coefficients from _generator_coeffs, and
+    det F = 16 (b_x w_y - b_y w_x)^2 vanishes only for parallel generators.
     """
-    g, B, w, T = (np.asarray(v, dtype=float) for v in (g, B, w, T))
-    x = w * T
-    small = np.abs(x) < _SERIES_BELOW
-    xs = np.where(small, x, 0.0)
-    x2 = xs * xs
-    we = np.where(small, 1.0, w)
-    te = np.where(small, 1.0, T)
-    s = np.sin(2 * we * te)
-    c = np.cos(2 * we * te)
-    f_bb = np.where(
-        small, g**2 * T**2 * np.polyval(_F_BB_SERIES, x2),
-        g**2 * (1 + 2 * we**2 * te**2 - c + 2 * we * te * s) / (2 * we**2))
-    f_bw = np.where(
-        small, g**2 * B * T**3 * xs * np.polyval(_F_BW_SERIES, x2),
-        g**2 * B * (-1 - we**2 * te**2 + (1 + 3 * we**2 * te**2) * c)
-        / (4 * we**3))
-    f_ww = np.where(
-        small, g**2 * B**2 * T**4 * x2 * np.polyval(_F_WW_SERIES, x2),
-        g**2 * B**2 * (1 + 4 * we**2 * te**2 + 2 * we**4 * te**4
-                       - (1 + 2 * we**2 * te**2) * (c + 2 * we * te * s))
-        / (8 * we**4))
-    gap = np.where(small, xs**3 * np.polyval(_SIN_GAP_SERIES, x2),
-                   2 * we * te - s)
-    det = g**4 * B**2 * T**4 / (16 * w**2) * gap**2
-    return f_bb, f_bw, f_ww, det
+    bx, by, wx, wy = _generator_coeffs(g, B, w, T)
+    return (4 * (bx * bx + by * by), 4 * (bx * wx + by * wy),
+            4 * (wx * wx + wy * wy), 16 * (bx * wy - by * wx) ** 2)
 
 
 def qfim_closed_form(p: FieldParams, T: float) -> Qfim2:
     """Exact matched-control QFIM for the Bell probe.
 
     Reduces to diag(gamma^2 T^2, gamma^2 B^2 T^4 / 4) as omega*T -> inf.
-    Below omega*T = 0.5 the entries come from their Taylor series.
+    The entries are the Gram form of the closed-form generator coefficients.
     """
     f_bb, f_bw, f_ww, _ = _closed_form(p.gamma, p.B, p.omega, T)
     return Qfim2(f_bb=float(f_bb), f_bw=float(f_bw), f_ww=float(f_ww))
@@ -142,8 +105,8 @@ def qfim_determinant(p: FieldParams, T: float) -> float:
     """det F = gamma^4 B^2 T^4 / (16 omega^2) * (2 omega T - sin 2 omega T)^2.
 
     Strictly positive for T > 0 with nonzero B and omega, since
-    sin(x) < x for all x > 0. Below omega*T = 0.5 the difference
-    2 omega T - sin 2 omega T comes from its Taylor series.
+    sin(x) < x for all x > 0. Evaluated as 16 (b_x w_y - b_y w_x)^2 from the
+    generator coefficients, whose small-omega*T series live in dynamics.
     """
     return float(_closed_form(p.gamma, p.B, p.omega, T)[3])
 

@@ -273,14 +273,20 @@ class TestExitCodes:
         ("adaptive", {"adaptive": {"jac_halfwidth_w_mhz": 0.0}}),
         ("nv-sweep", {"sweep": {"halfwidth_b": 0.0}}),
         ("nv-sweep", {"sweep": {"halfwidth_w_mhz": -1.0}}),
+        ("nv-sweep", {"nv": {"gamma_e_mhz_per_g": 0.0}}),
+        ("nv-scaling", {"nv": {"gamma_e_mhz_per_g": -1.0}}),
+        ("adaptive", {"nv": {"gamma_e_mhz_per_g": 0.0}}),
+        ("nv-sweep", {"protocol": {"b_c": 0.0}}),
+        ("nv-scaling", {"protocol": {"b_c": -1.0}}),
     ])
     def test_out_of_range_values_are_config_errors(self, command, payload):
         with pytest.raises(ConfigError, match="must be"):
             resolve_config(command, payload, None)
 
+    # qfim-scan: only the last row, where 2 omega*T overflows, is NaN
     @pytest.mark.parametrize("command,payload,message", [
         ("qfim-scan", {"scan": {"omega_t_max": 1e308}},
-         "non-finite value nan in column 'f_ww' at row 50"),
+         "non-finite value nan in column 'f_bb' at row 199"),
         ("probe-search", {"field": {"b": 1e200}},
          "non-finite value nan in column 'det' at row 0"),
         ("nv-sweep", {"readout": {"sigma": 1e308}},
@@ -309,6 +315,50 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
             f"config error: config values overflow in {command}")
+        assert not out.exists()
+
+    # one int leaf per command; bounds has none but the seed, which is a u64
+    @pytest.mark.parametrize("command,payload", [
+        ("qfim-scan", {"scan": {"points": 2**53 + 1}}),
+        ("convergence", {"scan": {"points": 2**53 + 1}}),
+        ("probe-search", {"search": {"samples": 2**53 + 1}}),
+        ("nv-sweep", {"readout": {"n_avg": 2**53 + 1}}),
+        ("nv-scaling", {"scaling": {"n_max": 2**53 + 1}}),
+        ("adaptive", {"protocol": {"n_reps": 2**53 + 1}}),
+    ])
+    def test_int_beyond_2_53_is_2_and_named(self, tmp_path, capsys, command,
+                                            payload):
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        (section, leaf), = payload.items()
+        (key, _), = leaf.items()
+        assert capsys.readouterr().err == (
+            f"config error: config key '{section}.{key}' has the wrong type: "
+            f"{2**53 + 1}\n")
+        assert not out.exists()
+
+    def test_int_leaves_accept_2_53(self):
+        # resolved only: no study runs with such counts
+        for command, section, key in [("qfim-scan", "scan", "points"),
+                                      ("probe-search", "search", "samples"),
+                                      ("adaptive", "adaptive", "rounds")]:
+            cfg = resolve_config(command, {section: {key: 2**53}}, None)
+            assert cfg[section][key] == 2**53
+        assert resolve_config("nv-sweep", {"seed": 2**64 - 1},
+                              None)["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("gamma", [1e-100, 1e-200])
+    def test_underflowing_probe_search_is_2_and_named(self, tmp_path, capsys,
+                                                      gamma):
+        cfg = _write(tmp_path, "c.json", {"field": {"gamma": gamma}})
+        out = tmp_path / "out"
+        assert main(["probe-search", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config values underflow in probe-search: the "
+            "Bell-probe QFIM determinant is 0.0 at field.gamma = "
+            f"{gamma}, field.b = 1.0, search.t = 1.0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,field", [

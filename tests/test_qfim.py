@@ -161,6 +161,16 @@ class TestArrayClosedForms:
             entries = _closed_form(1.3, 0.7, np.array([1e-6, 0.7, 1e30]), 1.0)
         assert np.all(np.isfinite(entries))
 
+    @pytest.mark.parametrize("omega_t", [1e78, 1e100, 1e200, 1e300])
+    def test_entries_stay_finite_at_huge_omega_t(self, omega_t):
+        # (omega*T)^4 overflows above ~1e77, so no entry may be formed from it
+        g, B = 1.3, 0.7
+        entries = _closed_form(g, B, omega_t, 1.0)
+        assert np.all(np.isfinite(entries))
+        eps = np.finfo(float).eps
+        assert abs(entries[0] / g**2 - 1) <= 4 * eps
+        assert abs(entries[2] / (g**2 * B**2 / 4) - 1) <= 4 * eps
+
     def test_generator_coefficients_match_scalar_generators(self):
         g, B, T = 1.3, 0.7, 2.0
         for mode in ("exact", "asymptotic"):
@@ -196,6 +206,25 @@ class TestClosedFormProperties:
         eps = np.finfo(float).eps
         tol = np.maximum(1e-8 * det, 8 * eps * (f_bb * f_ww + f_bw**2))
         assert np.all(np.abs(f_bb * f_ww - f_bw**2 - det) <= tol)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(omega_t=_log_uniform(1e-6, 1e8), g=_log_uniform(1e-2, 1e2),
+           B=_log_uniform(1e-3, 1e3), T=_log_uniform(1e-3, 1e3),
+           z=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+           .map(np.array).filter(lambda z: np.linalg.norm(z) > 1e-3))
+    def test_bell_probe_is_optimal(self, omega_t, g, B, T, z):
+        gen = generator_closed_form(
+            FieldParams.matched(B, omega_t / T, gamma=g), T)
+        f_bb, f_bw, f_ww, det = _closed_form(g, B, omega_t / T, T)
+        eps = np.finfo(float).eps
+        tol = max(1e-8 * det, 8 * eps * (f_bb * f_ww + f_bw**2))
+        probe = (z[:4] + 1j * z[4:]) / np.linalg.norm(z)
+        assert qfim_from_generators(probe, gen).det() <= det + tol
+        bell = qfim_from_generators(bell_state("phi+"), gen)
+        diag = np.sqrt([f_bb, f_ww])
+        assert np.all(np.abs(bell.matrix() - [[f_bb, f_bw], [f_bw, f_ww]])
+                      <= 8 * eps * np.outer(diag, diag))
+        assert abs(bell.det() - det) <= tol
 
 
 class TestQcrb:
