@@ -27,9 +27,9 @@ from .bounds import strategy_comparison
 from .dynamics import ConvergenceError, FieldParams, generator_closed_form
 from .fitting import envelope_slope
 from .nv import (AdaptiveDivergenceError, JacobianError, NvParams,
-                 PiPulseModel, ReadoutModel, _sweep_pair, adaptive_loop,
-                 control_frequency, operating_field, parameter_uncertainty,
-                 scaling_study)
+                 PiPulseModel, ReadoutModel, _pair_specs, _sweeps,
+                 adaptive_loop, control_frequency, operating_field,
+                 parameter_uncertainty, scaling_study)
 from .qfim import (SingularQfimError, _closed_form, bell_probe_determinant,
                    relative_error_curves, sample_probe_determinants)
 
@@ -301,6 +301,25 @@ def _log_grid(sc: dict, floor: float = 0.0) -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
+def _underflow(command: str, what: str, p: FieldParams,
+               time: str = "") -> ConfigError:
+    return ConfigError(f"config values underflow in {command}: {what} at "
+                       f"field.gamma = {p.gamma}, field.b = {p.B}{time}")
+
+
+def _check_long_time_scale(command: str, p: FieldParams, t: float,
+                           time: str = "") -> None:
+    """Raise ConfigError when the long-time QFIM entries gamma^2 T^2 and
+    gamma^2 B^2 T^4 / 4 at T = t lie less than float precision above the
+    smallest normal float, where their deviations underflow."""
+    gt = p.gamma * t
+    gbt2 = gt * p.B * t
+    scale = min(gt * gt, 0.25 * gbt2 * gbt2)
+    if scale * np.finfo(float).eps < np.finfo(float).tiny:
+        raise _underflow(command, f"the long-time QFIM entries fall to "
+                         f"{scale!r}", p, time)
+
+
 def _run_qfim_scan(cfg: dict):
     sc = cfg["scan"]
     t = float(sc["t"])
@@ -308,6 +327,11 @@ def _run_qfim_scan(cfg: dict):
     p = _field_from(cfg, xs[-1] / t)
     g, b = p.gamma, p.B
     f_bb, f_bw, f_ww, det = _closed_form(g, b, xs / t, t)
+    if np.any(det <= 0):  # a NaN goes on to the non-finite check
+        i = int(np.argmax(det <= 0))
+        raise _underflow("qfim-scan", f"the Bell-probe QFIM determinant is "
+                         f"{det[i]} in row {i} (omega_t = {xs[i]})", p,
+                         f", scan.t = {t}")
     columns = {"omega_t": xs, "f_bb": f_bb, "f_bw": f_bw, "f_ww": f_ww,
                "det": det}
     summary = {  # read at the last (largest omega*T) row
@@ -321,6 +345,8 @@ def _run_qfim_scan(cfg: dict):
 def _run_convergence(cfg: dict):
     xs = _log_grid(cfg["scan"], floor=2 * np.pi)
     p = _field_from(cfg, 1.0)
+    # the curves depend on omega*T only and are taken at T = 1
+    _check_long_time_scale("convergence", p, 1.0)
     curves = relative_error_curves(p, xs)
     summary = {}
     for k in list(curves)[1:]:  # every curve after omega_t
@@ -334,7 +360,10 @@ def _run_bounds(cfg: dict):
     t = np.asarray(cfg["scan"]["t_values"], dtype=float)
     if not t.size or np.any(t <= 0):
         raise ConfigError("scan.t_values must be a non-empty list of positive times")
-    s = strategy_comparison(_field_from(cfg, omega), t)
+    p = _field_from(cfg, omega)
+    _check_long_time_scale("bounds", p, float(t.min()),
+                           f", shortest scan.t_values = {t.min()}")
+    s = strategy_comparison(p, t)
     ratios = ["ratio_b", "ratio_w", "seq_var_ratio_b", "seq_var_ratio_w",
               "sd_ratio_b", "sd_ratio_w"]
     columns = {"t": t, "omega_t": s.regime_omega_t, "f_b_max": s.f_b_max,
@@ -350,10 +379,8 @@ def _run_probe_search(cfg: dict):
     dets = sample_probe_determinants(gen, int(sc["samples"]), cfg["seed"])
     bell = bell_probe_determinant(gen)
     if bell <= 0:  # a NaN goes on to the non-finite check
-        raise ConfigError(
-            f"config values underflow in probe-search: the Bell-probe QFIM "
-            f"determinant is {bell} at field.gamma = {p.gamma}, field.b = "
-            f"{p.B}, search.t = {sc['t']}")
+        raise _underflow("probe-search", f"the Bell-probe QFIM determinant "
+                         f"is {bell}", p, f", search.t = {sc['t']}")
     columns = {"index": np.arange(dets.size), "det": dets}
     summary = {"bell_det": bell, "best_sampled_det": float(dets.max()),
                "max_excess": float(dets.max() - bell),
@@ -372,10 +399,10 @@ def _run_nv_sweep(cfg: dict):
     hb = sw["halfwidth_b"] if sw["halfwidth_b"] is not None else 0.2 / n
     hw = (TWO_PI * sw["halfwidth_w_mhz"] if sw["halfwidth_w_mhz"] is not None
           else 2.0 / n**2)
-    sweep_b, sweep_w = _sweep_pair(p, nv, n, pr["tau"], pulse, readout, hb,
-                                   hw, sw["points"], cfg["seed"], sw["noise"],
-                                   pr["steps_per_block"])
-    sweeps = (sweep_b, sweep_w)
+    sweeps, _ = _sweeps(_pair_specs(p, n, hb, hw, sw["points"], cfg["seed"]),
+                        p, nv, pr["tau"], pulse, readout, sw["noise"],
+                        pr["steps_per_block"])
+    sweep_b, sweep_w = sweeps
     signals = np.concatenate([res.signals for res in sweeps])
     probs = np.concatenate([res.probs for res in sweeps])
     columns = {"axis": np.repeat([res.axis for res in sweeps],

@@ -160,6 +160,24 @@ def _su2_mul(p: np.ndarray, q: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _su2_pow(q: np.ndarray, n) -> np.ndarray:
+    """Batched power q**n of SU(2) pairs for integers n >= 0, in closed form.
+
+    q = cos(th) - i sin(th) m.sigma has q**n = cos(n th) - i sin(n th)
+    m.sigma, so a_n = cos(n th) + i Im(a) sin(n th)/sin(th) and b_n =
+    b sin(n th)/sin(th), with th from atan2 of sin(th) and Re(a). When
+    sin(th) is 0, Im(a) and b are too, and the ratio's value is moot.
+    """
+    a, b = q
+    s = np.sqrt(a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+    nth = n * np.arctan2(s, a.real)
+    ratio = np.sin(nth) / np.where(s > 0.0, s, 1.0)
+    out = np.empty((2,) + np.shape(ratio), dtype=complex)
+    out.real[0], out.imag[0] = np.cos(nth), a.imag * ratio
+    out[1] = b * ratio
+    return out
+
+
 def _su2_matrix(q: np.ndarray) -> np.ndarray:
     """The (..., 2, 2) matrices [[a, -b*], [b, a*]] of SU(2) pairs."""
     a, b = q

@@ -17,8 +17,13 @@ time T = N*tau takes wall-clock 2T.
 
 Every term commutes with the nuclear sz, so a sequence is simulated as
 two electron SU(2) problems on the batched kernels of ``dynamics``: sz_e
-coefficient -A/2 in the m_n = +1 block, none in the m_n = -1 block. Only
-the Bell readout works on the four-level state.
+coefficient -A/2 in the m_n = +1 block, none in the m_n = -1 block. In
+the frame that follows the target's phase, the midpoint steps of a target
+window are all one step, so each window is a closed-form SU(2) power and
+a sequence costs O(N) pair products per point, however many steps its
+windows take. A whole study, every N and both sweep axes, runs as one
+batch of such sequences. Only the Bell readout works on the four-level
+state.
 
 All frequencies in rad/us, times in us, fields in Gauss.
 """
@@ -29,7 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import FieldParams, _product_reduce, _su2_exp, _su2_matrix
+from .dynamics import (FieldParams, _su2_exp, _su2_matrix, _su2_mul,
+                       _su2_pow)
 from .fitting import loglog_slope, ols_slope
 from .linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_state, bell_basis,
                      bell_state, expm_hermitian, tensor)
@@ -204,57 +210,79 @@ def build_sequence(n_reps: int, tau: float, pulse: PiPulseModel) -> PulseSequenc
                          blocks=tuple(blocks), total_duration=2 * n_reps * tau)
 
 
-def _sequence_unitaries(seq: PulseSequence, nv: NvParams, p: FieldParams,
-                        B, omega, steps_per_block: int) -> np.ndarray:
-    """Propagators (points, 4, 4) at target amplitudes B and frequencies
-    omega (1-D arrays, or scalars that broadcast), control at p's values.
+def _sequence_unitaries(n_reps, tau: float, pulse: PiPulseModel,
+                        nv: NvParams, p: FieldParams, B, omega,
+                        steps_per_block: int) -> np.ndarray:
+    """Propagators (points, 4, 4) of n_reps repetitions at target amplitudes
+    B and frequencies omega (1-D arrays, or scalars that broadcast), control
+    at p's values.
 
-    Target windows take ``steps_per_block`` midpoint steps, control windows
-    and finite pi pulses one exact step each, and ideal pi pulses are an
-    exact sx_e. All points and both nuclear blocks run as one batch of
-    electron SU(2) problems, placed on the propagators' block diagonals.
+    Target windows take ``steps_per_block`` midpoint steps of length dt.
+    With S(x) = exp(-i x sz / 2) and theta(t) = delta t + phi, delta =
+    omega - omega_c, the target drive is S(theta)^dag (gB sx + hz sz)
+    S(theta), so each step is a z-conjugate of X = exp(-i (gB sx + hz sz)
+    dt) and the window from t0, with t1 = t0 + dt / 2, is
+
+        S(theta(t1) + delta tau)^dag Y^steps_per_block S(theta(t1)),
+
+    Y = S(delta dt) X, a closed-form SU(2) power. Window k is window 0
+    conjugated by S(2 k delta tau), which rephases its b. Control windows
+    and finite pi pulses are one exact step each, ideal pi pulses an exact
+    sx_e, so a sequence costs O(n_reps) pair products per point at any
+    ``steps_per_block``. All points and both nuclear blocks run as one
+    batch of electron SU(2) problems, placed on the propagators' block
+    diagonals.
     """
     if steps_per_block < 1:
         raise ValueError("steps_per_block must be >= 1")
-    B, omega = np.broadcast_arrays(np.ravel(B), np.ravel(omega))
-    pulse, tau = seq.pulse, seq.tau
+    if np.min(n_reps) < 1:
+        raise ValueError("n_reps must be >= 1")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    n_reps, B, omega = np.broadcast_arrays(np.ravel(n_reps), np.ravel(B),
+                                           np.ravel(omega))
+    # longest sequences first: the points that run repetition k are then a
+    # prefix of the batch
+    order = np.argsort(-n_reps, kind="stable")
+    n_reps, B, omega = n_reps[order], B[order], omega[order]
     dt = tau / steps_per_block
-    mids = (np.arange(steps_per_block) + 0.5) * dt
-    # per point and repetition, as in seq.blocks: target steps, pi,
-    # control, pi, each (sx, sy, duration, hyperfine weight); an ideal pi
-    # takes no time (a unit sx keeps zeros off _su2_exp's hypot path), and
-    # its step becomes the SU(2) pair (0, -i) = -i sx, whose lost factor i
-    # multiplies the product
-    table = np.empty((B.size, seq.n_reps, steps_per_block + 3, 4))
-    times = (2 * np.arange(seq.n_reps))[:, None] * tau + mids
-    table[..., :-3, 0], table[..., :-3, 1] = _window_drive(
-        p, B[:, None, None], omega[:, None, None], times, "target")
-    table[..., :-3, 2:] = dt, 1.0
-    if pulse.kind == "ideal":
-        table[..., -3, :] = table[..., -1, :] = (1.0, 0.0, 0.0, 0.0)
-    else:
-        table[..., -3, :] = table[..., -1, :] = (
-            0.5 * pulse.rabi_freq, 0.0, np.pi / pulse.rabi_freq,
-            float(pulse.hyperfine_on))
-    table[..., -2, :] = (*_window_drive(p, p.B, p.omega, 0.0, "control"),
-                         tau, 1.0)
-    # time order on axis 0, points on axis 1, nuclear blocks last
-    ax, ay, dts, weight = table.reshape(B.size, -1, 4).T
-    steps = _su2_exp(ax[..., None], ay[..., None],
-                     weight[..., None] * _hyperfine_z(nv), dts[..., None])
-    ideal = dts[:, 0] == 0.0
-    steps[0, ideal], steps[1, ideal] = 0.0, -1j
-    phase = 1j ** (np.count_nonzero(ideal) % 4)
-    u = np.zeros((B.size, 4, 4), dtype=complex)
-    u[:, 0::2, 0::2], u[:, 1::2, 1::2] = (
-        phase * _su2_matrix(_product_reduce(steps))).swapaxes(0, 1)
-    return u
+    delta = (omega - p.omega_c)[:, None]
+    # one exponential for every point's X, the control window and a finite
+    # pi pulse, each (sx, sy, duration, hyperfine weight); an ideal pulse's
+    # row is unused (a unit sx keeps zeros off _su2_exp's hypot path)
+    table = np.empty((B.size + 2, 4))
+    table[:-2, 0], table[:-2, 1:] = p.gamma * B, (0.0, dt, 1.0)
+    table[-2] = (*_window_drive(p, p.B, p.omega, 0.0, "control"), tau, 1.0)
+    table[-1] = ((0.5 * pulse.rabi_freq, 0.0, np.pi / pulse.rabi_freq,
+                  float(pulse.hyperfine_on)) if pulse.kind == "finite"
+                 else (1.0, 0.0, 0.0, 0.0))
+    ax, ay, dts, weight = table.T[..., None]
+    steps = _su2_exp(ax, ay, weight * _hyperfine_z(nv), dts)
+    x, ctrl, pi = steps[:, :-2], steps[:, -2], steps[:, -1]
+    # the repetition's pi, control, pi: sx C sx is the pair (a*, -b*)
+    q = (_su2_mul(pi, _su2_mul(ctrl, pi)) if pulse.kind == "finite"
+         else np.stack([np.conj(ctrl[0]), -np.conj(ctrl[1])]))
+    s = np.exp(-0.5j * delta * dt)
+    a, b = _su2_pow(np.stack([x[0] * s, x[1] * np.conj(s)]), steps_per_block)
+    a *= np.exp(0.5j * delta * tau)
+    theta = p.phi + 0.5 * delta * (dt + tau)
+    u = np.stack([a, b * np.exp(-1j * theta)])
+    for k in range(1, n_reps[0]):
+        m = np.searchsorted(-n_reps, -k)  # points with n_reps > k
+        window = np.stack([a[:m], b[:m] * np.exp(
+            -1j * (theta[:m] + 2 * k * tau * delta[:m]))])
+        u[:, :m] = _su2_mul(window, _su2_mul(q, u[:, :m]))
+    u = _su2_mul(q, u)[:, np.argsort(order)]
+    out = np.zeros((B.size, 4, 4), dtype=complex)
+    out[:, 0::2, 0::2], out[:, 1::2, 1::2] = _su2_matrix(u).swapaxes(0, 1)
+    return out
 
 
 def sequence_unitary(seq: PulseSequence, nv: NvParams, p: FieldParams,
                      steps_per_block: int = 32) -> np.ndarray:
     """Rotating-frame propagator, ``steps_per_block`` steps per target window."""
-    return _sequence_unitaries(seq, nv, p, p.B, p.omega, steps_per_block)[0]
+    return _sequence_unitaries(seq.n_reps, seq.tau, seq.pulse, nv, p, p.B,
+                               p.omega, steps_per_block)[0]
 
 
 def simulate_sequence(seq: PulseSequence, nv: NvParams, p: FieldParams,
@@ -326,6 +354,63 @@ class SweepResult:
     slope_stderr: np.ndarray
 
 
+def _sweeps(specs, p: FieldParams, nv: NvParams, tau: float,
+            pulse: PiPulseModel, readout: ReadoutModel, add_noise: bool,
+            steps_per_block: int, extra=()) -> tuple[list, np.ndarray]:
+    """Sweeps, each (axis, values, n_reps, seed), from the Bell probe as one
+    batch of sequences with the control at p's values and the other axis
+    at p's value; signals, noise and slope fits as in sweep_signal.
+
+    The (B, omega) points of ``extra`` run in the same batch, with the
+    first sweep's n_reps; returns the SweepResults and the extra points'
+    noiseless Bell populations.
+    """
+    specs = [(axis, np.asarray(values, dtype=float), n, seed)
+             for axis, values, n, seed in specs]
+    for axis, values, _, _ in specs:
+        if axis not in ("B", "omega"):
+            raise ValueError(f"axis must be 'B' or 'omega', got {axis!r}")
+        if values.size < 3:
+            raise ValueError("need at least 3 sweep points for slope fitting")
+        if values.max() == values.min():
+            raise ValueError("sweep range has zero width")
+        replace(p, **{axis: values.min()})  # FieldParams' lower bounds hold
+    sizes = [values.size for _, values, _, _ in specs]
+    extra = np.reshape(np.asarray(extra, dtype=float), (-1, 2))
+    B, omega = (np.concatenate(
+        [values if a == axis else np.full(values.size, getattr(p, axis))
+         for a, values, _, _ in specs] + [extra[:, i]])
+        for i, axis in enumerate(("B", "omega")))
+    n_reps = np.repeat([n for _, _, n, _ in specs] + [specs[0][2]],
+                       sizes + [len(extra)])
+    u = _sequence_unitaries(n_reps, tau, pulse, nv, p, B, omega,
+                            steps_per_block)
+    parts = np.split(np.abs(u @ _PROBE @ _BELL_READOUT.T) ** 2,
+                     np.cumsum(sizes))
+    k = readout.n_signals
+    results = []
+    for (axis, values, _, seed), probs in zip(specs, parts):
+        signals = 1.0 - readout.spam(probs[:, :k])
+        if add_noise:
+            signals += np.array([np.random.default_rng([seed, i]).normal(
+                0.0, readout.sigma, size=k) for i in range(values.size)])
+            bad = ~np.isfinite(signals).all(axis=1)
+            if np.any(bad):
+                raise FloatingPointError(
+                    f"non-finite noisy signal at {axis} = "
+                    f"{float(values[bad][0])!r} (readout.sigma = "
+                    f"{readout.sigma!r})")
+        idx = int(np.argmin(np.abs(values - getattr(p, axis))))
+        lo = max(0, min(idx - 2, values.size - 5))
+        win = slice(lo, lo + 5)
+        slopes, stderr = np.array(
+            [ols_slope(values[win], signals[win, j]) for j in range(k)]).T
+        results.append(SweepResult(axis=axis, values=values, probs=probs,
+                                   signals=signals, slopes=slopes,
+                                   slope_stderr=stderr))
+    return results, parts[-1]
+
+
 def sweep_signal(axis: str, values, p: FieldParams, nv: NvParams,
                  n_reps: int, tau: float, pulse: PiPulseModel,
                  readout: ReadoutModel, seed: int = 0,
@@ -339,50 +424,17 @@ def sweep_signal(axis: str, values, p: FieldParams, nv: NvParams,
     (FloatingPointError if it makes a signal non-finite). Local slopes are
     fitted on a five-point window centered on the operating point.
     """
-    if axis not in ("B", "omega"):
-        raise ValueError(f"axis must be 'B' or 'omega', got {axis!r}")
-    values = np.asarray(values, dtype=float)
-    if values.size < 3:
-        raise ValueError("need at least 3 sweep points for slope fitting")
-    if values.max() == values.min():
-        raise ValueError("sweep range has zero width")
-    replace(p, **{axis: values.min()})  # FieldParams' lower bounds hold for all
-    k = readout.n_signals
-    u = _sequence_unitaries(build_sequence(n_reps, tau, pulse), nv, p,
-                            values if axis == "B" else p.B,
-                            values if axis == "omega" else p.omega,
-                            steps_per_block)
-    probs = np.abs(u @ _PROBE @ _BELL_READOUT.T) ** 2
-    signals = 1.0 - readout.spam(probs[:, :k])
-    if add_noise:
-        signals += np.array([np.random.default_rng([seed, i]).normal(
-            0.0, readout.sigma, size=k) for i in range(values.size)])
-        bad = ~np.isfinite(signals).all(axis=1)
-        if np.any(bad):
-            raise FloatingPointError(
-                f"non-finite noisy signal at {axis} = {float(values[bad][0])!r}"
-                f" (readout.sigma = {readout.sigma!r})")
-
-    idx = int(np.argmin(np.abs(values - getattr(p, axis))))
-    lo = max(0, min(idx - 2, values.size - 5))
-    win = slice(lo, lo + 5)
-    slopes, stderr = np.array(
-        [ols_slope(values[win], signals[win, j]) for j in range(k)]).T
-    return SweepResult(axis=axis, values=values, probs=probs,
-                       signals=signals, slopes=slopes, slope_stderr=stderr)
+    return _sweeps([(axis, values, n_reps, seed)], p, nv, tau, pulse,
+                   readout, add_noise, steps_per_block)[0][0]
 
 
-def _sweep_pair(p: FieldParams, nv: NvParams, n_reps: int, tau: float,
-                pulse: PiPulseModel, readout: ReadoutModel, hb: float,
-                hw: float, points: int, seed: int, add_noise: bool,
-                steps_per_block: int) -> tuple[SweepResult, SweepResult]:
-    """Sweeps of B over p.B +- hb and of omega over p.omega +- hw."""
-    args = (nv, n_reps, tau, pulse, readout)
-    kw = dict(add_noise=add_noise, steps_per_block=steps_per_block)
-    return (sweep_signal("B", p.B + np.linspace(-hb, hb, points), p, *args,
-                         seed=seed, **kw),
-            sweep_signal("omega", p.omega + np.linspace(-hw, hw, points), p,
-                         *args, seed=seed + 1, **kw))
+def _pair_specs(p: FieldParams, n_reps: int, hb: float, hw: float,
+                points: int, seed: int) -> list:
+    """Sweeps of B over p.B +- hb and of omega over p.omega +- hw, seeded
+    ``seed`` and ``seed + 1``."""
+    return [("B", p.B + np.linspace(-hb, hb, points), n_reps, seed),
+            ("omega", p.omega + np.linspace(-hw, hw, points), n_reps,
+             seed + 1)]
 
 
 @dataclass(frozen=True)
@@ -456,17 +508,19 @@ def scaling_study(nv: NvParams, readout: ReadoutModel,
 
     Sweep windows shrink as 1/N (amplitude) and 1/N^2 (frequency) so the
     five fit points stay inside the linear-response region at every N.
+    Every N and both sweep axes run as one batch of sequences; the fits
+    and uncertainties stay per N.
     """
     p = operating_field(nv, B_c, phi)
     n_values = np.asarray(n_values, dtype=int)
-    db, dw, dbe, dwe = np.empty((4, n_values.size))
-    for i, n in enumerate(n_values):
-        sweeps = _sweep_pair(p, nv, int(n), tau, pulse, readout,
-                             halfwidth_b / n, halfwidth_w / n**2, points,
-                             seed, add_noise, steps_per_block)
-        res = parameter_uncertainty(*sweeps, readout)
-        db[i], dw[i] = res.delta_b, res.delta_w
-        dbe[i], dwe[i] = res.delta_b_err, res.delta_w_err
+    specs = [s for n in n_values for s in _pair_specs(
+        p, n, halfwidth_b / n, halfwidth_w / n**2, points, seed)]
+    sweeps, _ = _sweeps(specs, p, nv, tau, pulse, readout, add_noise,
+                        steps_per_block)
+    db, dw, dbe, dwe = np.array([
+        (r.delta_b, r.delta_w, r.delta_b_err, r.delta_w_err)
+        for r in (parameter_uncertainty(sb, sw, readout)
+                  for sb, sw in zip(sweeps[::2], sweeps[1::2]))]).T
     eb, ebs = loglog_slope(n_values, db)
     ew, ews = loglog_slope(n_values, dw)
     return ScalingResult(n_values=n_values, delta_b=db, delta_w=dw,
@@ -500,23 +554,22 @@ def adaptive_loop(true_field: tuple[float, float],
     gamma = sensor_coupling(nv)
     sigma = float(np.sqrt(0.25 * 0.75 / shots))
     readout = ReadoutModel(sigma=sigma, signals_used="two")
-    seq = build_sequence(n_reps, tau, pulse)
     for r in range(rounds):
         if abs(est[0] - b_true) > window[0] or abs(est[1] - w_true) > window[1]:
             raise AdaptiveDivergenceError(
                 r, f"estimate left the linear window at round {r}")
-        ctrl = FieldParams(B=b_true, omega=w_true, phi=phi, B_c=est[0],
-                           omega_c=est[1], phi_c=-phi, gamma=gamma)
-        psi = simulate_sequence(seq, nv, ctrl, _PROBE, steps_per_block)
-        meas = 1.0 - bell_readout(psi)[:2]
+        # the local Jacobian sweeps around the current estimate and the
+        # measurement of the true field share the control, set to est
+        truth = FieldParams(B=b_true, omega=w_true, phi=phi, B_c=est[0],
+                            omega_c=est[1], phi_c=-phi, gamma=gamma)
+        at = replace(truth, B=est[0], omega=est[1])
+        (sb, sw), probs = _sweeps(
+            _pair_specs(at, n_reps, *jacobian_halfwidth, 5, 0), at, nv, tau,
+            pulse, readout, False, steps_per_block, extra=true_field)
+        meas = 1.0 - probs[0, :2]
         if not noiseless:
             rng = np.random.default_rng([seed, r])
             meas = meas + rng.normal(0.0, sigma, size=2)
-        # local Jacobian around the current estimate (control matched there)
-        at = replace(ctrl, B=est[0], omega=est[1])
-        sb, sw = _sweep_pair(at, nv, n_reps, tau, pulse, readout,
-                             *jacobian_halfwidth, points=5, seed=0,
-                             add_noise=False, steps_per_block=steps_per_block)
         j = np.column_stack([sb.slopes, sw.slopes])
         _check_jacobian(j, "adaptive")
         # the sweep's center point holds the noiseless signals at est

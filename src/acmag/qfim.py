@@ -78,17 +78,22 @@ def qfim_from_generators(probe: np.ndarray, gen: GeneratorPair,
                  f_ww=4.0 * pure_cov(probe, hw, hw))
 
 
-def _closed_form(g, B, w, T):
-    """(f_bb, f_bw, f_ww, det) of the matched-control Bell-probe QFIM.
+def _gram(bx, by, wx, wy):
+    """(f_bb, f_bw, f_ww, det) of the Bell-probe QFIM of the generators
+    b_x sx + b_y sy and w_x sx + w_y sy.
 
-    The arguments broadcast against each other. The Bell probe's reduced
-    state is I/2, so F = 4 Cov(h_a, h_b) is four times the Gram matrix of the
-    generators' (sigma_x, sigma_y) coefficients from _generator_coeffs, and
-    det F = 16 (b_x w_y - b_y w_x)^2 vanishes only for parallel generators.
+    The Bell probe's reduced state is I/2, so F = 4 Cov(h_a, h_b) is four
+    times the Gram matrix of the coefficients, and det F = 16 (b_x w_y -
+    b_y w_x)^2 vanishes only for parallel generators.
     """
-    bx, by, wx, wy = _generator_coeffs(g, B, w, T)
     return (4 * (bx * bx + by * by), 4 * (bx * wx + by * wy),
             4 * (wx * wx + wy * wy), 16 * (bx * wy - by * wx) ** 2)
+
+
+def _closed_form(g, B, w, T):
+    """(f_bb, f_bw, f_ww, det) of the matched-control Bell-probe QFIM, the
+    Gram form of _generator_coeffs; the arguments broadcast."""
+    return _gram(*_generator_coeffs(g, B, w, T))
 
 
 def qfim_closed_form(p: FieldParams, T: float) -> Qfim2:
@@ -146,7 +151,7 @@ def relative_error_curves(p: FieldParams, omega_t_values) -> dict[str, np.ndarra
     g, B = p.gamma, p.B
     bx, by, wx, wy = _generator_coeffs(g, B, xs, 1.0, "exact")
     lbx, _, _, lwy = _generator_coeffs(g, B, xs, 1.0, "asymptotic")
-    f_bb, f_bw, f_ww, _ = _closed_form(g, B, xs, 1.0)
+    f_bb, f_bw, f_ww, _ = _gram(bx, by, wx, wy)
     fbb_inf = g**2
     fww_inf = g**2 * B**2 / 4
     return {"omega_t": xs,

@@ -361,6 +361,33 @@ class TestExitCodes:
             f"{gamma}, field.b = 1.0, search.t = 1.0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,field,message", [
+        ("qfim-scan", {"gamma": 1e-200}, "the Bell-probe QFIM determinant is "
+         "0.0 in row 0 (omega_t = 10.0) at field.gamma = 1e-200, field.b = "
+         "1.0, scan.t = 1.0"),
+        ("qfim-scan", {"gamma": 1e-100}, "the Bell-probe QFIM determinant is "
+         "0.0 in row 0 (omega_t = 10.0) at field.gamma = 1e-100, field.b = "
+         "1.0, scan.t = 1.0"),
+        ("convergence", {"gamma": 1e-200}, "the long-time QFIM entries fall "
+         "to 0.0 at field.gamma = 1e-200, field.b = 1.0"),
+        # gamma^2 is a normal float, but its deviations would not be
+        ("convergence", {"gamma": 1e-150}, "the long-time QFIM entries fall "
+         "to 2.5e-301 at field.gamma = 1e-150, field.b = 1.0"),
+        ("bounds", {"gamma": 1e-200, "omega_mhz": 1.0}, "the long-time QFIM "
+         "entries fall to 0.0 at field.gamma = 1e-200, field.b = 1.0, "
+         "shortest scan.t_values = 1.0"),
+    ], ids=["qfim-scan-1e-200", "qfim-scan-1e-100", "convergence-1e-200",
+            "convergence-1e-150", "bounds-1e-200"])
+    def test_underflowing_gamma_is_2_and_named(self, tmp_path, capsys,
+                                               command, field, message):
+        cfg = _write(tmp_path, "c.json", {"field": field})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config values underflow in {command}: "
+            f"{message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,field", [
         ("qfim-scan", {"b": 0.0}),
         ("convergence", {"b": 0.0}),

@@ -12,7 +12,7 @@ from acmag.dynamics import (_SCAN_BLOCK, ConvergenceError, FieldParams,
                             TimeGrid, _drive_coeffs, _generator_coeffs,
                             _generator_quadrature, _prefix_products,
                             _product_reduce, _su2_exp, _su2_matrix,
-                            generator_closed_form, generator_numeric,
+                            _su2_pow, generator_closed_form, generator_numeric,
                             propagate)
 from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian,
                           max_abs)
@@ -164,6 +164,32 @@ class TestSu2Kernels:
         u = _su2_matrix(_su2_exp(ax, ay, az, 0.5 * np.pi / norm))
         turn = -1j * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
         assert max_abs(u - turn) <= 1e-14
+
+    # zero rotation, turns near and at a half turn (q = -1), exponent 0 and
+    # the 4095 of a 4096-step window; q**n of exp(-i th m.sigma) is the
+    # exponential over n times the step
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4095])
+    @pytest.mark.parametrize("th", [0.0, 1e-9, 0.3, np.pi - 1e-9, np.pi])
+    def test_power_matches_the_exponential_of_n_steps(self, th, n):
+        m = np.array([0.48, -0.6, 0.64])
+        q = _su2_exp(*(th * m), 1.0)
+        got = _su2_pow(q, n)
+        assert max_abs(_su2_matrix(got) - _su2_matrix(_su2_exp(*(th * m), n))
+                       ) <= 1e-15 * (n + 1)
+        assert abs(np.sum(np.abs(got) ** 2) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4095])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_power_of_plus_or_minus_identity(self, sign, n):
+        q = np.array([[sign], [0.0]], dtype=complex)
+        assert max_abs(_su2_pow(q, n) - [[sign**n], [0.0]]) <= 1e-15
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 64])
+    def test_power_of_a_batch_matches_matrix_power(self, n):
+        q = _random_pairs(np.random.default_rng(n), 8)
+        ref = [np.linalg.matrix_power(_su2_matrix(q[:, j]), n)
+               for j in range(8)]
+        assert max_abs(_su2_matrix(_su2_pow(q, n)) - ref) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 65])
     def test_product_reduce_matches_sequential_matmul(self, n):

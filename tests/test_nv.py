@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acmag import nv as nv_module
+from acmag.dynamics import FieldParams
 from acmag.fitting import loglog_slope
 from acmag.linalg import bell_state, expm_hermitian, haar_state
 from acmag.nv import (SX_E, SY_E, SZ_E, SZ_EN, SZ_N, AdaptiveDivergenceError,
@@ -203,7 +206,7 @@ class TestTwoBlockEngine:
         np.testing.assert_allclose(nv_rotating_hamiltonian(NV, p, t, "control"),
                                    ctrl + interaction_term(NV), atol=1e-12)
 
-    # a one-step target window is the edge case of the step table; the
+    # a one-step target window is the window power's edge case; the
     # 16-step cases keep their plain n_reps ids
     @pytest.mark.parametrize("n_reps,steps_per_block", [
         (1, 16), (3, 16), (8, 16), (1, 1), (3, 1), (8, 1),
@@ -228,11 +231,123 @@ class TestTwoBlockEngine:
         assert np.all(u[0::2, 1::2] == 0.0)
         assert np.all(u[1::2, 0::2] == 0.0)
 
+    # zero rotation in the hz = 0 block (B = 0 on resonance), one step and
+    # a whole window of half turns, and turns just short of them; on
+    # resonance the drive is static, so the exact windows are the reference
+    @pytest.mark.parametrize("steps_per_block", [1, 4096])
+    @pytest.mark.parametrize("turn,B_c", [(0.0, 5.65), (0.0, 0.0),
+                                          (np.pi, 5.65), (np.pi - 1e-7, 5.65)],
+                             ids=["zero", "zero-no-control", "half",
+                                  "near-half"])
+    def test_window_power_edge_cases(self, turn, B_c, steps_per_block):
+        p = replace(operating_field(NV, B_c), B=0.0)
+        seq = build_sequence(2, 0.017, IDEAL)
+        # gamma B dt = turn makes each step of the hz = 0 block that turn
+        p = replace(p, B=turn * steps_per_block / (p.gamma * seq.tau))
+        u = sequence_unitary(seq, NV, p, steps_per_block=steps_per_block)
+        # a window turns by up to 4096 pi, which no float holds to better
+        # than 4096 pi eps
+        tol = 1e-12 + 1e-15 * seq.n_reps * steps_per_block
+        assert np.max(np.abs(u - _exact_sequence_unitary(seq, NV, p))) <= tol
+        assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= 1e-12
+
     def test_rejects_empty_target_windows(self):
         p = operating_field(NV, 5.65)
         seq = build_sequence(1, 0.017, IDEAL)
         with pytest.raises(ValueError, match="steps_per_block"):
             sequence_unitary(seq, NV, p, steps_per_block=0)
+
+
+def _exact_sequence_unitary(seq, nv, p):
+    """Four-level propagator with exact target windows.
+
+    In the frame of S(x) = exp(-i x sz_e / 2) at theta(t) = delta t + phi,
+    delta = omega - omega_c, the target drive gB (cos(theta) sx_e -
+    sin(theta) sy_e) is the static gB sx_e and the frame adds (delta/2)
+    sz_e, so a window from t0 is S(theta(t0 + tau))^dag exp(-i (gB sx_e +
+    H_int + (delta/2) sz_e) tau) S(theta(t0)). Control windows and pi
+    pulses are as in the four-level reference.
+    """
+    pulse = seq.pulse
+    if pulse.kind == "ideal":
+        u_pi = SX_E
+    else:
+        h_pi = 0.5 * pulse.rabi_freq * SX_E
+        if pulse.hyperfine_on:
+            h_pi = h_pi + interaction_term(nv)
+        u_pi = expm_hermitian(h_pi, np.pi / pulse.rabi_freq)
+    u_ctrl = expm_hermitian(nv_rotating_hamiltonian(nv, p, 0.0, "control"),
+                            seq.tau)
+    delta = p.omega - p.omega_c
+    u_win = expm_hermitian(p.gamma * p.B * SX_E + interaction_term(nv)
+                           + 0.5 * delta * SZ_E, seq.tau)
+
+    def s(x):
+        return np.diag(np.exp(-0.5j * x * np.diag(SZ_E)))
+
+    u = np.eye(4, dtype=complex)
+    for block in seq.blocks:
+        if block[0] == "pi":
+            u = u_pi @ u
+        elif block[0] == "control":
+            u = u_ctrl @ u
+        else:
+            t0 = block[1]
+            u = (s(delta * (t0 + seq.tau) + p.phi).conj().T @ u_win
+                 @ s(delta * t0 + p.phi) @ u)
+    return u
+
+
+class TestExactWindows:
+    def test_constant_drive_is_exact(self):
+        # on resonance the drive is static and a midpoint step is exact
+        p = replace(operating_field(NV, 5.65, phi=0.4), B=5.9)
+        seq = build_sequence(3, 0.017, IDEAL)
+        u = sequence_unitary(seq, NV, p, steps_per_block=1)
+        assert np.max(np.abs(u - _exact_sequence_unitary(seq, NV, p))) <= 1e-13
+
+    @pytest.mark.parametrize("pulse", [IDEAL, PiPulseModel(kind="finite")],
+                             ids=["ideal", "finite"])
+    @pytest.mark.parametrize("detuning", [2.0, -40.0])
+    def test_midpoint_windows_converge_at_second_order(self, pulse, detuning):
+        p = replace(operating_field(NV, 5.65, phi=0.4), B=5.9,
+                    omega=control_frequency(NV) + detuning)
+        seq = build_sequence(4, 0.05, pulse)
+        exact = _exact_sequence_unitary(seq, NV, p)
+        errs = [np.linalg.norm(sequence_unitary(seq, NV, p, steps_per_block=s)
+                               - exact, 2) for s in (8, 16, 32, 64, 4096)]
+        for a, b in zip(errs, errs[1:4]):
+            assert 3.9 <= a / b <= 4.1
+        assert errs[4] <= 1e-3 * errs[3]
+
+    # in the target's frame a midpoint step is the Strang splitting
+    # S(delta dt / 2) X S(delta dt / 2) of exp(-i (H0 + (delta/2) sz) dt),
+    # H0 = gB sx + hz sz, whose error per step is at most dt^3 times
+    # |[B,[B,A]]| / 12 + |[A,[A,B]]| / 24; so a sequence is off by at most
+    # N tau dt^2 |delta| gB (|H0| / 6 + |delta| / 24) per nuclear block
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_reps=st.integers(1, 64), steps_per_block=st.integers(1, 4096),
+           # omega stays positive: delta tau > -omega_c tau, about -200
+           delta_tau=st.one_of(st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+                               st.floats(-3.0, 2.0).map(lambda e: -10.0**e)),
+           B=st.floats(0.0, 20.0), phi=st.floats(-np.pi, np.pi),
+           pulse=st.sampled_from([IDEAL, PiPulseModel(kind="finite")]))
+    def test_window_powers_stay_within_the_splitting_bound(
+            self, n_reps, steps_per_block, delta_tau, B, phi, pulse):
+        tau = 0.017
+        p = replace(operating_field(NV, 5.65, phi=phi), B=B,
+                    omega=control_frequency(NV) + delta_tau / tau)
+        seq = build_sequence(n_reps, tau, pulse)
+        u = sequence_unitary(seq, NV, p, steps_per_block=steps_per_block)
+        exact = _exact_sequence_unitary(seq, NV, p)
+        delta, gb = abs(delta_tau / tau), p.gamma * B
+        dt = tau / steps_per_block
+        bound = (n_reps * tau * dt * dt * delta * gb
+                 * (np.hypot(gb, NV.A / 2) / 6 + delta / 24))
+        # rounding of the window phases, which reach delta * 2 N tau
+        slack = 1e-12 + 1e-15 * n_reps * (1 + abs(delta_tau))
+        assert np.max(np.abs(u - exact)) <= bound + slack
+        assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= 1e-12
 
 
 class TestBellReadout:
@@ -300,7 +415,7 @@ class TestSweepSignal:
             pops.append(bell_readout(psi, rotate=False)[0])
         assert np.argmax(pops) == 10  # center of the grid
 
-    # a one-step target window is the edge case of the step table
+    # a one-step target window is the window power's edge case
     @pytest.mark.parametrize("steps_per_block", [1, 16])
     @pytest.mark.parametrize("pulse", [IDEAL, PiPulseModel(kind="finite")],
                              ids=["ideal", "finite"])
@@ -416,6 +531,36 @@ class TestScaling:
         assert res.exponent_b == pytest.approx(-1.0, abs=0.05)
         assert res.exponent_w == pytest.approx(-2.0, abs=0.05)
 
+    @pytest.mark.parametrize("add_noise", [False, True],
+                             ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("pulse", [IDEAL, PiPulseModel(kind="finite")],
+                             ids=["ideal", "finite"])
+    def test_one_batch_matches_per_n_sweeps(self, monkeypatch, pulse,
+                                            add_noise):
+        ro = ReadoutModel()
+        n_values = (3, 4, 6, 9)
+        calls = []
+        kernel = nv_module._su2_exp
+        monkeypatch.setattr(nv_module, "_su2_exp",
+                            lambda *a: calls.append(a) or kernel(*a))
+        res = scaling_study(NV, ro, n_values=n_values, pulse=pulse, points=7,
+                            seed=11, add_noise=add_noise)
+        # every N and both axes are one SU(2) exponential
+        assert len(calls) == 1
+        p = operating_field(NV, 5.65)
+        for i, n in enumerate(n_values):
+            args = (p, NV, n, 0.017, pulse, ro)
+            sb = sweep_signal("B", p.B + np.linspace(-0.2 / n, 0.2 / n, 7),
+                              *args, seed=11, add_noise=add_noise)
+            sw = sweep_signal("omega",
+                              p.omega + np.linspace(-2.0 / n**2, 2.0 / n**2, 7),
+                              *args, seed=12, add_noise=add_noise)
+            ref = parameter_uncertainty(sb, sw, ro)
+            assert res.delta_b[i] == pytest.approx(ref.delta_b, rel=1e-12)
+            assert res.delta_w[i] == pytest.approx(ref.delta_w, rel=1e-12)
+            assert res.delta_b_err[i] == pytest.approx(ref.delta_b_err, rel=1e-9)
+            assert res.delta_w_err[i] == pytest.approx(ref.delta_w_err, rel=1e-9)
+
     def test_finite_pulses_oscillate_about_power_law(self):
         ro = ReadoutModel()
         ideal = scaling_study(NV, ro)
@@ -444,6 +589,32 @@ class TestAdaptiveLoop:
                              noiseless=True)
         assert abs(traj[-1, 0] - truth[0]) < 0.05 * abs(traj[0, 0] - truth[0])
         assert abs(traj[-1, 1] - truth[1]) < 0.05 * abs(traj[0, 1] - truth[1])
+
+    def test_each_round_is_one_batch(self, monkeypatch):
+        # the measurement at the true field shares its round's Jacobian
+        # batch; computed alone, it gives the same first step
+        truth, start = (5.70, self.W_C + 0.3), (5.65, self.W_C)
+        calls = []
+        kernel = nv_module._su2_exp
+        monkeypatch.setattr(nv_module, "_su2_exp",
+                            lambda *a: calls.append(a) or kernel(*a))
+        traj = adaptive_loop(truth, start, 3, 10**6, NV, noiseless=True)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        ctrl = FieldParams(B=truth[0], omega=truth[1], B_c=start[0],
+                           omega_c=start[1], gamma=sensor_coupling(NV))
+        psi = simulate_sequence(build_sequence(2, 0.025, IDEAL), NV, ctrl,
+                                bell_state("phi+"), 16)
+        at = replace(ctrl, B=start[0], omega=start[1])
+        ro = ReadoutModel(sigma=1e-3)
+        sb = sweep_signal("B", at.B + np.linspace(-0.05, 0.05, 5), at, NV, 2,
+                          0.025, IDEAL, ro, steps_per_block=16)
+        sw = sweep_signal("omega", at.omega + np.linspace(-0.5, 0.5, 5), at,
+                          NV, 2, 0.025, IDEAL, ro, steps_per_block=16)
+        j = np.column_stack([sb.slopes, sw.slopes])
+        step = np.linalg.solve(j, 1.0 - bell_readout(psi)[:2] - sb.signals[2])
+        np.testing.assert_allclose(traj[1], np.array(start) + step,
+                                   rtol=1e-13)
 
     def test_divergence_reports_round_index(self):
         truth = (5.7, self.W_C)
