@@ -63,8 +63,8 @@ _READOUT_DEFAULTS = {
     "signals_used": "two",
 }
 
+# adaptive sets its control from each round's estimate, so it has no b_c
 _PROTOCOL_DEFAULTS = {
-    "b_c": 5.65,
     "phi": 0.0,
     "n_reps": 8,
     "tau": 0.017,
@@ -97,7 +97,7 @@ DEFAULTS: dict[str, dict] = {
     "nv-sweep": {
         "seed": 0,
         "nv": _NV_DEFAULTS,
-        "protocol": _PROTOCOL_DEFAULTS,
+        "protocol": {"b_c": 5.65, **_PROTOCOL_DEFAULTS},
         "readout": _READOUT_DEFAULTS,
         "sweep": {"points": 11, "halfwidth_b": None, "halfwidth_w_mhz": None,
                   "noise": True},
@@ -105,7 +105,7 @@ DEFAULTS: dict[str, dict] = {
     "nv-scaling": {
         "seed": 0,
         "nv": _NV_DEFAULTS,
-        "protocol": _PROTOCOL_DEFAULTS,
+        "protocol": {"b_c": 5.65, **_PROTOCOL_DEFAULTS},
         "readout": _READOUT_DEFAULTS,
         "scaling": {"n_min": 1, "n_max": 8, "halfwidth_b": 0.2,
                     "halfwidth_w_mhz": 1.0 / np.pi, "points": 5},
@@ -114,7 +114,6 @@ DEFAULTS: dict[str, dict] = {
         "seed": 0,
         "nv": _NV_DEFAULTS,
         "protocol": _PROTOCOL_DEFAULTS,
-        "readout": _READOUT_DEFAULTS,
         "truth": {"b": 5.7, "omega_offset_mhz": 0.05},
         "adaptive": {"b0": 5.65, "omega0_offset_mhz": 0.0, "rounds": 5,
                      "shots": 100_000, "window_b": 0.5,
@@ -203,6 +202,9 @@ def resolve_config(command: str, user: dict, seed: int | None) -> dict:
     return cfg
 
 
+_CONTROL_MHZ = "nv.d_mhz - nv.gamma_e_mhz_per_g * nv.b_z0 - nv.a_mhz / 2"
+
+
 def _cfg_guard(factory, *args, **kwargs):
     """Turn validation failures of config-derived values into ConfigError."""
     try:
@@ -217,9 +219,9 @@ def _nv_from(cfg: dict) -> NvParams:
                     gamma_e=TWO_PI * c["gamma_e_mhz_per_g"], B_z0=c["b_z0"])
     if not control_frequency(nv) > 0:
         raise ConfigError(
-            f"nv.b_z0 = {c['b_z0']} puts the control frequency d_mhz - "
-            f"gamma_e_mhz_per_g * b_z0 - a_mhz / 2 at "
-            f"{control_frequency(nv) / TWO_PI:.6g} MHz; it must be positive")
+            f"nv.b_z0 = {c['b_z0']} puts the control frequency {_CONTROL_MHZ}"
+            f" at {control_frequency(nv) / TWO_PI:.6g} MHz; it must be "
+            "positive")
     return nv
 
 
@@ -232,9 +234,27 @@ def _pulse_from(cfg: dict) -> PiPulseModel:
 
 def _readout_from(cfg: dict) -> ReadoutModel:
     c = cfg["readout"]
-    return _cfg_guard(ReadoutModel, sigma=c["sigma"], n_avg=int(c["n_avg"]),
-                      contrast=c["contrast"], baseline=c["baseline"],
-                      signals_used=c["signals_used"])
+    r = _cfg_guard(ReadoutModel, sigma=c["sigma"], n_avg=int(c["n_avg"]),
+                   contrast=c["contrast"], baseline=c["baseline"],
+                   signals_used=c["signals_used"])
+    # sigma^2 scales the covariance sigma^2 (J^T J)^-1; as in
+    # _check_long_time_scale, its deviations must not underflow
+    if r.sigma * r.sigma * np.finfo(float).eps < np.finfo(float).tiny:
+        raise ConfigError(f"readout.sigma = {r.sigma!r} is too small: its "
+                          f"square {r.sigma * r.sigma!r} underflows")
+    return r
+
+
+def _check_sweep_floor(command: str, b_lo: float, b_keys: str, w_lo: float,
+                       w_keys: str) -> None:
+    """ConfigError when the widest sweep reaches B < 0 or omega <= 0, which
+    FieldParams rejects; the keys spell out each end (omega's in MHz)."""
+    if not b_lo >= 0:
+        raise ConfigError(f"{command} sweeps B down to {b_lo:.6g} G; "
+                          f"{b_keys} must be >= 0")
+    if not w_lo > 0:
+        raise ConfigError(f"{command} sweeps omega down to {w_lo / TWO_PI:.6g}"
+                          f" MHz; {_CONTROL_MHZ} {w_keys} must be > 0")
 
 
 def emit_results(columns: dict, summary: dict, out_dir: str | Path,
@@ -399,6 +419,11 @@ def _run_nv_sweep(cfg: dict):
     hb = sw["halfwidth_b"] if sw["halfwidth_b"] is not None else 0.2 / n
     hw = (TWO_PI * sw["halfwidth_w_mhz"] if sw["halfwidth_w_mhz"] is not None
           else 2.0 / n**2)
+    _check_sweep_floor(
+        "nv-sweep", p.B - hb,
+        "protocol.b_c - sweep.halfwidth_b (null: 0.2 / protocol.n_reps)",
+        p.omega - hw,
+        "- sweep.halfwidth_w_mhz (null: 1 / (pi * protocol.n_reps**2))")
     sweeps, _ = _sweeps(_pair_specs(p, n, hb, hw, sw["points"], cfg["seed"]),
                         p, nv, pr["tau"], pulse, readout, sw["noise"],
                         pr["steps_per_block"])
@@ -426,9 +451,15 @@ def _run_nv_scaling(cfg: dict):
     nv = _nv_from(cfg)
     pr = cfg["protocol"]
     sc = cfg["scaling"]
+    n = int(sc["n_min"])  # the widest sweeps
+    _check_sweep_floor(
+        "nv-scaling", pr["b_c"] - sc["halfwidth_b"] / n,
+        "protocol.b_c - scaling.halfwidth_b / scaling.n_min",
+        control_frequency(nv) - TWO_PI * sc["halfwidth_w_mhz"] / n**2,
+        "- scaling.halfwidth_w_mhz / scaling.n_min**2")
     res = scaling_study(
         nv, _readout_from(cfg),
-        n_values=tuple(range(int(sc["n_min"]), int(sc["n_max"]) + 1)),
+        n_values=tuple(range(n, int(sc["n_max"]) + 1)),
         tau=pr["tau"], B_c=pr["b_c"], phi=pr["phi"], pulse=_pulse_from(cfg),
         halfwidth_b=sc["halfwidth_b"], halfwidth_w=TWO_PI * sc["halfwidth_w_mhz"],
         points=int(sc["points"]), seed=cfg["seed"],
@@ -451,6 +482,12 @@ def _run_adaptive(cfg: dict):
     w_c = control_frequency(nv)
     truth = (tr["b"], w_c + TWO_PI * tr["omega_offset_mhz"])
     start = (ad["b0"], w_c + TWO_PI * ad["omega0_offset_mhz"])
+    if ad["rounds"] > 0:  # the first Jacobian sweeps are around the start
+        _check_sweep_floor(
+            "adaptive", start[0] - ad["jac_halfwidth_b"],
+            "adaptive.b0 - adaptive.jac_halfwidth_b",
+            start[1] - TWO_PI * ad["jac_halfwidth_w_mhz"],
+            "+ adaptive.omega0_offset_mhz - adaptive.jac_halfwidth_w_mhz")
     traj = adaptive_loop(
         truth, start, int(ad["rounds"]), int(ad["shots"]), nv,
         n_reps=int(pr["n_reps"]), tau=pr["tau"], phi=pr["phi"],

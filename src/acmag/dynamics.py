@@ -118,9 +118,6 @@ def _drive_coeffs(p: FieldParams, t, cos, control: bool):
 # on a leading axis of length 2
 # ---------------------------------------------------------------------------
 
-_SCAN_BLOCK = 64
-
-
 def _su2_exp(ax: np.ndarray, ay: np.ndarray, az: np.ndarray,
              dt) -> np.ndarray:
     """Batched exp(-i*(ax*sx + ay*sy + az*sz)*dt) as a (2, ...) SU(2) pair.
@@ -185,49 +182,22 @@ def _su2_matrix(q: np.ndarray) -> np.ndarray:
                      np.stack([b, np.conj(a)], -1)], -2)
 
 
-def _product_reduce(q: np.ndarray) -> np.ndarray:
-    """Ordered product of SU(2) step pairs (time order along axis 1).
-
-    Later steps multiply from the left: result = q[n-1] @ ... @ q[0].
-    Axes after the second are independent batches.
-    """
-    while q.shape[1] > 1:
-        n = q.shape[1]
-        merged = _su2_mul(q[:, 1:n:2], q[:, 0 : n - n % 2 : 2])
-        if n % 2:
-            merged = np.concatenate([merged, q[:, -1:]], axis=1)
-        q = merged
-    return q[:, 0]
-
-
 def _prefix_products(q: np.ndarray) -> np.ndarray:
-    """Inclusive prefix products q[j] @ ... @ q[0] of a (2, n) pair array.
+    """Inclusive prefix products q[j] @ ... @ q[0] of SU(2) pairs in time
+    order along axis 1; axes after the second are independent batches.
 
-    Blocked scan: a loop over the steps of each block of _SCAN_BLOCK,
-    vectorized across blocks, then a recursion on the block totals whose
-    prefixes multiply every later block at once.
+    Pairwise scan: the odd prefixes are the scan of the neighbour products
+    q[2k+1] @ q[2k], and each even prefix is its step times the odd prefix
+    before it.
     """
     n = q.shape[1]
-    blocks = -(-n // _SCAN_BLOCK)
-    last = n - (blocks - 1) * _SCAN_BLOCK
-    # step j of block k at [:, j, k], so each step of the loop is contiguous;
-    # identities pad the last block
-    x = np.empty((2, _SCAN_BLOCK, blocks), dtype=complex)
-    by_block = x.transpose(0, 2, 1)
-    by_block[:, :-1] = q[:, : n - last].reshape(2, blocks - 1, _SCAN_BLOCK)
-    by_block[:, -1, :last] = q[:, n - last :]
-    by_block[:, -1, last:] = ((1.0,), (0.0,))
-    for j in range(1, _SCAN_BLOCK):
-        x[:, j] = _su2_mul(x[:, j], x[:, j - 1])
-    local = np.ascontiguousarray(by_block)
-    # back in time order; x's buffer takes the result once the block
-    # totals have been scanned
-    out = x.reshape(local.shape)
-    if blocks > 1:
-        offsets = _prefix_products(x[:, -1, :-1])
-        _su2_mul(local[:, 1:], offsets[:, :, None], out=out[:, 1:])
-    out[:, 0] = local[:, 0]
-    return out.reshape(2, -1)[:, :n]
+    out = np.empty_like(q)
+    out[:, 0] = q[:, 0]
+    if n > 1:
+        odd = _prefix_products(_su2_mul(q[:, 1::2], q[:, 0 : n - 1 : 2]))
+        out[:, 1::2] = odd
+        _su2_mul(q[:, 2::2], odd[:, : (n - 1) // 2], out=out[:, 2::2])
+    return out
 
 
 def propagate(h, grid: TimeGrid) -> np.ndarray:
@@ -249,7 +219,7 @@ def propagate(h, grid: TimeGrid) -> np.ndarray:
     ax, ay = hs[:, 0, 1].real, -hs[:, 0, 1].imag
     az = 0.5 * (hs[:, 0, 0] - hs[:, 1, 1]).real
     a0 = 0.5 * (hs[:, 0, 0] + hs[:, 1, 1]).real
-    u = _su2_matrix(_product_reduce(_su2_exp(ax, ay, az, grid.dt)))
+    u = _su2_matrix(_prefix_products(_su2_exp(ax, ay, az, grid.dt))[:, -1])
     return np.exp(-1j * np.sum(a0) * grid.dt) * u
 
 

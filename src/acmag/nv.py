@@ -104,25 +104,17 @@ def sensor_coupling(nv: NvParams) -> float:
     return nv.gamma_e / np.sqrt(2.0)
 
 
-def operating_field(nv: NvParams, B_c: float, phi: float = 0.0,
-                    B: float | None = None,
-                    omega: float | None = None) -> FieldParams:
-    """Field parameters at (or near) the matched operating point.
+def operating_field(nv: NvParams, B_c: float,
+                    phi: float = 0.0) -> FieldParams:
+    """Field parameters at the matched operating point.
 
-    Target amplitude/frequency default to the control settings; the
+    The target amplitude and frequency equal the control settings; the
     control phase is locked to -phi so the pulse conjugation aligns it
     with the target field.
     """
     w_c = control_frequency(nv)
-    return FieldParams(
-        B=B_c if B is None else B,
-        omega=w_c if omega is None else omega,
-        phi=phi,
-        B_c=B_c,
-        omega_c=w_c,
-        phi_c=-phi,
-        gamma=sensor_coupling(nv),
-    )
+    return FieldParams(B=B_c, omega=w_c, phi=phi, B_c=B_c, omega_c=w_c,
+                       phi_c=-phi, gamma=sensor_coupling(nv))
 
 
 def _hyperfine_z(nv: NvParams) -> np.ndarray:
@@ -135,13 +127,13 @@ def interaction_term(nv: NvParams) -> np.ndarray:
     return tensor(SIGMA_Z, np.diag(_hyperfine_z(nv)))
 
 
-def _window_drive(p: FieldParams, B, omega, t, segment: str):
+def _window_drive(p: FieldParams, t, segment: str):
     """sx_e, sy_e coefficients of the drive in one evolution window: target
-    gamma*B*[cos((omega-omega_c)t+phi) sx_e - sin(...) sy_e] at the given B
-    and omega, control the static -gamma*B_c*[cos(phi_c) sx_e - sin(...) sy_e]."""
+    gamma*B*[cos((omega-omega_c)t+phi) sx_e - sin(...) sy_e], control the
+    static -gamma*B_c*[cos(phi_c) sx_e - sin(...) sy_e]."""
     if segment == "target":
-        ph = (omega - p.omega_c) * t + p.phi
-        return p.gamma * B * np.cos(ph), -p.gamma * B * np.sin(ph)
+        ph = (p.omega - p.omega_c) * t + p.phi
+        return p.gamma * p.B * np.cos(ph), -p.gamma * p.B * np.sin(ph)
     if segment == "control":
         return (-p.gamma * p.B_c * np.cos(p.phi_c),
                 p.gamma * p.B_c * np.sin(p.phi_c))
@@ -151,7 +143,7 @@ def _window_drive(p: FieldParams, B, omega, t, segment: str):
 def nv_rotating_hamiltonian(nv: NvParams, p: FieldParams, t: float,
                             segment: str) -> np.ndarray:
     """Rotating-frame Hamiltonian of one window: drive plus hyperfine term."""
-    ax, ay = _window_drive(p, p.B, p.omega, t, segment)
+    ax, ay = _window_drive(p, t, segment)
     return ax * SX_E + ay * SY_E + interaction_term(nv)
 
 
@@ -252,7 +244,7 @@ def _sequence_unitaries(n_reps, tau: float, pulse: PiPulseModel,
     # row is unused (a unit sx keeps zeros off _su2_exp's hypot path)
     table = np.empty((B.size + 2, 4))
     table[:-2, 0], table[:-2, 1:] = p.gamma * B, (0.0, dt, 1.0)
-    table[-2] = (*_window_drive(p, p.B, p.omega, 0.0, "control"), tau, 1.0)
+    table[-2] = (*_window_drive(p, 0.0, "control"), tau, 1.0)
     table[-1] = ((0.5 * pulse.rabi_freq, 0.0, np.pi / pulse.rabi_freq,
                   float(pulse.hyperfine_on)) if pulse.kind == "finite"
                  else (1.0, 0.0, 0.0, 0.0))

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import acmag
-from acmag.cli import (ConfigError, emit_results, main, resolve_config, run)
+from acmag.cli import (_CONTROL_MHZ, ConfigError, emit_results, main,
+                       resolve_config, run)
 from acmag.dynamics import FieldParams
 from acmag.qfim import qfim_closed_form
 
@@ -39,6 +40,12 @@ class TestConfig:
             resolve_config("qfim-scan", {"field": {"bb": 2.0}}, None)
         with pytest.raises(ConfigError):
             resolve_config("qfim-scan", {"extra": 1}, None)
+        # adaptive's noise comes from its shots, its control from the
+        # estimates
+        for payload in ({"readout": {"sigma": 1e-3}},
+                        {"protocol": {"b_c": 5.65}}):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                resolve_config("adaptive", payload, None)
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="omega_mhz"):
@@ -423,6 +430,53 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "nv.b_z0 = 1100.0" in err and "-208.92 MHz" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,payload,message", [
+        ("nv-sweep", {"protocol": {"b_c": 0.01}},
+         "nv-sweep sweeps B down to -0.015 G; protocol.b_c - "
+         "sweep.halfwidth_b (null: 0.2 / protocol.n_reps) must be >= 0"),
+        ("nv-sweep", {"sweep": {"halfwidth_w_mhz": 5000.0}},
+         "nv-sweep sweeps omega down to -3128.52 MHz; " + _CONTROL_MHZ
+         + " - sweep.halfwidth_w_mhz (null: 1 / (pi * protocol.n_reps**2)) "
+         "must be > 0"),
+        ("nv-scaling", {"protocol": {"b_c": 0.1}},
+         "nv-scaling sweeps B down to -0.1 G; protocol.b_c - "
+         "scaling.halfwidth_b / scaling.n_min must be >= 0"),
+        ("nv-scaling", {"scaling": {"n_min": 2, "halfwidth_w_mhz": 8000.0}},
+         "nv-scaling sweeps omega down to -128.52 MHz; " + _CONTROL_MHZ
+         + " - scaling.halfwidth_w_mhz / scaling.n_min**2 must be > 0"),
+        ("adaptive", {"adaptive": {"b0": 0.01}, "truth": {"b": 0.02}},
+         "adaptive sweeps B down to -0.04 G; adaptive.b0 - "
+         "adaptive.jac_halfwidth_b must be >= 0"),
+    ], ids=["nv-sweep-b", "nv-sweep-omega", "nv-scaling-b",
+            "nv-scaling-omega", "adaptive-b"])
+    def test_sweep_below_zero_is_2_and_named(self, tmp_path, capsys, command,
+                                             payload, message):
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_adaptive_without_rounds_sweeps_nothing(self, tmp_path):
+        cfg = _write(tmp_path, "c.json", {"adaptive": {"b0": 0.01,
+                                                       "rounds": 0},
+                                          "truth": {"b": 0.02}})
+        assert main(["adaptive", "--config", str(cfg), "--out",
+                     str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command", ["nv-sweep", "nv-scaling"])
+    @pytest.mark.parametrize("sigma,square", [(1e-300, "0.0"),
+                                              (1e-150, "1e-300")])
+    def test_underflowing_readout_sigma_is_2_and_named(self, tmp_path, capsys,
+                                                       command, sigma, square):
+        cfg = _write(tmp_path, "c.json", {"readout": {"sigma": sigma}})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: readout.sigma = {sigma!r} is too small: its "
+            f"square {square} underflows\n")
         assert not out.exists()
 
     def test_underflowing_rabi_frequency_runs(self, tmp_path):

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acmag.dynamics import (_SCAN_BLOCK, ConvergenceError, FieldParams,
-                            TimeGrid, _drive_coeffs, _generator_coeffs,
+from acmag.dynamics import (ConvergenceError, FieldParams, TimeGrid,
+                            _drive_coeffs, _generator_coeffs,
                             _generator_quadrature, _prefix_products,
-                            _product_reduce, _su2_exp, _su2_matrix,
-                            _su2_pow, generator_closed_form, generator_numeric,
+                            _su2_exp, _su2_matrix, _su2_pow,
+                            generator_closed_form, generator_numeric,
                             propagate)
 from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian,
                           max_abs)
@@ -192,16 +192,17 @@ class TestSu2Kernels:
         assert max_abs(_su2_matrix(_su2_pow(q, n)) - ref) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 65])
-    def test_product_reduce_matches_sequential_matmul(self, n):
+    def test_batched_prefix_products_match_sequential_matmul(self, n):
         q = _random_pairs(np.random.default_rng(n), n, 3)
-        ref = [_sequential_prefixes(_su2_matrix(q[:, :, k]))[-1]
-               for k in range(3)]
-        assert max_abs(_su2_matrix(_product_reduce(q)) - ref) <= 1e-13
+        got = _su2_matrix(_prefix_products(q))
+        for k in range(3):
+            ref = _sequential_prefixes(_su2_matrix(q[:, :, k]))
+            assert max_abs(got[:, k] - ref) <= 1e-13
 
-    # padding of the last block, one block exactly, and the recursion on
-    # the block totals
-    @pytest.mark.parametrize("n", [1, _SCAN_BLOCK - 1, _SCAN_BLOCK,
-                                   _SCAN_BLOCK + 1, _SCAN_BLOCK**2 + 1])
+    # one step, and odd and even lengths on both sides of powers of two,
+    # whose halvings reach one step through only even or mixed lengths
+    @pytest.mark.parametrize("n", [1, 4, 5, 7, 8, 9, 63, 64, 65, 1023, 1024,
+                                   1025, 4097])
     def test_prefix_products_match_sequential_matmul(self, n):
         q = _random_pairs(np.random.default_rng(n), n)
         ref = _sequential_prefixes(_su2_matrix(q))
@@ -315,7 +316,7 @@ class TestGeneratorNumeric:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(B=st.floats(0.0, 5.0), B_c=st.floats(0.0, 5.0),
            omega=st.floats(0.05, 50.0), phi=st.floats(-np.pi, np.pi),
-           T=st.floats(0.01, 10.0), steps=st.integers(1, 3 * _SCAN_BLOCK + 5),
+           T=st.floats(0.01, 10.0), steps=st.integers(1, 197),
            theta=st.sampled_from(["B", "omega"]), control=st.booleans())
     def test_hermitian_and_traceless(self, B, B_c, omega, phi, T, steps,
                                      theta, control):
@@ -358,10 +359,9 @@ class TestGeneratorScan:
     P = FieldParams(B=1.3, omega=7.0, phi=0.4, B_c=0.6, omega_c=5.5,
                     phi_c=-0.9, gamma=1.7)
 
-    # one step, within the first block, on both sides of a block boundary,
-    # and past the second one
-    @pytest.mark.parametrize("steps", [1, 2, _SCAN_BLOCK - 1, _SCAN_BLOCK,
-                                       _SCAN_BLOCK + 1, 2 * _SCAN_BLOCK + 1])
+    # one and two steps, odd and even lengths around a power of two, and
+    # a longer odd grid
+    @pytest.mark.parametrize("steps", [1, 2, 63, 64, 65, 129])
     @pytest.mark.parametrize("control", [True, False])
     def test_matches_per_step_loop(self, steps, control):
         grid = TimeGrid(0.2, 2.3, steps)
@@ -373,7 +373,7 @@ class TestGeneratorScan:
 
 class TestGeneratorMemo:
     P = FieldParams(B=1.3, omega=7.0, phi=0.4, B_c=0.6, phi_c=-0.9)
-    GRID = TimeGrid(0.0, 2.0, 3 * _SCAN_BLOCK + 7)
+    GRID = TimeGrid(0.0, 2.0, 199)
 
     def _cold(self, theta, control=True):
         _generator_quadrature.cache_clear()
