@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .bounds import strategy_comparison
 from .dynamics import ConvergenceError, FieldParams, generator_closed_form
-from .fitting import envelope_slope
+from .fitting import loglog_slope, upper_envelope
 from .nv import (AdaptiveDivergenceError, JacobianError, NvParams,
                  PiPulseModel, ReadoutModel, _pair_specs, _sweeps,
                  adaptive_loop, control_frequency, operating_field,
@@ -128,11 +128,11 @@ _MINIMA = {"seed": 0, "protocol.n_reps": 1, "protocol.steps_per_block": 1,
            "readout.n_avg": 1, "sweep.points": 3, "scaling.n_min": 1,
            "scaling.points": 3, "search.samples": 1, "adaptive.rounds": 0,
            "adaptive.shots": 1}
-_POSITIVE = ("field.b", "nv.gamma_e_mhz_per_g", "protocol.b_c",
-             "protocol.tau", "scan.t", "sweep.halfwidth_b",
-             "sweep.halfwidth_w_mhz", "scaling.halfwidth_b",
-             "scaling.halfwidth_w_mhz", "adaptive.jac_halfwidth_b",
-             "adaptive.jac_halfwidth_w_mhz")
+_POSITIVE = ("field.b", "nv.gamma_e_mhz_per_g", "protocol.b_c", "protocol.tau",
+             "scan.t", "sweep.halfwidth_b", "sweep.halfwidth_w_mhz",
+             "scaling.halfwidth_b", "scaling.halfwidth_w_mhz",
+             "adaptive.window_b", "adaptive.window_w_mhz",
+             "adaptive.jac_halfwidth_b", "adaptive.jac_halfwidth_w_mhz")
 
 
 def _is_number(value) -> bool:
@@ -205,18 +205,10 @@ def resolve_config(command: str, user: dict, seed: int | None) -> dict:
 _CONTROL_MHZ = "nv.d_mhz - nv.gamma_e_mhz_per_g * nv.b_z0 - nv.a_mhz / 2"
 
 
-def _cfg_guard(factory, *args, **kwargs):
-    """Turn validation failures of config-derived values into ConfigError."""
-    try:
-        return factory(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _nv_from(cfg: dict) -> NvParams:
     c = cfg["nv"]
-    nv = _cfg_guard(NvParams, D=TWO_PI * c["d_mhz"], A=TWO_PI * c["a_mhz"],
-                    gamma_e=TWO_PI * c["gamma_e_mhz_per_g"], B_z0=c["b_z0"])
+    nv = NvParams(D=TWO_PI * c["d_mhz"], A=TWO_PI * c["a_mhz"],
+                  gamma_e=TWO_PI * c["gamma_e_mhz_per_g"], B_z0=c["b_z0"])
     if not control_frequency(nv) > 0:
         raise ConfigError(
             f"nv.b_z0 = {c['b_z0']} puts the control frequency {_CONTROL_MHZ}"
@@ -227,16 +219,15 @@ def _nv_from(cfg: dict) -> NvParams:
 
 def _pulse_from(cfg: dict) -> PiPulseModel:
     c = cfg["protocol"]["pulse"]
-    return _cfg_guard(PiPulseModel, kind=c["kind"],
-                      rabi_freq=TWO_PI * c["rabi_mhz"],
-                      hyperfine_on=bool(c["hyperfine_on"]))
+    return PiPulseModel(kind=c["kind"], rabi_freq=TWO_PI * c["rabi_mhz"],
+                        hyperfine_on=bool(c["hyperfine_on"]))
 
 
 def _readout_from(cfg: dict) -> ReadoutModel:
     c = cfg["readout"]
-    r = _cfg_guard(ReadoutModel, sigma=c["sigma"], n_avg=int(c["n_avg"]),
-                   contrast=c["contrast"], baseline=c["baseline"],
-                   signals_used=c["signals_used"])
+    r = ReadoutModel(sigma=c["sigma"], n_avg=int(c["n_avg"]),
+                     contrast=c["contrast"], baseline=c["baseline"],
+                     signals_used=c["signals_used"])
     # sigma^2 scales the covariance sigma^2 (J^T J)^-1; as in
     # _check_long_time_scale, its deviations must not underflow
     if r.sigma * r.sigma * np.finfo(float).eps < np.finfo(float).tiny:
@@ -304,8 +295,7 @@ def _json_default(x):
 
 def _field_from(cfg: dict, omega: float) -> FieldParams:
     c = cfg["field"]
-    return _cfg_guard(FieldParams.matched, B=c["b"], omega=omega,
-                      gamma=c["gamma"])
+    return FieldParams.matched(B=c["b"], omega=omega, gamma=c["gamma"])
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +360,13 @@ def _run_convergence(cfg: dict):
     curves = relative_error_curves(p, xs)
     summary = {}
     for k in list(curves)[1:]:  # every curve after omega_t
-        summary[f"slope_{k}"], summary[f"slope_{k}_stderr"] = envelope_slope(
-            xs, curves[k])
+        x, y = upper_envelope(xs, curves[k])
+        if np.any(y == 0):  # its deviations fell below float precision
+            raise ConfigError(
+                f"convergence: the {k} curve falls to 0.0 over the envelope "
+                f"bin at omega_t = {x[y == 0][0]:.6g}, below float precision;"
+                f" scan.omega_t_max = {cfg['scan']['omega_t_max']} must be lower")
+        summary[f"slope_{k}"], summary[f"slope_{k}_stderr"] = loglog_slope(x, y)
     return curves, summary
 
 
@@ -518,9 +513,10 @@ _RUNNERS = {
     "adaptive": _run_adaptive,
 }
 
+# LinAlgError and SingularQfimError are ValueErrors that stay numerical
 _NUMERICAL_ERRORS = (SingularQfimError, JacobianError, ConvergenceError,
                      AdaptiveDivergenceError, np.linalg.LinAlgError,
-                     FloatingPointError, ValueError)
+                     FloatingPointError)
 
 
 def run(command: str, config_path: str | Path, seed: int | None = None,
@@ -543,9 +539,16 @@ def run(command: str, config_path: str | Path, seed: int | None = None,
     except (OverflowError, ZeroDivisionError) as exc:
         # a Python float operation on an extreme config value
         raise ConfigError(f"config values overflow in {command}: {exc}") from exc
+    except (ConfigError, *_NUMERICAL_ERRORS):
+        raise
+    except ValueError as exc:  # a config-derived input outside a study's domain
+        raise ConfigError(str(exc)) from exc
     summary = {"command": command, "config": cfg, "seed": cfg["seed"],
                "version": __version__, **summary}
-    return emit_results(columns, summary, out_dir, command)
+    try:
+        return emit_results(columns, summary, out_dir, command)
+    except OSError as exc:  # --out is a file, under one, or not writable
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -44,9 +44,6 @@ TWO_PI = 2.0 * np.pi
 
 SX_E = tensor(SIGMA_X, I2)
 SY_E = tensor(SIGMA_Y, I2)
-SZ_E = tensor(SIGMA_Z, I2)
-SZ_N = tensor(I2, SIGMA_Z)
-SZ_EN = tensor(SIGMA_Z, SIGMA_Z)
 
 # exp(-i*pi*(sx+sy+sz)/(3*sqrt(3))): equalizes the four Bell populations
 # at the operating point while keeping their parameter derivatives finite.
@@ -122,11 +119,6 @@ def _hyperfine_z(nv: NvParams) -> np.ndarray:
     return np.array([-nv.A / 2.0, 0.0])
 
 
-def interaction_term(nv: NvParams) -> np.ndarray:
-    """Residual hyperfine term in the rotating frame (nuclear sz dropped)."""
-    return tensor(SIGMA_Z, np.diag(_hyperfine_z(nv)))
-
-
 def _window_drive(p: FieldParams, t, segment: str):
     """sx_e, sy_e coefficients of the drive in one evolution window: target
     gamma*B*[cos((omega-omega_c)t+phi) sx_e - sin(...) sy_e], control the
@@ -144,12 +136,8 @@ def nv_rotating_hamiltonian(nv: NvParams, p: FieldParams, t: float,
                             segment: str) -> np.ndarray:
     """Rotating-frame Hamiltonian of one window: drive plus hyperfine term."""
     ax, ay = _window_drive(p, t, segment)
-    return ax * SX_E + ay * SY_E + interaction_term(nv)
-
-
-def conjugate_by_pi(h: np.ndarray) -> np.ndarray:
-    """Sandwich an operator between electronic pi pulses: sx_e H sx_e."""
-    return SX_E @ h @ SX_E
+    hyperfine = tensor(SIGMA_Z, np.diag(_hyperfine_z(nv)))  # nuclear sz dropped
+    return ax * SX_E + ay * SY_E + hyperfine
 
 
 @dataclass(frozen=True)
@@ -173,17 +161,16 @@ class PiPulseModel:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Schedule of N repetitions of {target(tau), pi, control(tau), pi}."""
+    """Schedule of N repetitions of {target(tau), pi, control(tau), pi};
+    repetition k's target window starts at 2 k tau."""
 
     n_reps: int
     tau: float
     pulse: PiPulseModel
-    blocks: tuple
-    total_duration: float
 
 
 def build_sequence(n_reps: int, tau: float, pulse: PiPulseModel) -> PulseSequence:
-    """Lay out the decoupled interleaving schedule.
+    """The decoupled interleaving schedule, validated.
 
     Assumes the control phase is locked to -phi (see ``operating_field``);
     with ideal pulses the hyperfine term then cancels at first order per
@@ -194,12 +181,7 @@ def build_sequence(n_reps: int, tau: float, pulse: PiPulseModel) -> PulseSequenc
         raise ValueError("n_reps must be >= 1")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    blocks = []
-    for k in range(n_reps):
-        blocks += [("target", 2 * k * tau), ("pi",),
-                   ("control", (2 * k + 1) * tau), ("pi",)]
-    return PulseSequence(n_reps=n_reps, tau=tau, pulse=pulse,
-                         blocks=tuple(blocks), total_duration=2 * n_reps * tau)
+    return PulseSequence(n_reps=n_reps, tau=tau, pulse=pulse)
 
 
 def _sequence_unitaries(n_reps, tau: float, pulse: PiPulseModel,
@@ -423,7 +405,11 @@ def sweep_signal(axis: str, values, p: FieldParams, nv: NvParams,
 def _pair_specs(p: FieldParams, n_reps: int, hb: float, hw: float,
                 points: int, seed: int) -> list:
     """Sweeps of B over p.B +- hb and of omega over p.omega +- hw, seeded
-    ``seed`` and ``seed + 1``."""
+    ``seed`` and ``seed + 1``; ValueError if a half-width rounds away."""
+    for axis, h in (("B", hb), ("omega", hw)):
+        if getattr(p, axis) - h == getattr(p, axis) + h:
+            raise ValueError(f"the {axis} sweep about {getattr(p, axis):.6g}"
+                             f" has zero width: half-width {h:.6g} rounds away")
     return [("B", p.B + np.linspace(-hb, hb, points), n_reps, seed),
             ("omega", p.omega + np.linspace(-hw, hw, points), n_reps,
              seed + 1)]
@@ -437,7 +423,6 @@ class UncertaintyResult:
     delta_w: float
     delta_b_err: float
     delta_w_err: float
-    covariance: np.ndarray
 
 
 def _cov_from_jacobian(j: np.ndarray, sigma: float) -> np.ndarray:
@@ -457,8 +442,7 @@ def parameter_uncertainty(sweep_b: SweepResult, sweep_w: SweepResult,
     j = np.column_stack([sweep_b.slopes[:k], sweep_w.slopes[:k]])
     if k == 2:
         _check_jacobian(j, "signal")
-    cov = _cov_from_jacobian(j, readout.sigma)
-    delta = np.sqrt(np.diag(cov))
+    delta = np.sqrt(np.diag(_cov_from_jacobian(j, readout.sigma)))
 
     # first-order propagation of the slope standard errors
     se = np.column_stack([sweep_b.slope_stderr[:k], sweep_w.slope_stderr[:k]])
@@ -470,8 +454,7 @@ def parameter_uncertainty(sweep_b: SweepResult, sweep_w: SweepResult,
         grad_sq += (dp - delta) ** 2
     err = np.sqrt(grad_sq)
     return UncertaintyResult(delta_b=float(delta[0]), delta_w=float(delta[1]),
-                             delta_b_err=float(err[0]), delta_w_err=float(err[1]),
-                             covariance=cov)
+                             delta_b_err=float(err[0]), delta_w_err=float(err[1]))
 
 
 @dataclass(frozen=True)
@@ -538,18 +521,21 @@ def adaptive_loop(true_field: tuple[float, float],
     Newton update through the locally fitted Jacobian. Returns the
     trajectory of estimates, shape (rounds + 1, 2). Raises
     AdaptiveDivergenceError when an estimate leaves the linear window
-    around the true values.
+    around the true values or its Jacobian sweeps reach B < 0 or omega <= 0.
     """
     b_true, w_true = true_field
     est = np.array(initial_guess, dtype=float)
     traj = [est.copy()]
     gamma = sensor_coupling(nv)
-    sigma = float(np.sqrt(0.25 * 0.75 / shots))
-    readout = ReadoutModel(sigma=sigma, signals_used="two")
+    readout = ReadoutModel(n_avg=shots)
     for r in range(rounds):
         if abs(est[0] - b_true) > window[0] or abs(est[1] - w_true) > window[1]:
             raise AdaptiveDivergenceError(
                 r, f"estimate left the linear window at round {r}")
+        lo = est - jacobian_halfwidth  # round 0's are the caller's input
+        if r and not (lo[0] >= 0 and lo[1] > 0):  # FieldParams' bounds
+            raise AdaptiveDivergenceError(r, f"the Jacobian sweeps of round {r}"
+                                          f" reach (B, omega) = {lo.tolist()}")
         # the local Jacobian sweeps around the current estimate and the
         # measurement of the true field share the control, set to est
         truth = FieldParams(B=b_true, omega=w_true, phi=phi, B_c=est[0],
@@ -561,7 +547,7 @@ def adaptive_loop(true_field: tuple[float, float],
         meas = 1.0 - probs[0, :2]
         if not noiseless:
             rng = np.random.default_rng([seed, r])
-            meas = meas + rng.normal(0.0, sigma, size=2)
+            meas = meas + rng.normal(0.0, readout.sigma, size=2)
         j = np.column_stack([sb.slopes, sw.slopes])
         _check_jacobian(j, "adaptive")
         # the sweep's center point holds the noiseless signals at est

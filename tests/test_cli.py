@@ -1,17 +1,22 @@
 """Config ingestion, result emission, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import acmag
-from acmag.cli import (_CONTROL_MHZ, ConfigError, emit_results, main,
-                       resolve_config, run)
+from acmag.cli import (_CONTROL_MHZ, DEFAULTS, ConfigError, emit_results,
+                       main, resolve_config, run)
 from acmag.dynamics import FieldParams
 from acmag.qfim import qfim_closed_form
 
@@ -285,6 +290,8 @@ class TestExitCodes:
         ("adaptive", {"nv": {"gamma_e_mhz_per_g": 0.0}}),
         ("nv-sweep", {"protocol": {"b_c": 0.0}}),
         ("nv-scaling", {"protocol": {"b_c": -1.0}}),
+        ("adaptive", {"adaptive": {"window_b": 0.0}}),
+        ("adaptive", {"adaptive": {"window_w_mhz": -0.5}}),
     ])
     def test_out_of_range_values_are_config_errors(self, command, payload):
         with pytest.raises(ConfigError, match="must be"):
@@ -459,6 +466,66 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    # a half-width that rounds away at its centre; nv-scaling's narrowest
+    # omega sweep, at scaling.n_max = 8, is halfwidth_w_mhz / 64
+    @pytest.mark.parametrize("command,payload,message", [
+        ("nv-sweep", {"sweep": {"halfwidth_b": 1e-300}},
+         "the B sweep about 5.65 has zero width: half-width 1e-300 rounds "
+         "away"),
+        ("nv-scaling", {"scaling": {"halfwidth_w_mhz": 1e-12}},
+         "the omega sweep about 11758.9 has zero width: half-width "
+         "6.98132e-13 rounds away"),
+        ("adaptive", {"adaptive": {"jac_halfwidth_w_mhz": 1e-300}},
+         "the omega sweep about 11758.9 has zero width: half-width "
+         "6.28319e-300 rounds away"),
+    ], ids=["nv-sweep", "nv-scaling", "adaptive"])
+    def test_zero_width_sweep_is_2_and_named(self, tmp_path, capsys, command,
+                                             payload, message):
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_adaptive_estimate_below_zero_is_3_and_names_the_round(
+            self, tmp_path, capsys):
+        # round 0's sweeps around b0 = 0.1 pass; the estimate then lands
+        # near the true 0.02, whose sweeps of +- 0.05 G reach B < 0
+        cfg = _write(tmp_path, "c.json", {"truth": {"b": 0.02},
+                                          "adaptive": {"b0": 0.1}})
+        out = tmp_path / "out"
+        assert main(["adaptive", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error in adaptive: the Jacobian "
+                              "sweeps of round 1 reach (B, omega) = [-0.0")
+        assert not out.exists()
+
+    def test_convergence_below_float_precision_is_2_and_named(self, tmp_path,
+                                                              capsys):
+        cfg = _write(tmp_path, "c.json", {"scan": {"omega_t_max": 1e17}})
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: convergence: the df_bb curve falls to 0.0 over the "
+            "envelope bin at omega_t = 1.15478e+16, below float precision; "
+            "scan.omega_t_max = 1e+17 must be lower\n")
+        assert not out.exists()
+        cfg = _write(tmp_path, "c.json", {"scan": {"omega_t_max": 1e16}})
+        assert main(["convergence", "--config", str(cfg), "--out",
+                     str(out)]) == 0
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_unusable_out_is_2(self, tmp_path, capsys, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        out = blocker / "sub" if under else blocker
+        cfg = _write(tmp_path, "c.json", {"scan": {"points": 5}})
+        assert main(["qfim-scan", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: cannot write output: ")
+        assert blocker.read_text() == "keep"
+
     def test_adaptive_without_rounds_sweeps_nothing(self, tmp_path):
         cfg = _write(tmp_path, "c.json", {"adaptive": {"b0": 0.01,
                                                        "rounds": 0},
@@ -507,3 +574,53 @@ class TestExitCodes:
     def test_negative_seed_override_is_config_error(self):
         with pytest.raises(ConfigError, match="seed"):
             resolve_config("nv-sweep", {}, -5)
+
+
+def _leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+# every DEFAULTS leaf of every command with each value; an int leaf takes
+# only small ints, as a count like scan.points = 10**12 would ask numpy
+# for terabytes
+_ODD_VALUES = ["nan", "NaN", "inf", True, False, [], [1e300], None]
+_MUTATIONS = [
+    (command, path, value)
+    for command, tree in DEFAULTS.items() for path, default in _leaves(tree)
+    for value in ([0, -1, 1, 2] if type(default) is int
+                  else [0, 0.0, -1, 1e-300, -1e-300, 1e300, -1e300])
+    + _ODD_VALUES]
+
+
+class TestExitCodeContract:
+    # one DEFAULTS leaf set to an extreme or mistyped value: the CLI exits
+    # 0, 2 or 3, never with a traceback, and writes nothing unless it
+    # succeeds
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mutation=st.sampled_from(_MUTATIONS))
+    def test_single_leaf_mutation_keeps_the_contract(self, mutation):
+        command, path, value = mutation
+        config = {"field": {"omega_mhz": 1591.5}} if command == "bounds" else {}
+        node = config
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "c.json"
+            cfg.write_text(json.dumps(config))
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert err.getvalue().startswith(
+                    "config error:" if code == 2 else
+                    f"numerical error in {command}:")
+                assert not out.exists()

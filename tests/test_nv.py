@@ -12,17 +12,53 @@ from acmag import nv as nv_module
 from acmag.dynamics import FieldParams
 from acmag.fitting import loglog_slope
 from acmag.linalg import bell_state, expm_hermitian, haar_state
-from acmag.nv import (SX_E, SY_E, SZ_E, SZ_EN, SZ_N, AdaptiveDivergenceError,
-                      JacobianError, NvParams, PiPulseModel, ReadoutModel,
-                      SweepResult, adaptive_loop, bell_readout, build_sequence,
-                      conjugate_by_pi, control_frequency, interaction_term,
-                      nv_rotating_hamiltonian, operating_field,
-                      parameter_uncertainty, scaling_study, sensor_coupling,
-                      sequence_unitary, simulate_sequence, sweep_signal)
+from acmag.nv import (SX_E, SY_E, AdaptiveDivergenceError, JacobianError,
+                      NvParams, PiPulseModel, ReadoutModel, SweepResult,
+                      adaptive_loop, bell_readout, build_sequence,
+                      control_frequency, nv_rotating_hamiltonian,
+                      operating_field, parameter_uncertainty, scaling_study,
+                      sensor_coupling, sequence_unitary, simulate_sequence,
+                      sweep_signal)
 
 TWO_PI = 2.0 * np.pi
 NV = NvParams()
 IDEAL = PiPulseModel()
+
+# the four-level operators of the test oracles, built here so that the
+# references share no code with the engine
+SZ = np.diag([1.0, -1.0])
+SZ_E = np.kron(SZ, np.eye(2))
+SZ_N = np.kron(np.eye(2), SZ)
+SZ_EN = np.kron(SZ, SZ)
+
+
+def _hyperfine(nv):
+    """Rotating-frame hyperfine term (A/4)(-sz_e - sz_e sz_n)."""
+    return (nv.A / 4.0) * (-SZ_E - SZ_EN)
+
+
+def _window_hamiltonian(nv, p, t, segment):
+    """Rotating-frame Hamiltonian of a target or control window: the drive
+    gB (cos sx_e - sin sy_e) at phase (omega - omega_c) t + phi, or the
+    static control -gB_c (cos sx_e - sin sy_e) at phase phi_c, plus the
+    hyperfine term."""
+    if segment == "target":
+        b, ph = p.B, (p.omega - p.omega_c) * t + p.phi
+    else:
+        b, ph = -p.B_c, p.phi_c
+    return (p.gamma * b * (np.cos(ph) * SX_E - np.sin(ph) * SY_E)
+            + _hyperfine(nv))
+
+
+def _conjugate_by_pi(h):
+    """Sandwich an operator between electronic pi pulses: sx_e H sx_e."""
+    return SX_E @ h @ SX_E
+
+
+def _package_interaction(nv):
+    """The package's hyperfine term: its Hamiltonian with both drives off."""
+    return nv_rotating_hamiltonian(nv, operating_field(nv, 0.0), 0.0,
+                                   "target")
 
 
 def _global_phase_distance(u, v):
@@ -52,16 +88,16 @@ class TestRotatingHamiltonian:
         h0 = nv_rotating_hamiltonian(NV, p, 0.0, "target")
         h1 = nv_rotating_hamiltonian(NV, p, 3.7, "target")
         np.testing.assert_allclose(h0, h1, atol=1e-12)
-        drive = h0 - interaction_term(NV)
+        drive = h0 - _package_interaction(NV)
         np.testing.assert_allclose(drive, p.gamma * p.B * SX_E, atol=1e-12)
 
     def test_zero_amplitudes_leave_interaction_only(self):
         p = replace(operating_field(NV, 5.65), B=0.0, B_c=0.0)
         np.testing.assert_allclose(nv_rotating_hamiltonian(NV, p, 1.0, "target"),
-                                   interaction_term(NV), atol=1e-15)
+                                   _hyperfine(NV), atol=1e-15)
 
     def test_interaction_has_no_nuclear_z_term(self):
-        h = interaction_term(NV)
+        h = _package_interaction(NV)
         assert abs(np.trace(SZ_N @ h)) < 1e-12
         assert np.trace(SZ_E @ h) != 0
 
@@ -69,22 +105,10 @@ class TestRotatingHamiltonian:
 class TestConjugateByPi:
     @pytest.mark.parametrize("op,sign", [(SZ_E, -1), (SZ_EN, -1), (SX_E, +1)])
     def test_sign_flips(self, op, sign):
-        np.testing.assert_allclose(conjugate_by_pi(op), sign * op, atol=1e-15)
+        np.testing.assert_allclose(_conjugate_by_pi(op), sign * op, atol=1e-15)
 
 
 class TestBuildSequence:
-    def test_block_structure(self):
-        seq = build_sequence(1, 0.02, IDEAL)
-        assert len(seq.blocks) == 4
-        assert seq.total_duration == pytest.approx(0.04)
-        kinds = [b[0] for b in seq.blocks]
-        assert kinds == ["target", "pi", "control", "pi"]
-
-    def test_target_windows_are_even_intervals(self):
-        seq = build_sequence(3, 0.02, IDEAL)
-        starts = [b[1] for b in seq.blocks if b[0] == "target"]
-        np.testing.assert_allclose(starts, [0.0, 0.04, 0.08])
-
     def test_validation(self):
         with pytest.raises(ValueError):
             build_sequence(0, 0.02, IDEAL)
@@ -114,13 +138,14 @@ class TestSimulateSequence:
         from acmag.linalg import expm_hermitian
         p = replace(operating_field(NV, 5.65), B=6.15)
         errs = []
+        h_int = _package_interaction(NV)
         # keep gamma*B_c*tau well below 1 so the block defect is quadratic
         for tau in (0.004, 0.002, 0.001):
             seq = build_sequence(1, tau, IDEAL)
             u = sequence_unitary(seq, NV, p)
-            h_t = nv_rotating_hamiltonian(NV, p, 0.0, "target") - interaction_term(NV)
-            h_c = conjugate_by_pi(
-                nv_rotating_hamiltonian(NV, p, 0.0, "control") - interaction_term(NV))
+            h_t = nv_rotating_hamiltonian(NV, p, 0.0, "target") - h_int
+            h_c = _conjugate_by_pi(
+                nv_rotating_hamiltonian(NV, p, 0.0, "control") - h_int)
             ideal = expm_hermitian(0.5 * (h_t + h_c), 2 * tau)
             errs.append(np.linalg.norm(u - ideal, 2))
         assert 3.0 <= errs[0] / errs[1] <= 5.0
@@ -161,50 +186,50 @@ class TestSimulateSequence:
 def _reference_sequence_unitary(seq, nv, p, steps_per_block):
     """Four-level reference: a product of per-step 4x4 exponentials.
 
-    Target windows take ``steps_per_block`` midpoint steps of the full
-    rotating-frame Hamiltonian, control windows one exact step, and pi
-    pulses are sx_e or the exact finite-pulse exponential.
+    Repetition k is a target window from 2 k tau, a pi pulse, a control
+    window and a second pi pulse. Target windows take ``steps_per_block``
+    midpoint steps of the full rotating-frame Hamiltonian, control windows
+    one exact step, and pi pulses are sx_e or the exact finite-pulse
+    exponential.
     """
+    u_pi, u_ctrl = _pi_and_control(seq, nv, p)
+    dt = seq.tau / steps_per_block
+    u = np.eye(4, dtype=complex)
+    for k in range(seq.n_reps):
+        for j in range(steps_per_block):
+            h = _window_hamiltonian(nv, p, 2 * k * seq.tau + (j + 0.5) * dt,
+                                    "target")
+            u = expm_hermitian(h, dt) @ u
+        u = u_pi @ u_ctrl @ u_pi @ u
+    return u
+
+
+def _pi_and_control(seq, nv, p):
+    """The oracles' pi pulse (sx_e, or the exact finite-pulse exponential)
+    and exact control-window propagator."""
     pulse = seq.pulse
     if pulse.kind == "ideal":
         u_pi = SX_E
     else:
         h_pi = 0.5 * pulse.rabi_freq * SX_E
         if pulse.hyperfine_on:
-            h_pi = h_pi + interaction_term(nv)
+            h_pi = h_pi + _hyperfine(nv)
         u_pi = expm_hermitian(h_pi, np.pi / pulse.rabi_freq)
-    u_ctrl = expm_hermitian(nv_rotating_hamiltonian(nv, p, 0.0, "control"),
-                            seq.tau)
-    dt = seq.tau / steps_per_block
-    u = np.eye(4, dtype=complex)
-    for block in seq.blocks:
-        if block[0] == "pi":
-            u = u_pi @ u
-        elif block[0] == "control":
-            u = u_ctrl @ u
-        else:
-            for j in range(steps_per_block):
-                h = nv_rotating_hamiltonian(nv, p, block[1] + (j + 0.5) * dt,
-                                            "target")
-                u = expm_hermitian(h, dt) @ u
-    return u
+    return u_pi, expm_hermitian(_window_hamiltonian(nv, p, 0.0, "control"),
+                                seq.tau)
 
 
 class TestTwoBlockEngine:
     def test_builders_match_the_operator_form(self):
-        np.testing.assert_allclose(interaction_term(NV),
-                                   (NV.A / 4.0) * (-SZ_E - SZ_EN), atol=1e-15)
+        np.testing.assert_allclose(_package_interaction(NV), _hyperfine(NV),
+                                   atol=1e-15)
         p = replace(operating_field(NV, 5.65, phi=0.4), B=5.9,
                     omega=control_frequency(NV) + 2.0)
         t = 0.013
-        ph = (p.omega - p.omega_c) * t + p.phi
-        drive = p.gamma * p.B * (np.cos(ph) * SX_E - np.sin(ph) * SY_E)
-        np.testing.assert_allclose(nv_rotating_hamiltonian(NV, p, t, "target"),
-                                   drive + interaction_term(NV), atol=1e-12)
-        ctrl = -p.gamma * p.B_c * (np.cos(p.phi_c) * SX_E
-                                   - np.sin(p.phi_c) * SY_E)
-        np.testing.assert_allclose(nv_rotating_hamiltonian(NV, p, t, "control"),
-                                   ctrl + interaction_term(NV), atol=1e-12)
+        for segment in ("target", "control"):
+            np.testing.assert_allclose(
+                nv_rotating_hamiltonian(NV, p, t, segment),
+                _window_hamiltonian(NV, p, t, segment), atol=1e-12)
 
     # a one-step target window is the window power's edge case; the
     # 16-step cases keep their plain n_reps ids
@@ -268,33 +293,20 @@ def _exact_sequence_unitary(seq, nv, p):
     H_int + (delta/2) sz_e) tau) S(theta(t0)). Control windows and pi
     pulses are as in the four-level reference.
     """
-    pulse = seq.pulse
-    if pulse.kind == "ideal":
-        u_pi = SX_E
-    else:
-        h_pi = 0.5 * pulse.rabi_freq * SX_E
-        if pulse.hyperfine_on:
-            h_pi = h_pi + interaction_term(nv)
-        u_pi = expm_hermitian(h_pi, np.pi / pulse.rabi_freq)
-    u_ctrl = expm_hermitian(nv_rotating_hamiltonian(nv, p, 0.0, "control"),
-                            seq.tau)
+    u_pi, u_ctrl = _pi_and_control(seq, nv, p)
     delta = p.omega - p.omega_c
-    u_win = expm_hermitian(p.gamma * p.B * SX_E + interaction_term(nv)
+    u_win = expm_hermitian(p.gamma * p.B * SX_E + _hyperfine(nv)
                            + 0.5 * delta * SZ_E, seq.tau)
 
     def s(x):
         return np.diag(np.exp(-0.5j * x * np.diag(SZ_E)))
 
     u = np.eye(4, dtype=complex)
-    for block in seq.blocks:
-        if block[0] == "pi":
-            u = u_pi @ u
-        elif block[0] == "control":
-            u = u_ctrl @ u
-        else:
-            t0 = block[1]
-            u = (s(delta * (t0 + seq.tau) + p.phi).conj().T @ u_win
-                 @ s(delta * t0 + p.phi) @ u)
+    for k in range(seq.n_reps):
+        t0 = 2 * k * seq.tau
+        u = (s(delta * (t0 + seq.tau) + p.phi).conj().T @ u_win
+             @ s(delta * t0 + p.phi) @ u)
+        u = u_pi @ u_ctrl @ u_pi @ u
     return u
 
 
