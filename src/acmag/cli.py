@@ -283,7 +283,11 @@ def emit_results(columns: dict, summary: dict, out_dir: str | Path,
     csv_path = out / f"{name}.csv"
     json_path = out / f"{name}.summary.json"
     csv_path.write_text("\n".join(lines) + "\n")
-    json_path.write_text(summary_text + "\n")
+    try:
+        json_path.write_text(summary_text + "\n")
+    except OSError:  # leave no CSV without its summary
+        csv_path.unlink()
+        raise
     return csv_path, json_path
 
 

@@ -129,10 +129,14 @@ def _su2_exp(ax: np.ndarray, ay: np.ndarray, az: np.ndarray,
     r = np.sqrt(r2)
     # squares of coefficients below ~1e-154 underflow and above ~1e154
     # overflow; hypot does neither, but costs several sqrt per element, so
-    # it only runs on a batch that needs it
-    if not np.finfo(float).tiny <= np.min(r2) <= np.max(r2) < np.inf:
-        r = np.where((r2 < np.finfo(float).tiny) | (r2 == np.inf),
-                     np.hypot(np.hypot(ax, ay), az), r)
+    # it only runs on a batch with a nonzero triple that needs it (an
+    # exactly zero one is the identity as it stands)
+    tiny = np.finfo(float).tiny
+    if not tiny <= np.min(r2) <= np.max(r2) < np.inf:
+        bad = (r2 == np.inf) | ((r2 < tiny)
+                                & ((ax != 0.0) | (ay != 0.0) | (az != 0.0)))
+        if np.any(bad):
+            r = np.where(bad, np.hypot(np.hypot(ax, ay), az), r)
     phase = r * dt
     # sin(r*dt)/r, continuous at r=0
     s = np.where(r > 0.0, np.sin(phase) / np.where(r > 0.0, r, 1.0), dt)
@@ -227,6 +231,11 @@ def propagate(h, grid: TimeGrid) -> np.ndarray:
 # estimation generators
 # ---------------------------------------------------------------------------
 
+# steps per pass of the generator quadrature: its memory is O(_CHUNK), and
+# 2^14 to 2^16 steps ran fastest on a 2-vCPU Xeon
+_CHUNK = 2**15
+
+
 @lru_cache(maxsize=1)
 def _generator_quadrature(p: FieldParams, grid: TimeGrid,
                           control: bool) -> dict[str, np.ndarray]:
@@ -235,19 +244,30 @@ def _generator_quadrature(p: FieldParams, grid: TimeGrid,
     sin(omega t + phi) sx, from one scan: over half steps h_j, the prefix
     products of q_0 = h_0, q_j = h_j h_(j-1) are the midpoint propagators
     V_j = h_j h_(j-1)^2 ... h_0^2, and V^dag sx V has the sx, sy, sz
-    coefficients (Re(a^2 - b^2), Im(a^2 - b^2), 2 Re(a* b)) of V = (a, b)."""
-    mids = grid.midpoints()
-    phase = p.omega * mids + p.phi
-    cos = np.cos(phase)
-    fx, fz = _drive_coeffs(p, mids, cos, control)
-    q = _su2_exp(fx, 0.0, fz, 0.5 * grid.dt)
-    q[:, 1:] = _su2_mul(q[:, 1:], q[:, :-1])
-    w = np.stack([grid.dt * p.gamma * cos,
-                  -grid.dt * p.gamma * p.B * mids * np.sin(phase, out=phase)])
-    del mids, phase, cos, fx  # before the scan, whose buffers set the peak
-    a, b = _prefix_products(q)
-    v = a * a - b * b
-    c = w @ np.stack([v.real, v.imag, 2.0 * (np.conj(a) * b).real], axis=1)
+    coefficients (Re(a^2 - b^2), Im(a^2 - b^2), 2 Re(a* b)) of V = (a, b).
+
+    The grid is scanned in chunks of _CHUNK steps. A chunk from step s
+    starts from the carried pair h_(s-1) V_(s-1) (the identity at s = 0),
+    so q_s = h_s h_(s-1) V_(s-1) and its local prefixes are the V_j."""
+    dt = grid.dt
+    carry = np.array([[1.0], [0.0]], dtype=complex)
+    c = np.zeros((2, 3))
+    for s in range(0, grid.steps, _CHUNK):
+        mids = grid.t_start + (np.arange(s, min(s + _CHUNK, grid.steps))
+                               + 0.5) * dt
+        phase = p.omega * mids + p.phi
+        cos = np.cos(phase)
+        fx, fz = _drive_coeffs(p, mids, cos, control)
+        h = _su2_exp(fx, 0.0, fz, 0.5 * dt)
+        prefix = _prefix_products(
+            _su2_mul(h, np.concatenate([carry, h[:, :-1]], axis=1)))
+        carry = _su2_mul(h[:, -1:], prefix[:, -1:])
+        w = np.stack([dt * p.gamma * cos,
+                      -dt * p.gamma * p.B * mids * np.sin(phase, out=phase)])
+        a, b = prefix
+        v = a * a - b * b
+        c += w @ np.stack([v.real, v.imag, 2.0 * (np.conj(a) * b).real],
+                          axis=1)
     return {theta: x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
             for theta, (x, y, z) in zip(("B", "omega"), c)}
 

@@ -526,6 +526,17 @@ class TestExitCodes:
             "config error: cannot write output: ")
         assert blocker.read_text() == "keep"
 
+    def test_unwritable_summary_leaves_no_csv(self, tmp_path, capsys):
+        # the CSV is written first; the summary path is a directory
+        out = tmp_path / "out"
+        (out / "qfim-scan.summary.json").mkdir(parents=True)
+        cfg = _write(tmp_path, "c.json", {"scan": {"points": 5}})
+        assert main(["qfim-scan", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: cannot write output: ")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "qfim-scan.summary.json"]
+
     def test_adaptive_without_rounds_sweeps_nothing(self, tmp_path):
         cfg = _write(tmp_path, "c.json", {"adaptive": {"b0": 0.01,
                                                        "rounds": 0},

@@ -1,6 +1,7 @@
 """Hamiltonian evaluation, midpoint propagation, and generator quadrature."""
 
 import pickle
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acmag.dynamics import (ConvergenceError, FieldParams, TimeGrid,
+from acmag.dynamics import (_CHUNK, ConvergenceError, FieldParams, TimeGrid,
                             _drive_coeffs, _generator_coeffs,
                             _generator_quadrature, _prefix_products,
-                            _su2_exp, _su2_matrix, _su2_pow,
+                            _su2_exp, _su2_matrix, _su2_mul, _su2_pow,
                             generator_closed_form, generator_numeric,
                             propagate)
 from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian,
@@ -164,6 +165,20 @@ class TestSu2Kernels:
         u = _su2_matrix(_su2_exp(ax, ay, az, 0.5 * np.pi / norm))
         turn = -1j * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
         assert max_abs(u - turn) <= 1e-14
+
+    def test_zero_steps_are_exact_identities(self):
+        a, b = _su2_exp(np.zeros(5), 0.0, np.zeros(5), 0.3)
+        assert np.array_equal(a, np.ones(5)) and np.array_equal(b, np.zeros(5))
+
+    def test_zero_steps_beside_underflowing_ones(self):
+        # a zero triple needs no hypot; an underflowing one in the same
+        # batch still gets it
+        ax = np.array([0.0, 1e-170, 0.0])
+        a, b = _su2_exp(ax, 0.0, 0.0, 0.5 * np.pi / 1e-170)
+        assert np.array_equal(a[[0, 2]], [1.0, 1.0])
+        assert np.array_equal(b[[0, 2]], [0.0, 0.0])
+        assert max_abs(_su2_matrix(np.array([a[1], b[1]])) + 1j * SIGMA_X
+                       ) <= 1e-15
 
     # zero rotation, turns near and at a half turn (q = -1), exponent 0 and
     # the 4095 of a 4096-step window; q**n of exp(-i th m.sigma) is the
@@ -369,6 +384,54 @@ class TestGeneratorScan:
                               _loop_generators(self.P, grid, control)):
             h = generator_numeric(self.P, theta, grid, control)
             assert max_abs(h - ref) <= 1e-12 * max_abs(ref)
+
+
+def _whole_grid_generators(p, grid, control):
+    """(h_B, h_omega) from one unchunked prefix scan of the neighbour
+    products q_j = h_j h_(j-1) over the whole grid."""
+    mids = grid.midpoints()
+    cos, sin = np.cos(p.omega * mids + p.phi), np.sin(p.omega * mids + p.phi)
+    fx, fz = _drive_coeffs(p, mids, cos, control)
+    q = _su2_exp(fx, 0.0, fz, 0.5 * grid.dt)
+    q[:, 1:] = _su2_mul(q[:, 1:], q[:, :-1])
+    a, b = _prefix_products(q)
+    v = a * a - b * b
+    sx_t = np.stack([v.real, v.imag, 2.0 * (np.conj(a) * b).real])
+    return tuple(x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z for x, y, z in (
+        sx_t @ (grid.dt * p.gamma * cos),
+        sx_t @ (-grid.dt * p.gamma * p.B * mids * sin)))
+
+
+class TestGeneratorChunks:
+    MATCHED = FieldParams.matched(1.3, 7.0, phi=0.4, gamma=1.7)
+
+    # one and two steps, one step short of a chunk, one chunk, and one step
+    # past one and two chunks
+    @pytest.mark.parametrize("steps", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                       2 * _CHUNK + 1])
+    @pytest.mark.parametrize("p,control", [
+        (MATCHED, True), (MATCHED, False),
+        (TestGeneratorScan.P, True), (TestGeneratorScan.P, False)],
+        ids=["matched", "matched-free", "mismatched", "mismatched-free"])
+    def test_match_one_whole_grid_scan(self, p, control, steps):
+        grid = TimeGrid(0.2, 2.3, steps)
+        got = _generator_quadrature.__wrapped__(p, grid, control)
+        for theta, ref in zip(("B", "omega"),
+                              _whole_grid_generators(p, grid, control)):
+            assert max_abs(got[theta] - ref) <= 1e-13 * max_abs(ref)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # the generator_quadrature workload's largest point; a whole-grid
+        # scan peaks near 144 MB here
+        p, grid = FieldParams.matched(2.0, 50.0), TimeGrid(0.0, 10.0, 10**6)
+        _generator_quadrature.cache_clear()
+        tracemalloc.start()
+        try:
+            generator_numeric(p, "B", grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestGeneratorMemo:
