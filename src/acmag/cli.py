@@ -236,16 +236,35 @@ def _readout_from(cfg: dict) -> ReadoutModel:
     return r
 
 
-def _check_sweep_floor(command: str, b_lo: float, b_keys: str, w_lo: float,
-                       w_keys: str) -> None:
-    """ConfigError when the widest sweep reaches B < 0 or omega <= 0, which
-    FieldParams rejects; the keys spell out each end (omega's in MHz)."""
-    if not b_lo >= 0:
-        raise ConfigError(f"{command} sweeps B down to {b_lo:.6g} G; "
-                          f"{b_keys} must be >= 0")
-    if not w_lo > 0:
-        raise ConfigError(f"{command} sweeps omega down to {w_lo / TWO_PI:.6g}"
-                          f" MHz; {_CONTROL_MHZ} {w_keys} must be > 0")
+def _check_sweeps(command: str, b_sweep: tuple, w_sweep: tuple,
+                  narrowest: tuple | None = None) -> None:
+    """ConfigError for the widest B and omega sweeps, each (centre,
+    half-width, centre keys, half-width keys), when one reaches B < 0 or
+    omega <= 0, which FieldParams rejects, or when its centre is so large
+    that the narrowest half-width on its axis (``narrowest``, when not
+    the widest) rounds away there but would move the default centre (nv
+    names a half-width too small to move any centre). The keys spell out
+    each end; omega's are in MHz."""
+    (b, hb, b_keys, hb_keys), (w, hw, w_keys, hw_keys) = b_sweep, w_sweep
+    if not b - hb >= 0:
+        raise ConfigError(f"{command} sweeps B down to {b - hb:.6g} G; "
+                          f"{b_keys} - {hb_keys} must be >= 0")
+    if not w - hw > 0:
+        raise ConfigError(f"{command} sweeps omega down to "
+                          f"{(w - hw) / TWO_PI:.6g} MHz; {w_keys} - {hw_keys}"
+                          " must be > 0")
+    # the NV commands' default sweeps share one operating point
+    default_b = DEFAULTS["nv-sweep"]["protocol"]["b_c"]
+    default_w = control_frequency(_nv_from({"nv": _NV_DEFAULTS}))
+    nb, nw = narrowest or (hb, hw)
+    for axis, c, h, keys, default, unit, scale in (
+            ("B", b, nb, b_keys, default_b, "G", 1.0),
+            ("omega", w, nw, w_keys, default_w, "MHz", TWO_PI)):
+        if c - h == c + h and default - h != default + h:
+            raise ConfigError(
+                f"the {axis} sweep has zero width: its centre {keys} = "
+                f"{c / scale:.6g} {unit} is too large for its half-width, "
+                f"{h / scale:.6g} {unit}, to move it")
 
 
 def emit_results(columns: dict, summary: dict, out_dir: str | Path,
@@ -418,11 +437,12 @@ def _run_nv_sweep(cfg: dict):
     hb = sw["halfwidth_b"] if sw["halfwidth_b"] is not None else 0.2 / n
     hw = (TWO_PI * sw["halfwidth_w_mhz"] if sw["halfwidth_w_mhz"] is not None
           else 2.0 / n**2)
-    _check_sweep_floor(
-        "nv-sweep", p.B - hb,
-        "protocol.b_c - sweep.halfwidth_b (null: 0.2 / protocol.n_reps)",
-        p.omega - hw,
-        "- sweep.halfwidth_w_mhz (null: 1 / (pi * protocol.n_reps**2))")
+    _check_sweeps(
+        "nv-sweep",
+        (p.B, hb, "protocol.b_c",
+         "sweep.halfwidth_b (null: 0.2 / protocol.n_reps)"),
+        (p.omega, hw, _CONTROL_MHZ,
+         "sweep.halfwidth_w_mhz (null: 1 / (pi * protocol.n_reps**2))"))
     sweeps, _ = _sweeps(_pair_specs(p, n, hb, hw, sw["points"], cfg["seed"]),
                         p, nv, pr["tau"], pulse, readout, sw["noise"],
                         pr["steps_per_block"])
@@ -450,17 +470,20 @@ def _run_nv_scaling(cfg: dict):
     nv = _nv_from(cfg)
     pr = cfg["protocol"]
     sc = cfg["scaling"]
-    n = int(sc["n_min"])  # the widest sweeps
-    _check_sweep_floor(
-        "nv-scaling", pr["b_c"] - sc["halfwidth_b"] / n,
-        "protocol.b_c - scaling.halfwidth_b / scaling.n_min",
-        control_frequency(nv) - TWO_PI * sc["halfwidth_w_mhz"] / n**2,
-        "- scaling.halfwidth_w_mhz / scaling.n_min**2")
+    n, n_max = int(sc["n_min"]), int(sc["n_max"])  # the widest sweeps
+    hb, hw = sc["halfwidth_b"], TWO_PI * sc["halfwidth_w_mhz"]
+    _check_sweeps(
+        "nv-scaling",
+        (pr["b_c"], hb / n, "protocol.b_c",
+         "scaling.halfwidth_b / scaling.n_min"),
+        (control_frequency(nv), hw / n**2, _CONTROL_MHZ,
+         "scaling.halfwidth_w_mhz / scaling.n_min**2"),
+        narrowest=(hb / n_max, hw / n_max**2))
     res = scaling_study(
         nv, _readout_from(cfg),
-        n_values=tuple(range(n, int(sc["n_max"]) + 1)),
+        n_values=tuple(range(n, n_max + 1)),
         tau=pr["tau"], B_c=pr["b_c"], phi=pr["phi"], pulse=_pulse_from(cfg),
-        halfwidth_b=sc["halfwidth_b"], halfwidth_w=TWO_PI * sc["halfwidth_w_mhz"],
+        halfwidth_b=hb, halfwidth_w=hw,
         points=int(sc["points"]), seed=cfg["seed"],
         steps_per_block=int(pr["steps_per_block"]))
     columns = {"n": res.n_values, "delta_b": res.delta_b,
@@ -482,11 +505,13 @@ def _run_adaptive(cfg: dict):
     truth = (tr["b"], w_c + TWO_PI * tr["omega_offset_mhz"])
     start = (ad["b0"], w_c + TWO_PI * ad["omega0_offset_mhz"])
     if ad["rounds"] > 0:  # the first Jacobian sweeps are around the start
-        _check_sweep_floor(
-            "adaptive", start[0] - ad["jac_halfwidth_b"],
-            "adaptive.b0 - adaptive.jac_halfwidth_b",
-            start[1] - TWO_PI * ad["jac_halfwidth_w_mhz"],
-            "+ adaptive.omega0_offset_mhz - adaptive.jac_halfwidth_w_mhz")
+        _check_sweeps(
+            "adaptive",
+            (start[0], ad["jac_halfwidth_b"], "adaptive.b0",
+             "adaptive.jac_halfwidth_b"),
+            (start[1], TWO_PI * ad["jac_halfwidth_w_mhz"],
+             _CONTROL_MHZ + " + adaptive.omega0_offset_mhz",
+             "adaptive.jac_halfwidth_w_mhz"))
     traj = adaptive_loop(
         truth, start, int(ad["rounds"]), int(ad["shots"]), nv,
         n_reps=int(pr["n_reps"]), tau=pr["tau"], phi=pr["phi"],

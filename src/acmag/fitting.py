@@ -5,16 +5,26 @@ from __future__ import annotations
 import numpy as np
 
 
-def ols_slope(x, y) -> tuple[float, float]:
-    """Least-squares slope of y vs x with its standard error (0 for 2 points)."""
+def ols_slope(x, y):
+    """Least-squares slope of y vs x along the last axis, with its standard
+    error (0 for 2 points).
+
+    Leading axes broadcast, so one call fits a stack of same-length
+    windows and returns arrays of slopes and errors; 1-D x and y give two
+    floats.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    dx = x - x.mean()
-    sxx = float(dx @ dx)
-    slope = float(dx @ (y - y.mean())) / sxx
-    resid = y - (y.mean() + slope * dx)
-    dof = x.size - 2
-    stderr = float(np.sqrt((resid @ resid) / dof / sxx)) if dof > 0 else 0.0
+    dx = x - x.mean(axis=-1, keepdims=True)
+    sxx = np.vecdot(dx, dx)
+    y_mean = y.mean(axis=-1, keepdims=True)
+    slope = np.vecdot(dx, y - y_mean) / sxx
+    resid = y - (y_mean + slope[..., None] * dx)
+    dof = x.shape[-1] - 2
+    stderr = (np.sqrt(np.vecdot(resid, resid) / dof / sxx) if dof > 0
+              else np.zeros_like(slope))
+    if slope.ndim == 0:
+        return float(slope), float(stderr)
     return slope, stderr
 
 

@@ -56,16 +56,22 @@ _PROBE = bell_state("phi+")
 
 class JacobianError(RuntimeError):
     """Signal Jacobian too ill-conditioned to invert; ``condition`` holds
-    its condition number."""
+    its condition number and ``n_reps`` the N of its sweeps (None when the
+    sweeps do not say)."""
 
 
-def _check_jacobian(j: np.ndarray, what: str) -> None:
-    """Raise JacobianError if j's condition number exceeds 1e8."""
-    condition = float(np.linalg.cond(j))
-    if condition > 1e8:
-        err = JacobianError(f"{what} Jacobian is singular (condition number "
-                            f"{condition:.3e} > 1e8)")
-        err.condition = condition
+def _check_jacobians(j: np.ndarray, what: str, n_reps=None) -> None:
+    """Raise JacobianError for the first of the stacked Jacobians j whose
+    condition number exceeds 1e8, naming its entry of ``n_reps``."""
+    condition = np.linalg.cond(j)
+    bad = np.flatnonzero(condition > 1e8)
+    if bad.size:
+        i = bad[0]
+        n = None if n_reps is None else int(n_reps[i])
+        at = "" if n is None else f" at N = {n}"
+        err = JacobianError(f"{what} Jacobian{at} is singular (condition "
+                            f"number {condition[i]:.3e} > 1e8)")
+        err.condition, err.n_reps = float(condition[i]), n
         raise err
 
 
@@ -328,61 +334,70 @@ class SweepResult:
     slope_stderr: np.ndarray
 
 
-def _sweeps(specs, p: FieldParams, nv: NvParams, tau: float,
+def _sweeps(sweeps, p: FieldParams, nv: NvParams, tau: float,
             pulse: PiPulseModel, readout: ReadoutModel, add_noise: bool,
             steps_per_block: int, extra=()) -> tuple[list, np.ndarray]:
-    """Sweeps, each (axis, values, n_reps, seed), from the Bell probe as one
-    batch of sequences with the control at p's values and the other axis
-    at p's value; signals, noise and slope fits as in sweep_signal.
+    """Sweeps (axes, values, n_reps, seeds), one row of the (sweeps,
+    points) array ``values`` each, from the Bell probe as one batch of
+    sequences with the control at p's values and the other axis at p's
+    value; signals, noise and slope fits as in sweep_signal, every
+    sweep's window and signal fitted in one call.
 
     The (B, omega) points of ``extra`` run in the same batch, with the
     first sweep's n_reps; returns the SweepResults and the extra points'
     noiseless Bell populations.
     """
-    specs = [(axis, np.asarray(values, dtype=float), n, seed)
-             for axis, values, n, seed in specs]
-    for axis, values, _, _ in specs:
-        if axis not in ("B", "omega"):
-            raise ValueError(f"axis must be 'B' or 'omega', got {axis!r}")
-        if values.size < 3:
-            raise ValueError("need at least 3 sweep points for slope fitting")
-        if values.max() == values.min():
-            raise ValueError("sweep range has zero width")
-        replace(p, **{axis: values.min()})  # FieldParams' lower bounds hold
-    sizes = [values.size for _, values, _, _ in specs]
+    axes, values, n_reps, seeds = sweeps
+    unknown = set(axes) - {"B", "omega"}
+    if unknown:
+        raise ValueError(f"axis must be 'B' or 'omega', got {unknown.pop()!r}")
+    on_b = np.equal(axes, "B")
+    values = np.asarray(values, dtype=float)
+    m, points = values.shape
+    if points < 3:
+        raise ValueError("need at least 3 sweep points for slope fitting")
+    if np.any(values.max(axis=1) == values.min(axis=1)):
+        raise ValueError("sweep range has zero width")
+    # FieldParams' lower bounds hold
+    replace(p, B=np.min(values[on_b], initial=p.B),
+            omega=np.min(values[~on_b], initial=p.omega))
     extra = np.reshape(np.asarray(extra, dtype=float), (-1, 2))
-    B, omega = (np.concatenate(
-        [values if a == axis else np.full(values.size, getattr(p, axis))
-         for a, values, _, _ in specs] + [extra[:, i]])
-        for i, axis in enumerate(("B", "omega")))
-    n_reps = np.repeat([n for _, _, n, _ in specs] + [specs[0][2]],
-                       sizes + [len(extra)])
-    u = _sequence_unitaries(n_reps, tau, pulse, nv, p, B, omega,
+    B = np.append(np.where(on_b[:, None], values, p.B), extra[:, 0])
+    omega = np.append(np.where(on_b[:, None], p.omega, values), extra[:, 1])
+    reps = np.append(np.repeat(n_reps, points),
+                     np.full(len(extra), n_reps[0]))
+    u = _sequence_unitaries(reps, tau, pulse, nv, p, B, omega,
                             steps_per_block)
-    parts = np.split(np.abs(u @ _PROBE @ _BELL_READOUT.T) ** 2,
-                     np.cumsum(sizes))
+    probs = np.abs(u @ _PROBE @ _BELL_READOUT.T) ** 2
+    probs, extra_probs = (probs[:m * points].reshape(m, points, 4),
+                          probs[m * points:])
     k = readout.n_signals
-    results = []
-    for (axis, values, _, seed), probs in zip(specs, parts):
-        signals = 1.0 - readout.spam(probs[:, :k])
-        if add_noise:
-            signals += np.array([np.random.default_rng([seed, i]).normal(
-                0.0, readout.sigma, size=k) for i in range(values.size)])
-            bad = ~np.isfinite(signals).all(axis=1)
-            if np.any(bad):
-                raise FloatingPointError(
-                    f"non-finite noisy signal at {axis} = "
-                    f"{float(values[bad][0])!r} (readout.sigma = "
-                    f"{readout.sigma!r})")
-        idx = int(np.argmin(np.abs(values - getattr(p, axis))))
-        lo = max(0, min(idx - 2, values.size - 5))
-        win = slice(lo, lo + 5)
-        slopes, stderr = np.array(
-            [ols_slope(values[win], signals[win, j]) for j in range(k)]).T
-        results.append(SweepResult(axis=axis, values=values, probs=probs,
-                                   signals=signals, slopes=slopes,
-                                   slope_stderr=stderr))
-    return results, parts[-1]
+    signals = 1.0 - readout.spam(probs[..., :k])
+    if add_noise:
+        signals += np.array([[np.random.default_rng([seed, i]).normal(
+            0.0, readout.sigma, size=k) for i in range(points)]
+            for seed in np.ravel(seeds).tolist()])
+        bad = np.argwhere(~np.isfinite(signals).all(axis=2))
+        if bad.size:
+            s, i = bad[0]
+            raise FloatingPointError(
+                f"non-finite noisy signal at {axes[s]} = "
+                f"{float(values[s, i])!r} (readout.sigma = "
+                f"{readout.sigma!r})")
+    # five points about the operating point, fewer on a shorter sweep
+    width = min(5, points)
+    centre = np.where(on_b, p.B, p.omega)[:, None]
+    lo = np.clip(np.argmin(np.abs(values - centre), axis=1) - 2, 0,
+                 points - width)
+    window = lo[:, None] + np.arange(width)
+    slopes, stderr = ols_slope(
+        np.take_along_axis(values, window, axis=1)[:, None],
+        np.take_along_axis(signals.swapaxes(1, 2), window[:, None], axis=2))
+    results = [SweepResult(axis=a, values=v, probs=q, signals=y,
+                           slopes=b, slope_stderr=e)
+               for a, v, q, y, b, e in zip(axes, values, probs, signals,
+                                           slopes, stderr)]
+    return results, extra_probs
 
 
 def sweep_signal(axis: str, values, p: FieldParams, nv: NvParams,
@@ -398,21 +413,29 @@ def sweep_signal(axis: str, values, p: FieldParams, nv: NvParams,
     (FloatingPointError if it makes a signal non-finite). Local slopes are
     fitted on a five-point window centered on the operating point.
     """
-    return _sweeps([(axis, values, n_reps, seed)], p, nv, tau, pulse,
-                   readout, add_noise, steps_per_block)[0][0]
+    return _sweeps(([axis], np.reshape(values, (1, -1)), [n_reps], [seed]),
+                   p, nv, tau, pulse, readout, add_noise,
+                   steps_per_block)[0][0]
 
 
-def _pair_specs(p: FieldParams, n_reps: int, hb: float, hw: float,
-                points: int, seed: int) -> list:
+def _pair_specs(p: FieldParams, n_reps, hb, hw, points: int,
+                seed: int) -> tuple:
     """Sweeps of B over p.B +- hb and of omega over p.omega +- hw, seeded
-    ``seed`` and ``seed + 1``; ValueError if a half-width rounds away."""
-    for axis, h in (("B", hb), ("omega", hw)):
-        if getattr(p, axis) - h == getattr(p, axis) + h:
-            raise ValueError(f"the {axis} sweep about {getattr(p, axis):.6g}"
-                             f" has zero width: half-width {h:.6g} rounds away")
-    return [("B", p.B + np.linspace(-hb, hb, points), n_reps, seed),
-            ("omega", p.omega + np.linspace(-hw, hw, points), n_reps,
-             seed + 1)]
+    ``seed`` and ``seed + 1``, for each entry of n_reps, hb and hw, which
+    broadcast: the B and the omega sweep of each N in turn, as _sweeps
+    takes them. ValueError names the first half-width that rounds away."""
+    n_reps, hb, hw = np.broadcast_arrays(np.ravel(n_reps), hb, hw)
+    centre = np.tile([p.B, p.omega], n_reps.size)
+    half = np.stack([hb, hw], axis=1).ravel()
+    lost = np.flatnonzero(centre - half == centre + half)
+    if lost.size:
+        i = lost[0]
+        raise ValueError(f"the {('B', 'omega')[i % 2]} sweep about "
+                         f"{centre[i]:.6g} has zero width: half-width "
+                         f"{half[i]:.6g} rounds away")
+    values = centre[:, None] + np.linspace(-half, half, points, axis=1)
+    return (["B", "omega"] * n_reps.size, values,
+            np.repeat(n_reps, 2), np.tile([seed, seed + 1], n_reps.size))
 
 
 @dataclass(frozen=True)
@@ -425,8 +448,31 @@ class UncertaintyResult:
     delta_w_err: float
 
 
-def _cov_from_jacobian(j: np.ndarray, sigma: float) -> np.ndarray:
-    return sigma**2 * np.linalg.inv(j.T @ j)
+def _uncertainties(j: np.ndarray, se: np.ndarray, sigma: float,
+                   n_reps=None) -> tuple[np.ndarray, np.ndarray]:
+    """Uncertainties (m, 2) of (B, omega) and their error bars (m, 2) from
+    stacked signal Jacobians j (m, k, 2) and slope standard errors se of
+    the same shape.
+
+    Square Jacobians (k = 2) must have condition numbers of at most 1e8
+    (JacobianError names the first failing entry of ``n_reps``). The
+    covariance sigma^2 (J^T J)^-1 of J and of each Jacobian with one slope
+    moved by its nonzero standard error come from one stacked inverse;
+    the moves of the uncertainties add in quadrature.
+    """
+    m, k, _ = j.shape
+    if k == 2:
+        _check_jacobians(j, "signal", n_reps)
+    # moved[:, 0] is J; moved[:, 1 + e] has its entry e = 2 * signal + axis
+    # moved by that slope's standard error
+    moved = np.repeat(j[:, None], 2 * k + 1, axis=1)
+    entry = np.arange(2 * k)
+    se = se.reshape(m, 2 * k)
+    moved[:, entry + 1, entry // 2, entry % 2] += se
+    cov = sigma**2 * np.linalg.inv(np.swapaxes(moved, -1, -2) @ moved)
+    delta = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+    shift = np.where((se != 0.0)[..., None], delta[:, 1:] - delta[:, :1], 0.0)
+    return delta[:, 0], np.sqrt(np.sum(shift**2, axis=1))
 
 
 def parameter_uncertainty(sweep_b: SweepResult, sweep_w: SweepResult,
@@ -440,19 +486,8 @@ def parameter_uncertainty(sweep_b: SweepResult, sweep_w: SweepResult,
     """
     k = readout.n_signals
     j = np.column_stack([sweep_b.slopes[:k], sweep_w.slopes[:k]])
-    if k == 2:
-        _check_jacobian(j, "signal")
-    delta = np.sqrt(np.diag(_cov_from_jacobian(j, readout.sigma)))
-
-    # first-order propagation of the slope standard errors
     se = np.column_stack([sweep_b.slope_stderr[:k], sweep_w.slope_stderr[:k]])
-    grad_sq = np.zeros(2)
-    for r, c in zip(*np.nonzero(se)):
-        jp = j.copy()
-        jp[r, c] += se[r, c]
-        dp = np.sqrt(np.diag(_cov_from_jacobian(jp, readout.sigma)))
-        grad_sq += (dp - delta) ** 2
-    err = np.sqrt(grad_sq)
+    (delta,), (err,) = _uncertainties(j[None], se[None], readout.sigma)
     return UncertaintyResult(delta_b=float(delta[0]), delta_w=float(delta[1]),
                              delta_b_err=float(err[0]), delta_w_err=float(err[1]))
 
@@ -483,23 +518,26 @@ def scaling_study(nv: NvParams, readout: ReadoutModel,
 
     Sweep windows shrink as 1/N (amplitude) and 1/N^2 (frequency) so the
     five fit points stay inside the linear-response region at every N.
-    Every N and both sweep axes run as one batch of sequences; the fits
-    and uncertainties stay per N.
+    Every N and both sweep axes run as one batch of sequences, their
+    slopes as one fit and the uncertainties of every N as one stacked
+    inverse.
     """
     p = operating_field(nv, B_c, phi)
     n_values = np.asarray(n_values, dtype=int)
-    specs = [s for n in n_values for s in _pair_specs(
-        p, n, halfwidth_b / n, halfwidth_w / n**2, points, seed)]
-    sweeps, _ = _sweeps(specs, p, nv, tau, pulse, readout, add_noise,
+    sweeps, _ = _sweeps(_pair_specs(p, n_values, halfwidth_b / n_values,
+                                    halfwidth_w / n_values**2, points, seed),
+                        p, nv, tau, pulse, readout, add_noise,
                         steps_per_block)
-    db, dw, dbe, dwe = np.array([
-        (r.delta_b, r.delta_w, r.delta_b_err, r.delta_w_err)
-        for r in (parameter_uncertainty(sb, sw, readout)
-                  for sb, sw in zip(sweeps[::2], sweeps[1::2]))]).T
-    eb, ebs = loglog_slope(n_values, db)
-    ew, ews = loglog_slope(n_values, dw)
-    return ScalingResult(n_values=n_values, delta_b=db, delta_w=dw,
-                         delta_b_err=dbe, delta_w_err=dwe,
+    # slopes and their errors, (N, k, 2) each: the B and omega sweeps of
+    # each N are its two columns
+    j, se = np.array([(r.slopes, r.slope_stderr) for r in sweeps]).reshape(
+        n_values.size, 2, 2, -1).transpose(2, 0, 3, 1)
+    delta, err = _uncertainties(j, se, readout.sigma, n_values)
+    eb, ebs = loglog_slope(n_values, delta[:, 0])
+    ew, ews = loglog_slope(n_values, delta[:, 1])
+    return ScalingResult(n_values=n_values, delta_b=delta[:, 0],
+                         delta_w=delta[:, 1], delta_b_err=err[:, 0],
+                         delta_w_err=err[:, 1],
                          exponent_b=eb, exponent_b_stderr=ebs,
                          exponent_w=ew, exponent_w_stderr=ews)
 
@@ -549,7 +587,7 @@ def adaptive_loop(true_field: tuple[float, float],
             rng = np.random.default_rng([seed, r])
             meas = meas + rng.normal(0.0, readout.sigma, size=2)
         j = np.column_stack([sb.slopes, sw.slopes])
-        _check_jacobian(j, "adaptive")
+        _check_jacobians(j[None], f"adaptive round {r}", [n_reps])
         # the sweep's center point holds the noiseless signals at est
         est = est + np.linalg.solve(j, meas - sb.signals[2])
         traj.append(est.copy())

@@ -466,8 +466,11 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
-    # a half-width that rounds away at its centre; nv-scaling's narrowest
-    # omega sweep, at scaling.n_max = 8, is halfwidth_w_mhz / 64
+    # a half-width that rounds away at its centre (nv-scaling's first is
+    # its omega sweep at N = 3), and a centre so large that a half-width
+    # which would move the default centre rounds away there, named by the
+    # centre's keys (nv-scaling's B sweeps about 1e15 G lose their width
+    # from N = 4; the narrowest, at scaling.n_max = 8, is 0.2 / 8 G)
     @pytest.mark.parametrize("command,payload,message", [
         ("nv-sweep", {"sweep": {"halfwidth_b": 1e-300}},
          "the B sweep about 5.65 has zero width: half-width 1e-300 rounds "
@@ -478,13 +481,39 @@ class TestExitCodes:
         ("adaptive", {"adaptive": {"jac_halfwidth_w_mhz": 1e-300}},
          "the omega sweep about 11758.9 has zero width: half-width "
          "6.28319e-300 rounds away"),
-    ], ids=["nv-sweep", "nv-scaling", "adaptive"])
+        ("nv-sweep", {"nv": {"d_mhz": 1e300}},
+         "the omega sweep has zero width: its centre " + _CONTROL_MHZ
+         + " = 1e+300 MHz is too large for its half-width, 0.00497359 MHz, "
+         "to move it"),
+        ("nv-scaling", {"protocol": {"b_c": 1e15}},
+         "the B sweep has zero width: its centre protocol.b_c = 1e+15 G is "
+         "too large for its half-width, 0.025 G, to move it"),
+        ("adaptive", {"nv": {"d_mhz": 1e300}},
+         "the omega sweep has zero width: its centre " + _CONTROL_MHZ
+         + " + adaptive.omega0_offset_mhz = 1e+300 MHz is too large for its "
+         "half-width, 0.08 MHz, to move it"),
+    ], ids=["nv-sweep", "nv-scaling", "adaptive", "nv-sweep-centre",
+            "nv-scaling-centre", "adaptive-centre"])
     def test_zero_width_sweep_is_2_and_named(self, tmp_path, capsys, command,
                                              payload, message):
         cfg = _write(tmp_path, "c.json", payload)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_singular_scaling_jacobian_is_3_and_names_n(self, tmp_path,
+                                                        capsys):
+        # at B = 1e-9 G the signals barely see omega, from the first N on
+        cfg = _write(tmp_path, "c.json", {
+            "protocol": {"b_c": 1e-9},
+            "scaling": {"halfwidth_b": 1e-10, "n_min": 3, "n_max": 5}})
+        out = tmp_path / "out"
+        assert main(["nv-scaling", "--config", str(cfg), "--out",
+                     str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical error in nv-scaling: signal Jacobian at N = 3 is "
+            "singular (condition number ")
         assert not out.exists()
 
     def test_adaptive_estimate_below_zero_is_3_and_names_the_round(

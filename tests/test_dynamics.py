@@ -135,6 +135,39 @@ class TestPropagate:
         np.testing.assert_array_equal(calls[0], grid.midpoints())
 
 
+class TestPropagateUnitarity:
+    # coefficient scales whose squares underflow or overflow and exactly
+    # zero Hamiltonians (all of them, or every `zero_every`-th midpoint),
+    # on grids of 1 to 1e5 steps; T = 1 / scale keeps each r*dt O(1)
+    @settings(max_examples=40, deadline=None)
+    @given(scale=st.one_of(st.just(0.0),
+                           st.floats(-156.0, -152.0).map(lambda e: 10.0**e),
+                           st.floats(152.0, 156.0).map(lambda e: 10.0**e)),
+           direction=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+           zero_every=st.sampled_from([None, 1, 2, 7]),
+           steps=st.sampled_from([1, 2, 3, 64, 100_000]))
+    def test_propagators_stay_unitary_at_the_extremes(self, scale, direction,
+                                                      zero_every, steps):
+        c0, cx, cy, cz = scale * np.array(direction)
+        paulis = np.array([I2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+
+        def h(t):
+            coeffs = np.zeros((t.size, 4))
+            coeffs[:] = c0, cx, cy, cz
+            coeffs[:, 1] *= np.cos(scale * t if scale else t)
+            if zero_every:
+                coeffs[::zero_every] = 0.0
+            return np.tensordot(coeffs, paulis, 1)
+
+        grid = TimeGrid(0.0, 1.0 / scale if scale else 1.0, steps)
+        u = propagate(h, grid)
+        assert np.all(np.isfinite(u))
+        # each step's rounding moves the norm by a few eps, and the moves
+        # compound along the grid
+        assert (max_abs(u.conj().T @ u - np.eye(2))
+                <= 4 * np.finfo(float).eps * (steps + 1))
+
+
 def _random_pairs(rng, *shape):
     z = rng.standard_normal((2, 2) + shape)
     z = z[0] + 1j * z[1]

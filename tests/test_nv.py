@@ -499,6 +499,46 @@ class TestParameterUncertainty:
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is JacobianError and str(back) == str(err)
         assert back.condition == err.condition
+        assert err.n_reps is None and back.n_reps is None
+
+    @staticmethod
+    def _loop_reference(sb, sw, ro):
+        """One inverse per Jacobian with a nonzero slope error moved."""
+        k = ro.n_signals
+        j = np.column_stack([sb.slopes[:k], sw.slopes[:k]])
+        se = np.column_stack([sb.slope_stderr[:k], sw.slope_stderr[:k]])
+        cov = lambda m: ro.sigma**2 * np.linalg.inv(m.T @ m)
+        delta = np.sqrt(np.diag(cov(j)))
+        grad_sq = np.zeros(2)
+        for r, c in zip(*np.nonzero(se)):
+            moved = j.copy()
+            moved[r, c] += se[r, c]
+            grad_sq += (np.sqrt(np.diag(cov(moved))) - delta) ** 2
+        return delta, np.sqrt(grad_sq)
+
+    def test_mixed_zero_stderrs_match_the_per_pair_loop(self):
+        ro = ReadoutModel(sigma=1e-3)
+        sb, sw = self._fake_sweeps(2.0, 4.0, 0.3, -0.2)
+        mixed = (replace(sb, slope_stderr=np.array([0.0, 0.02])),
+                 replace(sw, slope_stderr=np.array([0.01, 0.0])))
+        zero = self._fake_sweeps(1.5, -3.0, 0.7, 0.1)
+        for pair in (mixed, zero):
+            res = parameter_uncertainty(*pair, ro)
+            delta, err = self._loop_reference(*pair, ro)
+            assert [res.delta_b, res.delta_w] == pytest.approx(delta,
+                                                               rel=1e-12)
+            assert [res.delta_b_err, res.delta_w_err] == pytest.approx(
+                err, rel=1e-9)
+        assert res.delta_b_err == res.delta_w_err == 0.0
+        # the two pairs stacked give each pair's result
+        stack = lambda name: np.array([np.column_stack(
+            [getattr(s, name) for s in pair]) for pair in (mixed, zero)])
+        delta, err = nv_module._uncertainties(
+            stack("slopes"), stack("slope_stderr"), ro.sigma)
+        for i, pair in enumerate((mixed, zero)):
+            res = parameter_uncertainty(*pair, ro)
+            assert [res.delta_b, res.delta_w] == delta[i].tolist()
+            assert [res.delta_b_err, res.delta_w_err] == err[i].tolist()
 
     def test_three_signals_never_worse(self):
         p = operating_field(NV, 5.65)
@@ -549,29 +589,51 @@ class TestScaling:
                              ids=["ideal", "finite"])
     def test_one_batch_matches_per_n_sweeps(self, monkeypatch, pulse,
                                             add_noise):
-        ro = ReadoutModel()
         n_values = (3, 4, 6, 9)
-        calls = []
         kernel = nv_module._su2_exp
-        monkeypatch.setattr(nv_module, "_su2_exp",
-                            lambda *a: calls.append(a) or kernel(*a))
-        res = scaling_study(NV, ro, n_values=n_values, pulse=pulse, points=7,
-                            seed=11, add_noise=add_noise)
-        # every N and both axes are one SU(2) exponential
-        assert len(calls) == 1
         p = operating_field(NV, 5.65)
-        for i, n in enumerate(n_values):
-            args = (p, NV, n, 0.017, pulse, ro)
-            sb = sweep_signal("B", p.B + np.linspace(-0.2 / n, 0.2 / n, 7),
-                              *args, seed=11, add_noise=add_noise)
-            sw = sweep_signal("omega",
-                              p.omega + np.linspace(-2.0 / n**2, 2.0 / n**2, 7),
-                              *args, seed=12, add_noise=add_noise)
-            ref = parameter_uncertainty(sb, sw, ro)
-            assert res.delta_b[i] == pytest.approx(ref.delta_b, rel=1e-12)
-            assert res.delta_w[i] == pytest.approx(ref.delta_w, rel=1e-12)
-            assert res.delta_b_err[i] == pytest.approx(ref.delta_b_err, rel=1e-9)
-            assert res.delta_w_err[i] == pytest.approx(ref.delta_w_err, rel=1e-9)
+        for ro in (ReadoutModel(), ReadoutModel(signals_used="three")):
+            calls = []
+            monkeypatch.setattr(nv_module, "_su2_exp",
+                                lambda *a: calls.append(a) or kernel(*a))
+            res = scaling_study(NV, ro, n_values=n_values, pulse=pulse,
+                                points=7, seed=11, add_noise=add_noise)
+            # every N and both axes are one SU(2) exponential
+            assert len(calls) == 1
+            monkeypatch.undo()
+            for i, n in enumerate(n_values):
+                args = (p, NV, n, 0.017, pulse, ro)
+                sb = sweep_signal("B", p.B + np.linspace(-0.2 / n, 0.2 / n, 7),
+                                  *args, seed=11, add_noise=add_noise)
+                sw = sweep_signal(
+                    "omega", p.omega + np.linspace(-2.0 / n**2, 2.0 / n**2, 7),
+                    *args, seed=12, add_noise=add_noise)
+                ref = parameter_uncertainty(sb, sw, ro)
+                assert res.delta_b[i] == pytest.approx(ref.delta_b, rel=1e-12)
+                assert res.delta_w[i] == pytest.approx(ref.delta_w, rel=1e-12)
+                assert res.delta_b_err[i] == pytest.approx(ref.delta_b_err,
+                                                           rel=1e-9)
+                assert res.delta_w_err[i] == pytest.approx(ref.delta_w_err,
+                                                           rel=1e-9)
+
+    def test_singular_jacobian_names_its_n(self, monkeypatch):
+        fit = nv_module.ols_slope
+
+        def collinear_at_n4(x, y):
+            # the omega sweep of N = 4, the fourth sweep, copies the slopes
+            # of its B sweep, so that N's Jacobian has equal columns
+            slopes, stderr = fit(x, y)
+            slopes[3] = slopes[2]
+            return slopes, stderr
+
+        monkeypatch.setattr(nv_module, "ols_slope", collinear_at_n4)
+        with pytest.raises(JacobianError) as info:
+            scaling_study(NV, ReadoutModel(), n_values=(3, 4, 6))
+        err = info.value
+        assert err.n_reps == 4 and err.condition > 1e8
+        assert str(err).startswith("signal Jacobian at N = 4 is singular")
+        back = pickle.loads(pickle.dumps(err))
+        assert back.n_reps == 4 and str(back) == str(err)
 
     def test_finite_pulses_oscillate_about_power_law(self):
         ro = ReadoutModel()
