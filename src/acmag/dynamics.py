@@ -239,35 +239,53 @@ _CHUNK = 2**15
 @lru_cache(maxsize=1)
 def _generator_quadrature(p: FieldParams, grid: TimeGrid,
                           control: bool) -> dict[str, np.ndarray]:
-    """Midpoint quadratures of U(0->t)^dag dH/dtheta U(0->t) for theta = B
-    and omega, dH/dtheta = gamma cos(omega t + phi) sx and -gamma B t
-    sin(omega t + phi) sx, from one scan: over half steps h_j, the prefix
-    products of q_0 = h_0, q_j = h_j h_(j-1) are the midpoint propagators
-    V_j = h_j h_(j-1)^2 ... h_0^2, and V^dag sx V has the sx, sy, sz
-    coefficients (Re(a^2 - b^2), Im(a^2 - b^2), 2 Re(a* b)) of V = (a, b).
+    """Midpoint quadratures of V_j^dag dH/dtheta V_j for theta = B and
+    omega, dH/dtheta = gamma cos(omega t + phi) sx and -gamma B t
+    sin(omega t + phi) sx, with V_j the propagator from t_start to the
+    midpoint t_j. The grid is walked in chunks of _CHUNK steps.
 
-    The grid is scanned in chunks of _CHUNK steps. A chunk from step s
-    starts from the carried pair h_(s-1) V_(s-1) (the identity at s = 0),
-    so q_s = h_s h_(s-1) V_(s-1) and its local prefixes are the V_j."""
+    Fixed axis: without control H(t) is along sx, so V_j^dag sx V_j = sx
+    and the generators are plain weighted sums times sx. Under matched
+    control, (B_c, omega_c, phi_c) == (B, omega, phi) exactly, the sx
+    terms of _drive_coeffs cancel bit for bit, H = (omega/2) sz and
+    V_j^dag sx V_j = cos x_j sx - sin x_j sy at x_j = omega (t_j - t_start)
+    = theta_j - theta_0, theta the target phase. The sums are taken against
+    cos theta_j and sin theta_j and turned by theta_0 once at the end.
+
+    Any other control scans: over half steps h_j, the prefix products of
+    q_0 = h_0, q_j = h_j h_(j-1) are V_j = h_j h_(j-1)^2 ... h_0^2, and
+    V^dag sx V has the sx, sy, sz coefficients (Re(a^2 - b^2),
+    Im(a^2 - b^2), 2 Re(a* b)) of V = (a, b). A chunk from step s starts
+    from the carried pair h_(s-1) V_(s-1) (the identity at s = 0), so
+    q_s = h_s h_(s-1) V_(s-1) and its local prefixes are the V_j."""
     dt = grid.dt
+    scan = control and (p.B_c, p.omega_c, p.phi_c) != (p.B, p.omega, p.phi)
     carry = np.array([[1.0], [0.0]], dtype=complex)
     c = np.zeros((2, 3))
     for s in range(0, grid.steps, _CHUNK):
         mids = grid.t_start + (np.arange(s, min(s + _CHUNK, grid.steps))
                                + 0.5) * dt
         phase = p.omega * mids + p.phi
-        cos = np.cos(phase)
-        fx, fz = _drive_coeffs(p, mids, cos, control)
-        h = _su2_exp(fx, 0.0, fz, 0.5 * dt)
-        prefix = _prefix_products(
-            _su2_mul(h, np.concatenate([carry, h[:, :-1]], axis=1)))
-        carry = _su2_mul(h[:, -1:], prefix[:, -1:])
-        w = np.stack([dt * p.gamma * cos,
-                      -dt * p.gamma * p.B * mids * np.sin(phase, out=phase)])
-        a, b = prefix
-        v = a * a - b * b
-        c += w @ np.stack([v.real, v.imag, 2.0 * (np.conj(a) * b).real],
-                          axis=1)
+        cos, sin = np.cos(phase), np.sin(phase)
+        w = np.stack([dt * p.gamma * cos, -dt * p.gamma * p.B * mids * sin])
+        if scan:
+            fx, fz = _drive_coeffs(p, mids, cos, control)
+            h = _su2_exp(fx, 0.0, fz, 0.5 * dt)
+            prefix = _prefix_products(
+                _su2_mul(h, np.concatenate([carry, h[:, :-1]], axis=1)))
+            carry = _su2_mul(h[:, -1:], prefix[:, -1:])
+            a, b = prefix
+            v = a * a - b * b
+            c += w @ np.stack([v.real, v.imag, 2.0 * (np.conj(a) * b).real],
+                              axis=1)
+        elif control:
+            c[:, :2] += w @ np.stack([cos, sin], axis=1)
+        else:
+            c[:, 0] += w.sum(axis=1)
+    if control and not scan:
+        th0 = p.omega * grid.t_start + p.phi
+        cos0, sin0 = np.cos(th0), np.sin(th0)
+        c[:, :2] = c[:, :2] @ [[cos0, sin0], [sin0, -cos0]]
     return {theta: x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
             for theta, (x, y, z) in zip(("B", "omega"), c)}
 
@@ -278,11 +296,12 @@ def generator_numeric(p: FieldParams, theta: str, grid: TimeGrid,
     """Numerical Heisenberg-picture generator h_theta over [0, T].
 
     ``control`` selects whether the propagation runs under the total
-    (target + control) Hamiltonian or under the bare target field. One scan
-    gives both generators; the last pair is kept for the other theta. With
-    ``check_tol`` set, the grid is re-run at half resolution and a
-    ConvergenceError, carrying ``discrepancy`` and ``tolerance``, is raised
-    if the two results differ by more than the tolerance (max absolute entry).
+    (target + control) Hamiltonian or under the bare target field. One pass
+    over the grid gives both generators; the last pair is kept for the
+    other theta. With ``check_tol`` set, the grid is re-run at half
+    resolution and a ConvergenceError, carrying ``discrepancy`` and
+    ``tolerance``, is raised if the two results differ by more than the
+    tolerance (max absolute entry).
     """
     if theta not in ("B", "omega"):
         raise ValueError(f"theta must be 'B' or 'omega', got {theta!r}")

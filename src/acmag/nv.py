@@ -423,7 +423,8 @@ def _pair_specs(p: FieldParams, n_reps, hb, hw, points: int,
     """Sweeps of B over p.B +- hb and of omega over p.omega +- hw, seeded
     ``seed`` and ``seed + 1``, for each entry of n_reps, hb and hw, which
     broadcast: the B and the omega sweep of each N in turn, as _sweeps
-    takes them. ValueError names the first half-width that rounds away."""
+    takes them. ValueError names the first half-width that rounds away
+    and its N."""
     n_reps, hb, hw = np.broadcast_arrays(np.ravel(n_reps), hb, hw)
     centre = np.tile([p.B, p.omega], n_reps.size)
     half = np.stack([hb, hw], axis=1).ravel()
@@ -431,8 +432,8 @@ def _pair_specs(p: FieldParams, n_reps, hb, hw, points: int,
     if lost.size:
         i = lost[0]
         raise ValueError(f"the {('B', 'omega')[i % 2]} sweep about "
-                         f"{centre[i]:.6g} has zero width: half-width "
-                         f"{half[i]:.6g} rounds away")
+                         f"{centre[i]:.6g} at N = {n_reps[i // 2]} has zero "
+                         f"width: half-width {half[i]:.6g} rounds away")
     values = centre[:, None] + np.linspace(-half, half, points, axis=1)
     return (["B", "omega"] * n_reps.size, values,
             np.repeat(n_reps, 2), np.tile([seed, seed + 1], n_reps.size))

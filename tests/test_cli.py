@@ -466,20 +466,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
-    # a half-width that rounds away at its centre (nv-scaling's first is
-    # its omega sweep at N = 3), and a centre so large that a half-width
+    # a half-width that rounds away at its centre, named with its N
+    # (nv-scaling's first is its omega sweep at N = 3), and a centre so large that a half-width
     # which would move the default centre rounds away there, named by the
     # centre's keys (nv-scaling's B sweeps about 1e15 G lose their width
     # from N = 4; the narrowest, at scaling.n_max = 8, is 0.2 / 8 G)
     @pytest.mark.parametrize("command,payload,message", [
         ("nv-sweep", {"sweep": {"halfwidth_b": 1e-300}},
-         "the B sweep about 5.65 has zero width: half-width 1e-300 rounds "
-         "away"),
+         "the B sweep about 5.65 at N = 8 has zero width: half-width 1e-300 "
+         "rounds away"),
         ("nv-scaling", {"scaling": {"halfwidth_w_mhz": 1e-12}},
-         "the omega sweep about 11758.9 has zero width: half-width "
+         "the omega sweep about 11758.9 at N = 3 has zero width: half-width "
          "6.98132e-13 rounds away"),
         ("adaptive", {"adaptive": {"jac_halfwidth_w_mhz": 1e-300}},
-         "the omega sweep about 11758.9 has zero width: half-width "
+         "the omega sweep about 11758.9 at N = 8 has zero width: half-width "
          "6.28319e-300 rounds away"),
         ("nv-sweep", {"nv": {"d_mhz": 1e300}},
          "the omega sweep has zero width: its centre " + _CONTROL_MHZ

@@ -2,6 +2,7 @@
 
 import pickle
 import tracemalloc
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -9,14 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acmag.dynamics import (_CHUNK, ConvergenceError, FieldParams, TimeGrid,
+from acmag import dynamics
+from acmag.dynamics import (_CHUNK, ConvergenceError, FieldParams,
+                            GeneratorPair, TimeGrid,
                             _drive_coeffs, _generator_coeffs,
                             _generator_quadrature, _prefix_products,
                             _su2_exp, _su2_matrix, _su2_mul, _su2_pow,
                             generator_closed_form, generator_numeric,
                             propagate)
-from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian,
-                          max_abs)
+from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state,
+                          expm_hermitian, max_abs)
+from acmag.qfim import qfim_from_generators
 
 # frozen from the closed-form expressions at gamma=1, B=1, omega=1, T=1,
 # cross-checked against the midpoint quadrature in test_matches_quadrature
@@ -435,11 +439,30 @@ def _whole_grid_generators(p, grid, control):
         sx_t @ (-grid.dt * p.gamma * p.B * mids * sin)))
 
 
+def _fixed_axis_generators(p, grid, control):
+    """(h_B, h_omega) as long-double sums over the grid's midpoints t_j,
+    for the fields whose H(t) keeps one axis: V_j^dag sx V_j is sx without
+    control and cos x_j sx - sin x_j sy, x_j = omega_c (j + 1/2) dt, under
+    matched control."""
+    ld = np.longdouble
+    mids, dt = grid.midpoints().astype(ld), ld(grid.dt)
+    phase = ld(p.omega) * mids + ld(p.phi)
+    angle = (ld(p.omega_c) * (np.arange(grid.steps, dtype=ld) + ld(0.5)) * dt
+             if control else np.zeros(grid.steps, dtype=ld))
+    sx_t = np.stack([np.cos(angle), -np.sin(angle)])
+    return tuple(x * SIGMA_X + y * SIGMA_Y for x, y in (
+        sx_t @ (dt * ld(p.gamma) * np.cos(phase)),
+        sx_t @ (-dt * ld(p.gamma) * ld(p.B) * mids * np.sin(phase))))
+
+
 class TestGeneratorChunks:
     MATCHED = FieldParams.matched(1.3, 7.0, phi=0.4, gamma=1.7)
 
     # one and two steps, one step short of a chunk, one chunk, and one step
-    # past one and two chunks
+    # past one and two chunks. The mismatched control is the one case that
+    # still scans, and the whole-grid scan is its oracle. The other rows
+    # keep one axis, and their oracle is the long-double sum: against it
+    # the scan's own rounding reaches 6e-12 relative at 32,767 steps.
     @pytest.mark.parametrize("steps", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1,
                                        2 * _CHUNK + 1])
     @pytest.mark.parametrize("p,control", [
@@ -449,22 +472,87 @@ class TestGeneratorChunks:
     def test_match_one_whole_grid_scan(self, p, control, steps):
         grid = TimeGrid(0.2, 2.3, steps)
         got = _generator_quadrature.__wrapped__(p, grid, control)
-        for theta, ref in zip(("B", "omega"),
-                              _whole_grid_generators(p, grid, control)):
+        oracle = (_whole_grid_generators if control and p is not self.MATCHED
+                  else _fixed_axis_generators)
+        for theta, ref in zip(("B", "omega"), oracle(p, grid, control)):
             assert max_abs(got[theta] - ref) <= 1e-13 * max_abs(ref)
 
     def test_memory_does_not_grow_with_the_grid(self):
-        # the generator_quadrature workload's largest point; a whole-grid
-        # scan peaks near 144 MB here
+        # the generator_quadrature workload's largest point
         p, grid = FieldParams.matched(2.0, 50.0), TimeGrid(0.0, 10.0, 10**6)
+        assert self._peak_bytes(p, grid) < 32e6
+
+    def test_scan_memory_does_not_grow_with_the_grid(self):
+        # a whole-grid scan of 1e6 steps peaks near 144 MB
+        grid = TimeGrid(0.0, 10.0, 10**6)
+        assert self._peak_bytes(TestGeneratorScan.P, grid) < 32e6
+
+    @staticmethod
+    def _peak_bytes(p, grid):
         _generator_quadrature.cache_clear()
         tracemalloc.start()
         try:
             generator_numeric(p, "B", grid)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32e6
+
+
+class TestFixedAxisPath:
+    # the paper's two cases: without control the generators are parallel
+    # and the QFIM is singular; under matched control they lie in the
+    # sx-sy plane. The path is chosen by exact parameter equality, so a
+    # control one ulp off the target scans and must land on the same sums.
+    FIELDS = dict(B=st.floats(0.0, 5.0), omega=st.floats(0.05, 50.0),
+                  phi=st.floats(-np.pi, np.pi), t0=st.floats(0.0, 3.0),
+                  T=st.floats(0.01, 10.0), steps=st.integers(1, 197))
+
+    @staticmethod
+    def _generators(p, grid, control):
+        with mock.patch.object(dynamics, "_prefix_products",
+                               wraps=dynamics._prefix_products) as scan:
+            g = GeneratorPair(*(generator_numeric(p, theta, grid, control)
+                                for theta in ("B", "omega")))
+        return g, scan.called
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(B_c=st.floats(0.0, 5.0), omega_c=st.floats(0.05, 50.0), **FIELDS)
+    def test_free_generators_are_parallel(self, B, omega, phi, t0, T, steps,
+                                          B_c, omega_c):
+        p = FieldParams(B=B, omega=omega, phi=phi, B_c=B_c, omega_c=omega_c)
+        g, scanned = self._generators(p, TimeGrid(t0, t0 + T, steps), False)
+        assert not scanned
+        for h in (g.h_b, g.h_omega):
+            assert np.array_equal(h, h[0, 1].real * SIGMA_X)
+        f = qfim_from_generators(bell_state("phi+"), g)
+        # det = f_bb f_ww - f_bw^2 is zero but for the rounding of its terms
+        assert f.is_singular()
+        assert abs(f.det()) <= 8 * np.finfo(float).eps * f.f_bb * f.f_ww
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**FIELDS)
+    def test_matched_generators_have_no_sz_part(self, B, omega, phi, t0, T,
+                                                steps):
+        p = FieldParams.matched(B, omega, phi)
+        g, scanned = self._generators(p, TimeGrid(t0, t0 + T, steps), True)
+        assert not scanned
+        for h in (g.h_b, g.h_omega):
+            assert h[0, 0] == 0.0 and h[1, 1] == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**FIELDS)
+    def test_one_ulp_off_matched_scans_to_the_same_sums(self, B, omega, phi,
+                                                       t0, T, steps):
+        grid = TimeGrid(t0, t0 + T, steps)
+        matched, _ = self._generators(FieldParams.matched(B, omega, phi),
+                                      grid, True)
+        p = FieldParams(B=B, omega=omega, phi=phi,
+                        B_c=np.nextafter(B, np.inf), phi_c=phi)
+        off, scanned = self._generators(p, grid, True)
+        assert scanned
+        for h, ref in ((off.h_b, matched.h_b),
+                       (off.h_omega, matched.h_omega)):
+            assert max_abs(h - ref) <= 1e-9 * max_abs(ref)
 
 
 class TestGeneratorMemo:
