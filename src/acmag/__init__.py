@@ -19,11 +19,11 @@ from .linalg import (bell_basis, bell_state, expm_hermitian, haar_state,
                      pure_cov, tensor)
 from .nv import (AdaptiveDivergenceError, JacobianError, NvParams,
                  PiPulseModel, PulseSequence, ReadoutModel, ScalingResult,
-                 SweepResult, UncertaintyResult, adaptive_loop, bell_readout,
-                 build_sequence, control_frequency, nv_rotating_hamiltonian,
-                 operating_field, parameter_uncertainty, scaling_study,
-                 sensor_coupling, sequence_unitary, simulate_sequence,
-                 sweep_signal)
+                 SweepError, SweepResult, UncertaintyResult, adaptive_loop,
+                 bell_readout, build_sequence, control_frequency,
+                 nv_rotating_hamiltonian, operating_field,
+                 parameter_uncertainty, scaling_study, sensor_coupling,
+                 sequence_unitary, simulate_sequence, sweep_signal)
 from .qfim import (CovBound, Qfim2, SingularQfimError, bell_probe_determinant,
                    classical_fim, probe_overlap, probe_overlap_closed_form,
                    qcrb, qfim_closed_form, qfim_determinant,

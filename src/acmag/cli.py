@@ -27,7 +27,7 @@ from .bounds import strategy_comparison
 from .dynamics import ConvergenceError, FieldParams, generator_closed_form
 from .fitting import loglog_slope, upper_envelope
 from .nv import (AdaptiveDivergenceError, JacobianError, NvParams,
-                 PiPulseModel, ReadoutModel, _pair_specs, _sweeps,
+                 PiPulseModel, ReadoutModel, SweepError, _pair_specs, _sweeps,
                  adaptive_loop, control_frequency, operating_field,
                  parameter_uncertainty, scaling_study)
 from .qfim import (SingularQfimError, _closed_form, bell_probe_determinant,
@@ -129,7 +129,7 @@ _MINIMA = {"seed": 0, "protocol.n_reps": 1, "protocol.steps_per_block": 1,
            "scaling.points": 3, "search.samples": 1, "adaptive.rounds": 0,
            "adaptive.shots": 1}
 _POSITIVE = ("field.b", "nv.gamma_e_mhz_per_g", "protocol.b_c", "protocol.tau",
-             "scan.t", "sweep.halfwidth_b", "sweep.halfwidth_w_mhz",
+             "truth.b", "scan.t", "sweep.halfwidth_b", "sweep.halfwidth_w_mhz",
              "scaling.halfwidth_b", "scaling.halfwidth_w_mhz",
              "adaptive.window_b", "adaptive.window_w_mhz",
              "adaptive.jac_halfwidth_b", "adaptive.jac_halfwidth_w_mhz")
@@ -204,6 +204,21 @@ def resolve_config(command: str, user: dict, seed: int | None) -> dict:
 
 _CONTROL_MHZ = "nv.d_mhz - nv.gamma_e_mhz_per_g * nv.b_z0 - nv.a_mhz / 2"
 
+# the keys that set the centre and the half-width of each NV command's
+# sweeps on each axis; N is the sweep's repetition number
+_SWEEP_KEYS = {
+    ("nv-sweep", "B"): ("protocol.b_c",
+                        "sweep.halfwidth_b (null: 0.2 / protocol.n_reps)"),
+    ("nv-sweep", "omega"): (
+        _CONTROL_MHZ,
+        "sweep.halfwidth_w_mhz (null: 1 / (pi * protocol.n_reps**2))"),
+    ("nv-scaling", "B"): ("protocol.b_c", "scaling.halfwidth_b / N"),
+    ("nv-scaling", "omega"): (_CONTROL_MHZ, "scaling.halfwidth_w_mhz / N**2"),
+    ("adaptive", "B"): ("adaptive.b0", "adaptive.jac_halfwidth_b"),
+    ("adaptive", "omega"): (_CONTROL_MHZ + " + adaptive.omega0_offset_mhz",
+                            "adaptive.jac_halfwidth_w_mhz"),
+}
+
 
 def _nv_from(cfg: dict) -> NvParams:
     c = cfg["nv"]
@@ -234,37 +249,6 @@ def _readout_from(cfg: dict) -> ReadoutModel:
         raise ConfigError(f"readout.sigma = {r.sigma!r} is too small: its "
                           f"square {r.sigma * r.sigma!r} underflows")
     return r
-
-
-def _check_sweeps(command: str, b_sweep: tuple, w_sweep: tuple,
-                  narrowest: tuple | None = None) -> None:
-    """ConfigError for the widest B and omega sweeps, each (centre,
-    half-width, centre keys, half-width keys), when one reaches B < 0 or
-    omega <= 0, which FieldParams rejects, or when its centre is so large
-    that the narrowest half-width on its axis (``narrowest``, when not
-    the widest) rounds away there but would move the default centre (nv
-    names a half-width too small to move any centre). The keys spell out
-    each end; omega's are in MHz."""
-    (b, hb, b_keys, hb_keys), (w, hw, w_keys, hw_keys) = b_sweep, w_sweep
-    if not b - hb >= 0:
-        raise ConfigError(f"{command} sweeps B down to {b - hb:.6g} G; "
-                          f"{b_keys} - {hb_keys} must be >= 0")
-    if not w - hw > 0:
-        raise ConfigError(f"{command} sweeps omega down to "
-                          f"{(w - hw) / TWO_PI:.6g} MHz; {w_keys} - {hw_keys}"
-                          " must be > 0")
-    # the NV commands' default sweeps share one operating point
-    default_b = DEFAULTS["nv-sweep"]["protocol"]["b_c"]
-    default_w = control_frequency(_nv_from({"nv": _NV_DEFAULTS}))
-    nb, nw = narrowest or (hb, hw)
-    for axis, c, h, keys, default, unit, scale in (
-            ("B", b, nb, b_keys, default_b, "G", 1.0),
-            ("omega", w, nw, w_keys, default_w, "MHz", TWO_PI)):
-        if c - h == c + h and default - h != default + h:
-            raise ConfigError(
-                f"the {axis} sweep has zero width: its centre {keys} = "
-                f"{c / scale:.6g} {unit} is too large for its half-width, "
-                f"{h / scale:.6g} {unit}, to move it")
 
 
 def emit_results(columns: dict, summary: dict, out_dir: str | Path,
@@ -437,13 +421,8 @@ def _run_nv_sweep(cfg: dict):
     hb = sw["halfwidth_b"] if sw["halfwidth_b"] is not None else 0.2 / n
     hw = (TWO_PI * sw["halfwidth_w_mhz"] if sw["halfwidth_w_mhz"] is not None
           else 2.0 / n**2)
-    _check_sweeps(
-        "nv-sweep",
-        (p.B, hb, "protocol.b_c",
-         "sweep.halfwidth_b (null: 0.2 / protocol.n_reps)"),
-        (p.omega, hw, _CONTROL_MHZ,
-         "sweep.halfwidth_w_mhz (null: 1 / (pi * protocol.n_reps**2))"))
-    sweeps, _ = _sweeps(_pair_specs(p, n, hb, hw, sw["points"], cfg["seed"]),
+    sweeps, _ = _sweeps(_pair_specs((p.B, p.omega), n, hb, hw, sw["points"],
+                                    cfg["seed"]),
                         p, nv, pr["tau"], pulse, readout, sw["noise"],
                         pr["steps_per_block"])
     sweep_b, sweep_w = sweeps
@@ -470,20 +449,12 @@ def _run_nv_scaling(cfg: dict):
     nv = _nv_from(cfg)
     pr = cfg["protocol"]
     sc = cfg["scaling"]
-    n, n_max = int(sc["n_min"]), int(sc["n_max"])  # the widest sweeps
-    hb, hw = sc["halfwidth_b"], TWO_PI * sc["halfwidth_w_mhz"]
-    _check_sweeps(
-        "nv-scaling",
-        (pr["b_c"], hb / n, "protocol.b_c",
-         "scaling.halfwidth_b / scaling.n_min"),
-        (control_frequency(nv), hw / n**2, _CONTROL_MHZ,
-         "scaling.halfwidth_w_mhz / scaling.n_min**2"),
-        narrowest=(hb / n_max, hw / n_max**2))
     res = scaling_study(
         nv, _readout_from(cfg),
-        n_values=tuple(range(n, n_max + 1)),
+        n_values=tuple(range(int(sc["n_min"]), int(sc["n_max"]) + 1)),
         tau=pr["tau"], B_c=pr["b_c"], phi=pr["phi"], pulse=_pulse_from(cfg),
-        halfwidth_b=hb, halfwidth_w=hw,
+        halfwidth_b=sc["halfwidth_b"],
+        halfwidth_w=TWO_PI * sc["halfwidth_w_mhz"],
         points=int(sc["points"]), seed=cfg["seed"],
         steps_per_block=int(pr["steps_per_block"]))
     columns = {"n": res.n_values, "delta_b": res.delta_b,
@@ -504,14 +475,6 @@ def _run_adaptive(cfg: dict):
     w_c = control_frequency(nv)
     truth = (tr["b"], w_c + TWO_PI * tr["omega_offset_mhz"])
     start = (ad["b0"], w_c + TWO_PI * ad["omega0_offset_mhz"])
-    if ad["rounds"] > 0:  # the first Jacobian sweeps are around the start
-        _check_sweeps(
-            "adaptive",
-            (start[0], ad["jac_halfwidth_b"], "adaptive.b0",
-             "adaptive.jac_halfwidth_b"),
-            (start[1], TWO_PI * ad["jac_halfwidth_w_mhz"],
-             _CONTROL_MHZ + " + adaptive.omega0_offset_mhz",
-             "adaptive.jac_halfwidth_w_mhz"))
     traj = adaptive_loop(
         truth, start, int(ad["rounds"]), int(ad["shots"]), nv,
         n_reps=int(pr["n_reps"]), tau=pr["tau"], phi=pr["phi"],
@@ -568,6 +531,11 @@ def run(command: str, config_path: str | Path, seed: int | None = None,
     except (OverflowError, ZeroDivisionError) as exc:
         # a Python float operation on an extreme config value
         raise ConfigError(f"config values overflow in {command}: {exc}") from exc
+    except SweepError as exc:  # in config units, named by its keys
+        centre, half = _SWEEP_KEYS[command, exc.axis]
+        units = (1.0, " G") if exc.axis == "B" else (TWO_PI, " MHz")
+        raise ConfigError(f"{exc.describe(*units)}; it is {centre} +- "
+                          f"{half}") from exc
     except (ConfigError, *_NUMERICAL_ERRORS):
         raise
     except ValueError as exc:  # a config-derived input outside a study's domain

@@ -75,6 +75,37 @@ def _check_jacobians(j: np.ndarray, what: str, n_reps=None) -> None:
         raise err
 
 
+class SweepError(ValueError):
+    """Sweep with zero width, or reaching B < 0 or omega <= 0, which
+    FieldParams rejects; ``axis``, ``n_reps`` (its N) and its ``low`` and
+    ``high`` ends name it."""
+
+    def __init__(self, axis: str, n_reps: int, low: float, high: float):
+        super().__init__(axis, n_reps, low, high)
+        self.axis, self.n_reps, self.low, self.high = axis, n_reps, low, high
+
+    def describe(self, scale: float = 1.0, unit: str = "") -> str:
+        """The failure, with the ends divided by ``scale`` and in ``unit``."""
+        low = f"{self.low / scale:.6g}{unit}"
+        what = (f"has zero width about {low}" if self.low == self.high
+                else f"reaches {low} {'<' if self.axis == 'B' else '<='} 0")
+        return f"the {self.axis} sweep at N = {self.n_reps} {what}"
+
+    __str__ = describe
+
+
+def _check_sweep_ranges(axes, values: np.ndarray, n_reps) -> None:
+    """Raise SweepError for the first row of ``values`` that has zero width
+    or whose low end breaks FieldParams' bound on its axis."""
+    low, high = values.min(axis=1), values.max(axis=1)
+    bounded = np.where(np.equal(axes, "B"), low >= 0, low > 0)
+    bad = np.flatnonzero((low == high) | ~bounded)
+    if bad.size:
+        i = bad[0]
+        raise SweepError(axes[i], int(n_reps[i]), float(low[i]),
+                         float(high[i]))
+
+
 class AdaptiveDivergenceError(RuntimeError):
     """Adaptive estimate left the linear-response window."""
 
@@ -341,7 +372,8 @@ def _sweeps(sweeps, p: FieldParams, nv: NvParams, tau: float,
     points) array ``values`` each, from the Bell probe as one batch of
     sequences with the control at p's values and the other axis at p's
     value; signals, noise and slope fits as in sweep_signal, every
-    sweep's window and signal fitted in one call.
+    sweep's window and signal fitted in one call. SweepError names the
+    first sweep with zero width or reaching B < 0 or omega <= 0.
 
     The (B, omega) points of ``extra`` run in the same batch, with the
     first sweep's n_reps; returns the SweepResults and the extra points'
@@ -356,11 +388,7 @@ def _sweeps(sweeps, p: FieldParams, nv: NvParams, tau: float,
     m, points = values.shape
     if points < 3:
         raise ValueError("need at least 3 sweep points for slope fitting")
-    if np.any(values.max(axis=1) == values.min(axis=1)):
-        raise ValueError("sweep range has zero width")
-    # FieldParams' lower bounds hold
-    replace(p, B=np.min(values[on_b], initial=p.B),
-            omega=np.min(values[~on_b], initial=p.omega))
+    _check_sweep_ranges(axes, values, n_reps)
     extra = np.reshape(np.asarray(extra, dtype=float), (-1, 2))
     B = np.append(np.where(on_b[:, None], values, p.B), extra[:, 0])
     omega = np.append(np.where(on_b[:, None], p.omega, values), extra[:, 1])
@@ -412,28 +440,21 @@ def sweep_signal(axis: str, values, p: FieldParams, nv: NvParams,
     Gaussian shot noise of deviation ``readout.sigma`` seeded per point
     (FloatingPointError if it makes a signal non-finite). Local slopes are
     fitted on a five-point window centered on the operating point.
+    SweepError if the values have zero width or reach B < 0 or omega <= 0.
     """
     return _sweeps(([axis], np.reshape(values, (1, -1)), [n_reps], [seed]),
                    p, nv, tau, pulse, readout, add_noise,
                    steps_per_block)[0][0]
 
 
-def _pair_specs(p: FieldParams, n_reps, hb, hw, points: int,
-                seed: int) -> tuple:
-    """Sweeps of B over p.B +- hb and of omega over p.omega +- hw, seeded
-    ``seed`` and ``seed + 1``, for each entry of n_reps, hb and hw, which
-    broadcast: the B and the omega sweep of each N in turn, as _sweeps
-    takes them. ValueError names the first half-width that rounds away
-    and its N."""
+def _pair_specs(centre, n_reps, hb, hw, points: int, seed: int) -> tuple:
+    """Sweeps of B over centre[0] +- hb and of omega over centre[1] +- hw,
+    seeded ``seed`` and ``seed + 1``, for each entry of n_reps, hb and hw,
+    which broadcast: the B and the omega sweep of each N in turn, as
+    _sweeps takes and checks them."""
     n_reps, hb, hw = np.broadcast_arrays(np.ravel(n_reps), hb, hw)
-    centre = np.tile([p.B, p.omega], n_reps.size)
+    centre = np.tile(centre, n_reps.size)
     half = np.stack([hb, hw], axis=1).ravel()
-    lost = np.flatnonzero(centre - half == centre + half)
-    if lost.size:
-        i = lost[0]
-        raise ValueError(f"the {('B', 'omega')[i % 2]} sweep about "
-                         f"{centre[i]:.6g} at N = {n_reps[i // 2]} has zero "
-                         f"width: half-width {half[i]:.6g} rounds away")
     values = centre[:, None] + np.linspace(-half, half, points, axis=1)
     return (["B", "omega"] * n_reps.size, values,
             np.repeat(n_reps, 2), np.tile([seed, seed + 1], n_reps.size))
@@ -525,7 +546,8 @@ def scaling_study(nv: NvParams, readout: ReadoutModel,
     """
     p = operating_field(nv, B_c, phi)
     n_values = np.asarray(n_values, dtype=int)
-    sweeps, _ = _sweeps(_pair_specs(p, n_values, halfwidth_b / n_values,
+    sweeps, _ = _sweeps(_pair_specs((p.B, p.omega), n_values,
+                                    halfwidth_b / n_values,
                                     halfwidth_w / n_values**2, points, seed),
                         p, nv, tau, pulse, readout, add_noise,
                         steps_per_block)
@@ -558,9 +580,13 @@ def adaptive_loop(true_field: tuple[float, float],
     measured signals produced by the true field (with shot noise of
     deviation sqrt(p(1-p)/shots) unless ``noiseless``), and applies a
     Newton update through the locally fitted Jacobian. Returns the
-    trajectory of estimates, shape (rounds + 1, 2). Raises
-    AdaptiveDivergenceError when an estimate leaves the linear window
-    around the true values or its Jacobian sweeps reach B < 0 or omega <= 0.
+    trajectory of estimates, shape (rounds + 1, 2).
+
+    Each round first checks its Jacobian sweeps, then the window. Round
+    0's sweeps are the caller's: SweepError when they have zero width or
+    reach B < 0 or omega <= 0. A later round's failing sweeps, or an
+    estimate that leaves the linear window around the true values, raise
+    AdaptiveDivergenceError.
     """
     b_true, w_true = true_field
     est = np.array(initial_guess, dtype=float)
@@ -568,21 +594,25 @@ def adaptive_loop(true_field: tuple[float, float],
     gamma = sensor_coupling(nv)
     readout = ReadoutModel(n_avg=shots)
     for r in range(rounds):
+        sweeps = _pair_specs(est, n_reps, *jacobian_halfwidth, 5, 0)
+        try:  # before est sets the control, which FieldParams checks
+            _check_sweep_ranges(*sweeps[:3])
+        except SweepError as exc:
+            if not r:
+                raise
+            raise AdaptiveDivergenceError(r, (
+                f"the Jacobian sweeps of round {r} reach (B, omega) = "
+                f"{(est - jacobian_halfwidth).tolist()}: {exc}")) from exc
         if abs(est[0] - b_true) > window[0] or abs(est[1] - w_true) > window[1]:
             raise AdaptiveDivergenceError(
                 r, f"estimate left the linear window at round {r}")
-        lo = est - jacobian_halfwidth  # round 0's are the caller's input
-        if r and not (lo[0] >= 0 and lo[1] > 0):  # FieldParams' bounds
-            raise AdaptiveDivergenceError(r, f"the Jacobian sweeps of round {r}"
-                                          f" reach (B, omega) = {lo.tolist()}")
         # the local Jacobian sweeps around the current estimate and the
         # measurement of the true field share the control, set to est
         truth = FieldParams(B=b_true, omega=w_true, phi=phi, B_c=est[0],
                             omega_c=est[1], phi_c=-phi, gamma=gamma)
         at = replace(truth, B=est[0], omega=est[1])
-        (sb, sw), probs = _sweeps(
-            _pair_specs(at, n_reps, *jacobian_halfwidth, 5, 0), at, nv, tau,
-            pulse, readout, False, steps_per_block, extra=true_field)
+        (sb, sw), probs = _sweeps(sweeps, at, nv, tau, pulse, readout, False,
+                                  steps_per_block, extra=true_field)
         meas = 1.0 - probs[0, :2]
         if not noiseless:
             rng = np.random.default_rng([seed, r])

@@ -292,6 +292,9 @@ class TestExitCodes:
         ("nv-scaling", {"protocol": {"b_c": -1.0}}),
         ("adaptive", {"adaptive": {"window_b": 0.0}}),
         ("adaptive", {"adaptive": {"window_w_mhz": -0.5}}),
+        ("adaptive", {"truth": {"b": 0.0}}),
+        ("adaptive", {"truth": {"b": -1}}),
+        ("adaptive", {"truth": {"b": -1e300}}),
     ])
     def test_out_of_range_values_are_config_errors(self, command, payload):
         with pytest.raises(ConfigError, match="must be"):
@@ -439,25 +442,39 @@ class TestExitCodes:
         assert "nv.b_z0 = 1100.0" in err and "-208.92 MHz" in err
         assert not out.exists()
 
+    # nv names the first sweep that reaches B < 0 or omega <= 0, with its N;
+    # the CLI gives its end in config units and the keys that set it
     @pytest.mark.parametrize("command,payload,message", [
         ("nv-sweep", {"protocol": {"b_c": 0.01}},
-         "nv-sweep sweeps B down to -0.015 G; protocol.b_c - "
-         "sweep.halfwidth_b (null: 0.2 / protocol.n_reps) must be >= 0"),
+         "the B sweep at N = 8 reaches -0.015 G < 0; it is protocol.b_c +- "
+         "sweep.halfwidth_b (null: 0.2 / protocol.n_reps)"),
         ("nv-sweep", {"sweep": {"halfwidth_w_mhz": 5000.0}},
-         "nv-sweep sweeps omega down to -3128.52 MHz; " + _CONTROL_MHZ
-         + " - sweep.halfwidth_w_mhz (null: 1 / (pi * protocol.n_reps**2)) "
-         "must be > 0"),
+         "the omega sweep at N = 8 reaches -3128.52 MHz <= 0; it is "
+         + _CONTROL_MHZ + " +- sweep.halfwidth_w_mhz (null: 1 / (pi * "
+         "protocol.n_reps**2))"),
         ("nv-scaling", {"protocol": {"b_c": 0.1}},
-         "nv-scaling sweeps B down to -0.1 G; protocol.b_c - "
-         "scaling.halfwidth_b / scaling.n_min must be >= 0"),
+         "the B sweep at N = 1 reaches -0.1 G < 0; it is protocol.b_c +- "
+         "scaling.halfwidth_b / N"),
         ("nv-scaling", {"scaling": {"n_min": 2, "halfwidth_w_mhz": 8000.0}},
-         "nv-scaling sweeps omega down to -128.52 MHz; " + _CONTROL_MHZ
-         + " - scaling.halfwidth_w_mhz / scaling.n_min**2 must be > 0"),
+         "the omega sweep at N = 2 reaches -128.52 MHz <= 0; it is "
+         + _CONTROL_MHZ + " +- scaling.halfwidth_w_mhz / N**2"),
         ("adaptive", {"adaptive": {"b0": 0.01}, "truth": {"b": 0.02}},
-         "adaptive sweeps B down to -0.04 G; adaptive.b0 - "
-         "adaptive.jac_halfwidth_b must be >= 0"),
+         "the B sweep at N = 8 reaches -0.04 G < 0; it is adaptive.b0 +- "
+         "adaptive.jac_halfwidth_b"),
+        # round 0's sweeps are checked before the estimate's window
+        ("adaptive", {"adaptive": {"b0": -1}},
+         "the B sweep at N = 8 reaches -1.05 G < 0; it is adaptive.b0 +- "
+         "adaptive.jac_halfwidth_b"),
+        ("adaptive", {"adaptive": {"b0": 0.02}},
+         "the B sweep at N = 8 reaches -0.03 G < 0; it is adaptive.b0 +- "
+         "adaptive.jac_halfwidth_b"),
+        ("adaptive", {"adaptive": {"omega0_offset_mhz": -1e5}},
+         "the omega sweep at N = 8 reaches -98128.6 MHz <= 0; it is "
+         + _CONTROL_MHZ + " + adaptive.omega0_offset_mhz +- "
+         "adaptive.jac_halfwidth_w_mhz"),
     ], ids=["nv-sweep-b", "nv-sweep-omega", "nv-scaling-b",
-            "nv-scaling-omega", "adaptive-b"])
+            "nv-scaling-omega", "adaptive-b", "adaptive-b0-negative",
+            "adaptive-b0-small", "adaptive-omega0"])
     def test_sweep_below_zero_is_2_and_named(self, tmp_path, capsys, command,
                                              payload, message):
         cfg = _write(tmp_path, "c.json", payload)
@@ -466,34 +483,45 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
-    # a half-width that rounds away at its centre, named with its N
-    # (nv-scaling's first is its omega sweep at N = 3), and a centre so large that a half-width
-    # which would move the default centre rounds away there, named by the
-    # centre's keys (nv-scaling's B sweeps about 1e15 G lose their width
-    # from N = 4; the narrowest, at scaling.n_max = 8, is 0.2 / 8 G)
+    # a half-width that rounds away at its centre, named with its N and
+    # its centre in config units: a half-width too small for the default
+    # centre (nv-scaling's first is its omega sweep at N = 3), or a centre
+    # so large that a half-width which would move the default centre
+    # rounds away there (nv-scaling's B sweeps about 1e15 G lose their
+    # width from N = 4, where 0.2 / 4 G is below half an ulp)
     @pytest.mark.parametrize("command,payload,message", [
         ("nv-sweep", {"sweep": {"halfwidth_b": 1e-300}},
-         "the B sweep about 5.65 at N = 8 has zero width: half-width 1e-300 "
-         "rounds away"),
+         "the B sweep at N = 8 has zero width about 5.65 G; it is "
+         "protocol.b_c +- sweep.halfwidth_b (null: 0.2 / protocol.n_reps)"),
         ("nv-scaling", {"scaling": {"halfwidth_w_mhz": 1e-12}},
-         "the omega sweep about 11758.9 at N = 3 has zero width: half-width "
-         "6.98132e-13 rounds away"),
+         "the omega sweep at N = 3 has zero width about 1871.48 MHz; it is "
+         + _CONTROL_MHZ + " +- scaling.halfwidth_w_mhz / N**2"),
         ("adaptive", {"adaptive": {"jac_halfwidth_w_mhz": 1e-300}},
-         "the omega sweep about 11758.9 at N = 8 has zero width: half-width "
-         "6.28319e-300 rounds away"),
+         "the omega sweep at N = 8 has zero width about 1871.48 MHz; it is "
+         + _CONTROL_MHZ + " + adaptive.omega0_offset_mhz +- "
+         "adaptive.jac_halfwidth_w_mhz"),
         ("nv-sweep", {"nv": {"d_mhz": 1e300}},
-         "the omega sweep has zero width: its centre " + _CONTROL_MHZ
-         + " = 1e+300 MHz is too large for its half-width, 0.00497359 MHz, "
-         "to move it"),
+         "the omega sweep at N = 8 has zero width about 1e+300 MHz; it is "
+         + _CONTROL_MHZ + " +- sweep.halfwidth_w_mhz (null: 1 / (pi * "
+         "protocol.n_reps**2))"),
         ("nv-scaling", {"protocol": {"b_c": 1e15}},
-         "the B sweep has zero width: its centre protocol.b_c = 1e+15 G is "
-         "too large for its half-width, 0.025 G, to move it"),
+         "the B sweep at N = 4 has zero width about 1e+15 G; it is "
+         "protocol.b_c +- scaling.halfwidth_b / N"),
         ("adaptive", {"nv": {"d_mhz": 1e300}},
-         "the omega sweep has zero width: its centre " + _CONTROL_MHZ
-         + " + adaptive.omega0_offset_mhz = 1e+300 MHz is too large for its "
-         "half-width, 0.08 MHz, to move it"),
+         "the omega sweep at N = 8 has zero width about 1e+300 MHz; it is "
+         + _CONTROL_MHZ + " + adaptive.omega0_offset_mhz +- "
+         "adaptive.jac_halfwidth_w_mhz"),
+        # round 0's sweeps are checked before the estimate's window
+        ("adaptive", {"adaptive": {"b0": 1e300}},
+         "the B sweep at N = 8 has zero width about 1e+300 G; it is "
+         "adaptive.b0 +- adaptive.jac_halfwidth_b"),
+        ("adaptive", {"adaptive": {"omega0_offset_mhz": 1e300}},
+         "the omega sweep at N = 8 has zero width about 1e+300 MHz; it is "
+         + _CONTROL_MHZ + " + adaptive.omega0_offset_mhz +- "
+         "adaptive.jac_halfwidth_w_mhz"),
     ], ids=["nv-sweep", "nv-scaling", "adaptive", "nv-sweep-centre",
-            "nv-scaling-centre", "adaptive-centre"])
+            "nv-scaling-centre", "adaptive-centre", "adaptive-b0",
+            "adaptive-omega0"])
     def test_zero_width_sweep_is_2_and_named(self, tmp_path, capsys, command,
                                              payload, message):
         cfg = _write(tmp_path, "c.json", payload)

@@ -13,7 +13,8 @@ from acmag.dynamics import FieldParams
 from acmag.fitting import loglog_slope
 from acmag.linalg import bell_state, expm_hermitian, haar_state
 from acmag.nv import (SX_E, SY_E, AdaptiveDivergenceError, JacobianError,
-                      NvParams, PiPulseModel, ReadoutModel, SweepResult,
+                      NvParams, PiPulseModel, ReadoutModel, SweepError,
+                      SweepResult,
                       adaptive_loop, bell_readout, build_sequence,
                       control_frequency, nv_rotating_hamiltonian,
                       operating_field, parameter_uncertainty, scaling_study,
@@ -454,10 +455,50 @@ class TestSweepSignal:
     def test_zero_width_range_rejected(self):
         p = operating_field(NV, 5.65)
         ro = ReadoutModel()
-        with pytest.raises(ValueError):
+        with pytest.raises(SweepError) as info:
             sweep_signal("B", [5.6, 5.6, 5.6], p, NV, 1, 0.017, IDEAL, ro)
-        with pytest.raises(ValueError):
+        err = info.value
+        assert (err.axis, err.n_reps, err.low, err.high) == ("B", 1, 5.6, 5.6)
+        assert str(err) == "the B sweep at N = 1 has zero width about 5.6"
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is SweepError and str(back) == str(err)
+        assert (back.axis, back.n_reps, back.low, back.high) == (
+            "B", 1, 5.6, 5.6)
+        with pytest.raises(ValueError):  # too few points for a slope fit
             sweep_signal("B", [5.6, 5.7], p, NV, 1, 0.017, IDEAL, ro)
+
+    class _Reached(Exception):
+        """The sweeps passed their check and reached the engine."""
+
+    # through _pair_specs and _sweeps, the swept axis fails exactly when
+    # its half-width rounds away at its centre or its low end breaks
+    # FieldParams' bound (B >= 0, omega > 0); the other axis stays valid
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(axis=st.sampled_from(["B", "omega"]),
+           centre=st.floats(-1e300, 1e300),
+           half=st.floats(1e-300, 1e300),
+           n_reps=st.integers(1, 64))
+    def test_sweep_check_is_its_rule(self, axis, centre, half, n_reps):
+        p = operating_field(NV, 5.65)
+        sweeps = {"B": (p.B, 0.2), "omega": (p.omega, 2.0),
+                  axis: (centre, half)}
+        (b, hb), (w, hw) = sweeps["B"], sweeps["omega"]
+        low, high = centre - half, centre + half
+        fails = low == high or not (low >= 0 if axis == "B" else low > 0)
+
+        def engine(*args):
+            raise self._Reached
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nv_module, "_sequence_unitaries", engine)
+            specs = nv_module._pair_specs((b, w), n_reps, hb, hw, 5, 0)
+            with pytest.raises(SweepError if fails else self._Reached) as info:
+                nv_module._sweeps(specs, p, NV, 0.017, IDEAL, ReadoutModel(),
+                                  False, 32)
+        if fails:
+            err = info.value
+            assert (err.axis, err.n_reps, err.low, err.high) == (
+                axis, n_reps, low, high)
 
     def test_noise_is_seed_deterministic(self):
         a = self._sweep("B", 1, seed=5, add_noise=True)
