@@ -18,6 +18,7 @@ import copy
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -279,13 +280,17 @@ def emit_results(columns: dict, summary: dict, out_dir: str | Path,
     except ValueError as exc:
         raise FloatingPointError(
             f"the summary holds a non-finite value: {exc}") from exc
-    fmt = ",".join("{}" if s else "{:.17g}" for s in strings).format
-    lines = [",".join(header), *map(fmt, *(c.tolist() for c in cols))]
+    # the header, then every cell row-major, in one %-format: the bytes of
+    # a per-row "{:.17g}" / "{}" str.format
+    row = ",".join("%s" if s else "%.17g" for s in strings) + "\n"
+    text = ("%s\n" + row * cols[0].size) % tuple(chain(
+        [",".join(header)],
+        chain.from_iterable(zip(*(c.tolist() for c in cols)))))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     json_path = out / f"{name}.summary.json"
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path.write_text(text)
     try:
         json_path.write_text(summary_text + "\n")
     except OSError:  # leave no CSV without its summary
@@ -474,6 +479,11 @@ def _run_adaptive(cfg: dict):
     tr = cfg["truth"]
     w_c = control_frequency(nv)
     truth = (tr["b"], w_c + TWO_PI * tr["omega_offset_mhz"])
+    if not truth[1] > 0:  # before round 0, which would name no key
+        raise ConfigError(
+            f"truth.omega_offset_mhz = {tr['omega_offset_mhz']} puts the "
+            f"truth frequency {_CONTROL_MHZ} + truth.omega_offset_mhz at "
+            f"{truth[1] / TWO_PI:.6g} MHz; it must be positive")
     start = (ad["b0"], w_c + TWO_PI * ad["omega0_offset_mhz"])
     traj = adaptive_loop(
         truth, start, int(ad["rounds"]), int(ad["shots"]), nv,

@@ -4,9 +4,13 @@ All operators are plain ``numpy`` arrays of complex128. Dimensions are tiny
 (2 or 4, hard cap 16), so everything is done with exact spectral
 decompositions rather than series approximations. The norm used by the
 validation predicates is the maximum absolute entry difference.
+``index_normals`` gives the per-index ``default_rng([seed, i])`` normal
+streams that the random probes and the shot noise draw from.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -100,6 +104,95 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state from a normalized complex-normal vector."""
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
+
+
+# numpy's SeedSequence (NEP 19): pool size, hash and mix constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hash of uint32 arrays, whose constant steps per call."""
+    const = init
+
+    def hash_words(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+    return hash_words
+
+
+def _mix(x, y):
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ (r >> 16)
+
+
+def _pcg64_states(entropy: np.ndarray):
+    """Yield the PCG64 (state, inc) that SeedSequence seeds from each
+    column of the (words, n) uint32 ``entropy``, as default_rng does."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    words = len(entropy)
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < words else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, words):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
+    # generate_state(4, uint64): 8 words cycling the pool, paired low first
+    hash_state = _hasher(_INIT_B, _MULT_B)
+    w = [hash_state(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    s0, s1, q0, q1 = ((w[i] | w[i + 1] << np.uint64(32)).tolist()
+                      for i in range(0, 8, 2))
+    for a, b, c, d in zip(s0, s1, q0, q1):  # pcg_setseq_128_srandom_r
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        yield ((a << 64 | b) + inc) * _PCG_MULT + inc & _MASK128, inc
+
+
+def index_normals(seed: int, n: int, size: int) -> np.ndarray:
+    """The (n, size) standard normals whose row i is, bit for bit,
+    ``np.random.default_rng([seed, i]).standard_normal(size)``.
+
+    Every index's SeedSequence is hashed in one batch; each draw re-states
+    one PCG64 and runs numpy's own normal sampler. The first and last rows
+    are checked against default_rng itself, so a numpy whose seeding
+    differs raises RuntimeError rather than drawing other numbers.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not 0 <= n <= 2**32:  # beyond, an index spans two entropy words
+        raise ValueError(f"need 0 <= n <= 2**32 indices, got {n}")
+    # the seed's uint32 words, low first; 0 is the one word [0]
+    words = [seed >> s & _MASK32 for s in range(0, seed.bit_length() or 1, 32)]
+    entropy = np.empty((len(words) + 1, n), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(n, dtype=np.uint32)
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    out = np.empty((n, size))
+    for row, (state, inc) in zip(out, _pcg64_states(entropy)):
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal(out=row)
+    for i in {0, n - 1} if n else ():
+        if (np.random.default_rng([seed, i]).standard_normal(size).tobytes()
+                != out[i].tobytes()):
+            raise RuntimeError(
+                f"index_normals row {i} of seed {seed} differs from "
+                "default_rng: numpy's seeding has changed")
+    return out
 
 
 def density(psi: np.ndarray) -> np.ndarray:

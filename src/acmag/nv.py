@@ -38,7 +38,7 @@ from .dynamics import (FieldParams, _su2_exp, _su2_matrix, _su2_mul,
                        _su2_pow)
 from .fitting import loglog_slope, ols_slope
 from .linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_state, bell_basis,
-                     bell_state, expm_hermitian, tensor)
+                     bell_state, expm_hermitian, index_normals, tensor)
 
 TWO_PI = 2.0 * np.pi
 
@@ -402,9 +402,10 @@ def _sweeps(sweeps, p: FieldParams, nv: NvParams, tau: float,
     k = readout.n_signals
     signals = 1.0 - readout.spam(probs[..., :k])
     if add_noise:
-        signals += np.array([[np.random.default_rng([seed, i]).normal(
-            0.0, readout.sigma, size=k) for i in range(points)]
-            for seed in np.ravel(seeds).tolist()])
+        # numpy's normal(0, sigma) is 0.0 + sigma * z, bit for bit
+        seeds = np.ravel(seeds).tolist()
+        z = {s: index_normals(s, points, k) for s in seeds}
+        signals += 0.0 + readout.sigma * np.array([z[s] for s in seeds])
         bad = np.argwhere(~np.isfinite(signals).all(axis=2))
         if bad.size:
             s, i = bad[0]
@@ -593,6 +594,9 @@ def adaptive_loop(true_field: tuple[float, float],
     traj = [est.copy()]
     gamma = sensor_coupling(nv)
     readout = ReadoutModel(n_avg=shots)
+    # numpy's normal(0, sigma) is 0.0 + sigma * z, bit for bit
+    noise = (np.zeros((rounds, 2)) if noiseless
+             else 0.0 + readout.sigma * index_normals(seed, rounds, 2))
     for r in range(rounds):
         sweeps = _pair_specs(est, n_reps, *jacobian_halfwidth, 5, 0)
         try:  # before est sets the control, which FieldParams checks
@@ -613,10 +617,7 @@ def adaptive_loop(true_field: tuple[float, float],
         at = replace(truth, B=est[0], omega=est[1])
         (sb, sw), probs = _sweeps(sweeps, at, nv, tau, pulse, readout, False,
                                   steps_per_block, extra=true_field)
-        meas = 1.0 - probs[0, :2]
-        if not noiseless:
-            rng = np.random.default_rng([seed, r])
-            meas = meas + rng.normal(0.0, readout.sigma, size=2)
+        meas = 1.0 - probs[0, :2] + noise[r]
         j = np.column_stack([sb.slopes, sw.slopes])
         _check_jacobians(j[None], f"adaptive round {r}", [n_reps])
         # the sweep's center point holds the noiseless signals at est

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FieldParams, GeneratorPair, _generator_coeffs
-from .linalg import (I2, bell_state, density, is_unitary, partial_trace,
-                     pure_cov, tensor)
+from .linalg import (I2, bell_state, density, index_normals, is_unitary,
+                     partial_trace, pure_cov, tensor)
 
 
 class SingularQfimError(ValueError):
@@ -207,10 +207,9 @@ def sample_probe_determinants(gen: GeneratorPair, n_samples: int,
 
     Each probe is a normalized complex-normal vector drawn from an
     independent generator seeded by (seed, index), so partitions of the
-    index range reproduce identically.
+    index range reproduce identically (see linalg.index_normals).
     """
-    z = np.array([np.random.default_rng([seed, i]).standard_normal(8)
-                  for i in range(n_samples)]).reshape(n_samples, 2, 4)
+    z = index_normals(seed, n_samples, 8).reshape(n_samples, 2, 4)
     psi = z[:, 0] + 1j * z[:, 1]
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     return qfim_from_generators(psi, gen, ancilla=True).det()

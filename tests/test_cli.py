@@ -106,6 +106,44 @@ class TestEmitResults:
             b"B,9007199254740991,-2.5e-300,123456789\n"
             b"omega,9007199254740992,4.9406564584124654e-324,-1.5\n")
 
+    # the per-row str.format the one %-format replaced, kept as the oracle
+    # of its bytes
+    @staticmethod
+    def _row_format(columns):
+        cols = [np.asarray(c) for c in columns.values()]
+        fmt = ",".join("{}" if c.dtype.kind == "U" else "{:.17g}"
+                       for c in cols).format
+        lines = [",".join(columns), *map(fmt, *(c.tolist() for c in cols))]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("columns", [
+        {"axis": np.array(["B", "omega", "%", "100%s %d"]),
+         "n": np.array([-2**63, 2**53 + 1, 2**62 + 3, 2**63 - 1]),
+         "x": np.array([-0.0, 5e-324, 1.7e308, -1.7e308]),
+         "y": [0.1, -np.pi, 1.0, 2.0**-1074 * 3]},
+        {"label": np.array(["%%"]), "v": [np.nextafter(0.0, 1.0)]},
+        {"n": np.arange(3), "flag": np.array([True, False, True])},
+        {"axis": np.array([], dtype=str), "x": np.array([])},
+    ], ids=["edges", "one-row", "int-bool", "zero-rows"])
+    def test_bytes_equal_the_row_format(self, tmp_path, columns):
+        csv_path, _ = emit_results(columns, {}, tmp_path, "t")
+        assert csv_path.read_bytes() == self._row_format(columns)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(
+        st.text(alphabet=st.characters(blacklist_characters=",\n\r",
+                                       blacklist_categories=("Cs",)),
+                min_size=1),
+        st.integers(-2**63, 2**63 - 1),
+        st.floats(allow_nan=False, allow_infinity=False)), max_size=20))
+    def test_bytes_equal_the_row_format_on_any_table(self, rows):
+        columns = {"s": np.array([r[0] for r in rows], dtype=str),
+                   "i": np.array([r[1] for r in rows], dtype=np.int64),
+                   "f": np.array([r[2] for r in rows], dtype=float)}
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, _ = emit_results(columns, {}, tmp, "t")
+            assert csv_path.read_bytes() == self._row_format(columns)
+
     @pytest.mark.parametrize("table,summary,match", [
         ({"x": [1.0, 3.0], "y": [2.0, np.inf]}, {}, "column 'y' at row 1"),
         ({"x": [1, 3], "y": [2.0, float("nan")]}, {}, "column 'y' at row 1"),
@@ -692,3 +730,24 @@ class TestExitCodeContract:
                     "config error:" if code == 2 else
                     f"numerical error in {command}:")
                 assert not out.exists()
+
+    # a truth frequency at or below 0 is named by its key before round 0,
+    # whatever the window: a window wide enough to reach it no longer lets
+    # FieldParams' bare message through, nor does a narrow one turn it into
+    # a divergence at round 0
+    @pytest.mark.parametrize("offset,window,mhz", [
+        (-1e5, 1e6, "-98128.5"), (-1e5, None, "-98128.5"),
+        (-1e300, None, "-1e+300")], ids=["wide", "default", "extreme"])
+    def test_truth_frequency_at_or_below_zero_is_2_and_named(
+            self, tmp_path, capsys, offset, window, mhz):
+        payload = {"truth": {"omega_offset_mhz": offset}}
+        if window is not None:
+            payload["adaptive"] = {"window_w_mhz": window}
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        assert main(["adaptive", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: truth.omega_offset_mhz = {offset!r} puts the "
+            f"truth frequency {_CONTROL_MHZ} + truth.omega_offset_mhz at "
+            f"{mhz} MHz; it must be positive\n")
+        assert not out.exists()

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from acmag import linalg
 from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_state, bell_basis,
                           bell_state, density, expm_hermitian, haar_state,
-                          is_hermitian, is_unitary, ket, partial_trace,
-                          pauli_op, pure_cov, tensor)
+                          index_normals, is_hermitian, is_unitary, ket,
+                          partial_trace, pauli_op, pure_cov, tensor)
 
 
 class TestPauli:
@@ -160,3 +163,57 @@ class TestStates:
     def test_unknown_bell_label(self):
         with pytest.raises(ValueError):
             bell_state("phi")
+
+
+def _rows(seed, indices, size):
+    return np.array([np.random.default_rng([seed, i]).standard_normal(size)
+                     for i in indices]).reshape(len(indices), size)
+
+
+class TestIndexNormals:
+    # seeds of one, two, three and four entropy words; four or more run
+    # SeedSequence's remaining-entropy mix
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 7]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.sampled_from(SEEDS) | st.integers(0, 2**64 - 1),
+           n=st.integers(1, 40), size=st.integers(1, 8))
+    def test_rows_are_the_default_rng_streams_bit_for_bit(self, seed, n,
+                                                          size):
+        got = index_normals(seed, n, size)
+        assert got.shape == (n, size) and got.dtype == np.float64
+        assert got.tobytes() == _rows(seed, range(n), size).tobytes()
+
+    def test_indices_past_two_bytes(self):
+        # index words with their high halves set
+        idx = [0, 255, 256, 65535, 65536, 65537]
+        got = index_normals(7919, 65538, 3)
+        assert got[idx].tobytes() == _rows(7919, idx, 3).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_longer_call_extends_a_shorter_one(self, seed):
+        assert (index_normals(seed, 50, 8)[:17].tobytes()
+                == index_normals(seed, 17, 8).tobytes())
+
+    def test_no_indices_is_an_empty_table(self):
+        assert index_normals(3, 0, 8).shape == (0, 8)
+
+    def test_changed_seeding_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_MIX_L", linalg._MIX_L ^ 1)
+        with pytest.raises(RuntimeError, match="differs from default_rng"):
+            index_normals(0, 4, 8)
+
+    def test_bad_arguments_raise_before_any_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the argument check")
+
+        for name in ("empty", "zeros", "arange", "array"):
+            monkeypatch.setattr(np, name, refuse)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            index_normals(0, 2**32 + 1, 8)
+        with pytest.raises(ValueError, match="non-negative"):
+            index_normals(-1, 4, 8)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            index_normals(0, -1, 8)
+        with pytest.raises(TypeError):
+            index_normals(1.0, 4, 8)

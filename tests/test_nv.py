@@ -507,6 +507,17 @@ class TestSweepSignal:
         np.testing.assert_array_equal(a.signals, b.signals)
         assert np.any(a.signals != c.signals)
 
+    @pytest.mark.parametrize("seed", [0, 7919, 2**64 - 1])
+    def test_noise_is_numpys_normal_of_each_seed_and_point(self, seed):
+        # the shot noise of point i is default_rng([seed, i]).normal(0,
+        # sigma), bit for bit
+        noisy = self._sweep("omega", 2, seed=seed, add_noise=True)
+        quiet = self._sweep("omega", 2, seed=seed)
+        sigma = ReadoutModel().sigma
+        noise = np.array([np.random.default_rng([seed, i]).normal(
+            0.0, sigma, size=2) for i in range(5)])
+        assert noisy.signals.tobytes() == (quiet.signals + noise).tobytes()
+
 
 class TestParameterUncertainty:
     def _fake_sweeps(self, j11, j22, j12=0.0, j21=0.0, stderr=0.0):
@@ -730,6 +741,23 @@ class TestAdaptiveLoop:
         step = np.linalg.solve(j, 1.0 - bell_readout(psi)[:2] - sb.signals[2])
         np.testing.assert_allclose(traj[1], np.array(start) + step,
                                    rtol=1e-13)
+
+    def test_round_noise_is_numpys_normal_of_each_round(self, monkeypatch):
+        # round r's shot noise is default_rng([seed, r]).normal(0, sigma),
+        # drawn for every round at once
+        truth, start = (5.70, self.W_C + 0.3), (5.65, self.W_C)
+        draws = {}
+        real = nv_module.index_normals
+        monkeypatch.setattr(nv_module, "index_normals",
+                            lambda *a: draws.setdefault(a, real(*a)))
+        noisy = adaptive_loop(truth, start, 3, 10**6, NV, seed=9)
+        assert list(draws) == [(9, 3, 2)]
+        sigma = ReadoutModel(n_avg=10**6).sigma
+        ref = np.array([np.random.default_rng([9, r]).normal(0.0, sigma, 2)
+                        for r in range(3)])
+        assert (0.0 + sigma * draws[9, 3, 2]).tobytes() == ref.tobytes()
+        quiet = adaptive_loop(truth, start, 3, 10**6, NV, noiseless=True)
+        assert np.all(noisy[1:] != quiet[1:])
 
     def test_divergence_reports_round_index(self):
         truth = (5.7, self.W_C)
