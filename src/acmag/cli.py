@@ -18,7 +18,6 @@ import copy
 import json
 import math
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -280,17 +279,15 @@ def emit_results(columns: dict, summary: dict, out_dir: str | Path,
     except ValueError as exc:
         raise FloatingPointError(
             f"the summary holds a non-finite value: {exc}") from exc
-    # the header, then every cell row-major, in one %-format: the bytes of
-    # a per-row "{:.17g}" / "{}" str.format
-    row = ",".join("%s" if s else "%.17g" for s in strings) + "\n"
-    text = ("%s\n" + row * cols[0].size) % tuple(chain(
-        [",".join(header)],
-        chain.from_iterable(zip(*(c.tolist() for c in cols)))))
+    # one %-format per row: the bytes of a per-row "{:.17g}" / "{}"
+    # str.format, at less cost per call
+    row = ",".join("%s" if s else "%.17g" for s in strings).__mod__
+    lines = [",".join(header), *map(row, zip(*(c.tolist() for c in cols)))]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     json_path = out / f"{name}.summary.json"
-    csv_path.write_text(text)
+    csv_path.write_text("\n".join(lines) + "\n")
     try:
         json_path.write_text(summary_text + "\n")
     except OSError:  # leave no CSV without its summary

@@ -106,8 +106,8 @@ class TestEmitResults:
             b"B,9007199254740991,-2.5e-300,123456789\n"
             b"omega,9007199254740992,4.9406564584124654e-324,-1.5\n")
 
-    # the per-row str.format the one %-format replaced, kept as the oracle
-    # of its bytes
+    # the per-row str.format the per-row %-format replaced, kept as the
+    # oracle of its bytes
     @staticmethod
     def _row_format(columns):
         cols = [np.asarray(c) for c in columns.values()]
