@@ -231,8 +231,11 @@ def propagate(h, grid: TimeGrid) -> np.ndarray:
 # estimation generators
 # ---------------------------------------------------------------------------
 
-# steps per pass of the generator quadrature: its memory is O(_CHUNK), and
-# 2^14 to 2^16 steps ran fastest on a 2-vCPU Xeon
+# steps per pass of the generator quadrature: its memory is O(_CHUNK). On a
+# 2-vCPU Xeon (2 MB of L2 per core) the scan ran fastest at 2^14 to 2^16
+# steps. The fixed-axis path ran 4 to 16% faster at 2^14 and about twice as
+# slow at 2^16, where its chunk outgrows L2; 2^15 stays, as the scan's sums
+# depend on it bit for bit
 _CHUNK = 2**15
 
 
@@ -251,6 +254,11 @@ def _generator_quadrature(p: FieldParams, grid: TimeGrid,
     V_j^dag sx V_j = cos x_j sx - sin x_j sy at x_j = omega (t_j - t_start)
     = theta_j - theta_0, theta the target phase. The sums are taken against
     cos theta_j and sin theta_j and turned by theta_0 once at the end.
+    Neither case evaluates trig per step: one table of cos and sin of
+    omega dt k, k < _CHUNK, serves every chunk. A chunk whose first
+    midpoint has phase A gets cos theta_j and sin theta_j by angle addition
+    from cos A and sin A, with A taken afresh from that midpoint in long
+    double, so no rounding carries from chunk to chunk.
 
     Any other control scans: over half steps h_j, the prefix products of
     q_0 = h_0, q_j = h_j h_(j-1) are V_j = h_j h_(j-1)^2 ... h_0^2, and
@@ -258,8 +266,57 @@ def _generator_quadrature(p: FieldParams, grid: TimeGrid,
     Im(a^2 - b^2), 2 Re(a* b)) of V = (a, b). A chunk from step s starts
     from the carried pair h_(s-1) V_(s-1) (the identity at s = 0), so
     q_s = h_s h_(s-1) V_(s-1) and its local prefixes are the V_j."""
+    if control and (p.B_c, p.omega_c, p.phi_c) != (p.B, p.omega, p.phi):
+        c = _scan_sums(p, grid)
+    else:
+        c = _fixed_axis_sums(p, grid, control)
+    return {theta: x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+            for theta, (x, y, z) in zip(("B", "omega"), c)}
+
+
+def _fixed_axis_sums(p: FieldParams, grid: TimeGrid,
+                     control: bool) -> np.ndarray:
+    """sx, sy, sz coefficients (2, 3) of h_B and h_omega from one phase
+    table, for a field whose H(t) keeps one axis."""
     dt = grid.dt
-    scan = control and (p.B_c, p.omega_c, p.phi_c) != (p.B, p.omega, p.phi)
+    tk = dt * np.arange(min(grid.steps, _CHUNK))
+    table = np.stack([np.cos(p.omega * tk), np.sin(p.omega * tk)])
+    # rounded to a float, a chunk's first phase is off by up to half an ulp
+    # of itself, alike for every step of the chunk: on a 1e6-step grid
+    # without control at omega*T = 500 that took the sums 2.6e-13 relative
+    # off their long-double values, against 3.8e-15 from a long-double phase
+    ld = np.longdouble
+    w, t_start, ld_dt, phi = ld(p.omega), ld(grid.t_start), ld(dt), ld(p.phi)
+    # rows: cos theta_j and t_j sin theta_j; columns: summed against
+    # cos theta_j and sin theta_j under control, or alone without
+    sums = np.zeros((2, 2))
+    # written over chunk by chunk: fresh arrays per chunk took a third longer
+    trig_buf, tsin_buf = np.empty_like(table), np.empty_like(tk)
+    for s in range(0, grid.steps, _CHUNK):
+        n = min(_CHUNK, grid.steps - s)
+        a = w * (t_start + (s + ld(0.5)) * ld_dt) + phi
+        cos_a, sin_a = float(np.cos(a)), float(np.sin(a))
+        trig = np.matmul([[cos_a, -sin_a], [sin_a, cos_a]], table[:, :n],
+                         out=trig_buf[:, :n])
+        tsin = np.add(tk[:n], grid.t_start + (s + 0.5) * dt, out=tsin_buf[:n])
+        tsin *= trig[1]
+        if control:
+            sums += [trig @ trig[0], trig @ tsin]
+        else:
+            sums[:, 0] += trig[0].sum(), tsin.sum()
+    c = np.zeros((2, 3))
+    c[:, :2] = [[dt * p.gamma], [-dt * p.gamma * p.B]] * sums
+    if control:
+        th0 = p.omega * grid.t_start + p.phi
+        cos0, sin0 = np.cos(th0), np.sin(th0)
+        c[:, :2] = c[:, :2] @ [[cos0, sin0], [sin0, -cos0]]
+    return c
+
+
+def _scan_sums(p: FieldParams, grid: TimeGrid) -> np.ndarray:
+    """sx, sy, sz coefficients (2, 3) of h_B and h_omega from the chunked
+    prefix scan, for a control that is not matched."""
+    dt = grid.dt
     carry = np.array([[1.0], [0.0]], dtype=complex)
     c = np.zeros((2, 3))
     for s in range(0, grid.steps, _CHUNK):
@@ -268,26 +325,16 @@ def _generator_quadrature(p: FieldParams, grid: TimeGrid,
         phase = p.omega * mids + p.phi
         cos, sin = np.cos(phase), np.sin(phase)
         w = np.stack([dt * p.gamma * cos, -dt * p.gamma * p.B * mids * sin])
-        if scan:
-            fx, fz = _drive_coeffs(p, mids, cos, control)
-            h = _su2_exp(fx, 0.0, fz, 0.5 * dt)
-            prefix = _prefix_products(
-                _su2_mul(h, np.concatenate([carry, h[:, :-1]], axis=1)))
-            carry = _su2_mul(h[:, -1:], prefix[:, -1:])
-            a, b = prefix
-            v = a * a - b * b
-            c += w @ np.stack([v.real, v.imag, 2.0 * (np.conj(a) * b).real],
-                              axis=1)
-        elif control:
-            c[:, :2] += w @ np.stack([cos, sin], axis=1)
-        else:
-            c[:, 0] += w.sum(axis=1)
-    if control and not scan:
-        th0 = p.omega * grid.t_start + p.phi
-        cos0, sin0 = np.cos(th0), np.sin(th0)
-        c[:, :2] = c[:, :2] @ [[cos0, sin0], [sin0, -cos0]]
-    return {theta: x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
-            for theta, (x, y, z) in zip(("B", "omega"), c)}
+        fx, fz = _drive_coeffs(p, mids, cos, True)
+        h = _su2_exp(fx, 0.0, fz, 0.5 * dt)
+        prefix = _prefix_products(
+            _su2_mul(h, np.concatenate([carry, h[:, :-1]], axis=1)))
+        carry = _su2_mul(h[:, -1:], prefix[:, -1:])
+        a, b = prefix
+        v = a * a - b * b
+        c += w @ np.stack([v.real, v.imag, 2.0 * (np.conj(a) * b).real],
+                          axis=1)
+    return c
 
 
 def generator_numeric(p: FieldParams, theta: str, grid: TimeGrid,
@@ -301,13 +348,17 @@ def generator_numeric(p: FieldParams, theta: str, grid: TimeGrid,
     other theta. With ``check_tol`` set, the grid is re-run at half
     resolution and a ConvergenceError, carrying ``discrepancy`` and
     ``tolerance``, is raised if the two results differ by more than the
-    tolerance (max absolute entry).
+    tolerance (max absolute entry); a grid of one step has no half and
+    raises ValueError.
     """
     if theta not in ("B", "omega"):
         raise ValueError(f"theta must be 'B' or 'omega', got {theta!r}")
+    if check_tol is not None and grid.steps < 2:
+        raise ValueError("check_tol needs a grid of at least 2 steps to "
+                         f"halve, got steps = {grid.steps}")
     g = _generator_quadrature(p, grid, control)[theta].copy()
     if check_tol is not None:
-        coarse = TimeGrid(grid.t_start, grid.t_end, max(1, grid.steps // 2))
+        coarse = TimeGrid(grid.t_start, grid.t_end, grid.steps // 2)
         g2 = _generator_quadrature.__wrapped__(p, coarse, control)[theta]
         if (gap := max_abs(g - g2)) > check_tol:
             err = ConvergenceError(f"step-halving discrepancy {gap:.3e} "

@@ -365,6 +365,19 @@ class TestGeneratorNumeric:
         assert (str(back), back.discrepancy, back.tolerance) == (
             str(err), gap, 1e-10)
 
+    def test_check_needs_a_grid_to_halve(self):
+        # a one-step grid's coarse grid would be itself, and the check
+        # would pass at any tolerance; omega*T = 150 here
+        p = FieldParams.matched(1.0, 30.0)
+        with mock.patch.object(dynamics, "_generator_quadrature") as quad:
+            with pytest.raises(ValueError, match="steps = 1$"):
+                generator_numeric(p, "B", TimeGrid(0, 5.0, 1),
+                                  check_tol=1e-300)
+        assert not quad.called
+        with pytest.raises(ConvergenceError):
+            generator_numeric(p, "B", TimeGrid(0, 5.0, 2), check_tol=1e-300)
+        assert generator_numeric(p, "B", TimeGrid(0, 5.0, 1)).shape == (2, 2)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(B=st.floats(0.0, 5.0), B_c=st.floats(0.0, 5.0),
            omega=st.floats(0.05, 50.0), phi=st.floats(-np.pi, np.pi),
@@ -476,6 +489,39 @@ class TestGeneratorChunks:
                   else _fixed_axis_generators)
         for theta, ref in zip(("B", "omega"), oracle(p, grid, control)):
             assert max_abs(got[theta] - ref) <= 1e-13 * max_abs(ref)
+
+    # ragged over several chunks with phases past 400 rad, where each
+    # chunk's phases come from one table by angle addition; and the
+    # generator_quadrature workload's largest grid without control, where a
+    # chunk's first phase rounded to a float would shift every phase of the
+    # chunk alike and took these sums 2.6e-13 relative off the oracle
+    LONG = FieldParams.matched(1.3, 50.0, phi=2.9, gamma=1.7)
+    RAGGED = TimeGrid(1.7, 1.7 + 7.3, 3 * _CHUNK + 17)
+
+    @pytest.mark.parametrize("p,grid,control", [
+        (LONG, RAGGED, True), (LONG, RAGGED, False),
+        (FieldParams.matched(2.0, 50.0), TimeGrid(0.0, 10.0, 10**6), False)],
+        ids=["matched", "matched-free", "workload-free"])
+    def test_long_phases_match_the_long_double_sums(self, p, grid, control):
+        got = _generator_quadrature.__wrapped__(p, grid, control)
+        for theta, ref in zip(("B", "omega"),
+                              _fixed_axis_generators(p, grid, control)):
+            assert max_abs(got[theta] - ref) <= 1e-13 * max_abs(ref)
+
+    @pytest.mark.parametrize("control", [True, False],
+                             ids=["matched", "matched-free"])
+    def test_fixed_axis_trig_is_one_table(self, control):
+        # one cold call evaluates cos and sin on the table's _CHUNK phases
+        # and on a few scalars per chunk, never once per step
+        p = FieldParams.matched(1.3, 7.0, phi=0.4)
+        grid = TimeGrid(0.2, 2.3, 3 * _CHUNK + 17)
+        _generator_quadrature.cache_clear()
+        with mock.patch.object(np, "cos", wraps=np.cos) as cos, \
+                mock.patch.object(np, "sin", wraps=np.sin) as sin:
+            generator_numeric(p, "B", grid, control)
+        elements = sum(np.size(call.args[0])
+                       for f in (cos, sin) for call in f.call_args_list)
+        assert elements <= 2 * _CHUNK + 4 * 4
 
     def test_memory_does_not_grow_with_the_grid(self):
         # the generator_quadrature workload's largest point
