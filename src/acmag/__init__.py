@@ -20,7 +20,7 @@ from .linalg import (bell_basis, bell_state, expm_hermitian, haar_state,
 from .nv import (AdaptiveDivergenceError, JacobianError, NvParams,
                  PiPulseModel, PulseSequence, ReadoutModel, ScalingResult,
                  SweepError, SweepResult, UncertaintyResult, adaptive_loop,
-                 bell_readout, build_sequence, control_frequency,
+                 bell_readout, control_frequency,
                  nv_rotating_hamiltonian, operating_field,
                  parameter_uncertainty, scaling_study, sensor_coupling,
                  sequence_unitary, simulate_sequence, sweep_signal)

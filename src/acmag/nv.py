@@ -156,25 +156,21 @@ def _hyperfine_z(nv: NvParams) -> np.ndarray:
     return np.array([-nv.A / 2.0, 0.0])
 
 
-def _window_drive(p: FieldParams, t, segment: str):
-    """sx_e, sy_e coefficients of the drive in one evolution window: target
-    gamma*B*[cos((omega-omega_c)t+phi) sx_e - sin(...) sy_e], control the
-    static -gamma*B_c*[cos(phi_c) sx_e - sin(...) sy_e]."""
-    if segment == "target":
-        ph = (p.omega - p.omega_c) * t + p.phi
-        return p.gamma * p.B * np.cos(ph), -p.gamma * p.B * np.sin(ph)
-    if segment == "control":
-        return (-p.gamma * p.B_c * np.cos(p.phi_c),
-                p.gamma * p.B_c * np.sin(p.phi_c))
-    raise ValueError(f"segment must be 'target' or 'control', got {segment!r}")
-
-
 def nv_rotating_hamiltonian(nv: NvParams, p: FieldParams, t: float,
                             segment: str) -> np.ndarray:
-    """Rotating-frame Hamiltonian of one window: drive plus hyperfine term."""
-    ax, ay = _window_drive(p, t, segment)
+    """Rotating-frame Hamiltonian of one window, drive plus hyperfine term:
+    the target drive is gamma*B*[cos(ph) sx_e - sin(ph) sy_e] with ph =
+    (omega-omega_c)t+phi, the control the static -gamma*B_c*[cos(phi_c)
+    sx_e - sin(phi_c) sy_e]."""
+    if segment == "target":
+        gb, ph = p.gamma * p.B, (p.omega - p.omega_c) * t + p.phi
+    elif segment == "control":
+        gb, ph = -p.gamma * p.B_c, p.phi_c
+    else:
+        raise ValueError(
+            f"segment must be 'target' or 'control', got {segment!r}")
     hyperfine = tensor(SIGMA_Z, np.diag(_hyperfine_z(nv)))  # nuclear sz dropped
-    return ax * SX_E + ay * SY_E + hyperfine
+    return gb * np.cos(ph) * SX_E - gb * np.sin(ph) * SY_E + hyperfine
 
 
 @dataclass(frozen=True)
@@ -199,34 +195,31 @@ class PiPulseModel:
 @dataclass(frozen=True)
 class PulseSequence:
     """Schedule of N repetitions of {target(tau), pi, control(tau), pi};
-    repetition k's target window starts at 2 k tau."""
-
-    n_reps: int
-    tau: float
-    pulse: PiPulseModel
-
-
-def build_sequence(n_reps: int, tau: float, pulse: PiPulseModel) -> PulseSequence:
-    """The decoupled interleaving schedule, validated.
+    repetition k's target window starts at 2 k tau. ``n_reps`` is one N or
+    one N per point of a batch.
 
     Assumes the control phase is locked to -phi (see ``operating_field``);
     with ideal pulses the hyperfine term then cancels at first order per
     repetition and the sequence approximates evolution under the combined
     target + control drive over T = N*tau.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return PulseSequence(n_reps=n_reps, tau=tau, pulse=pulse)
+
+    n_reps: int | np.ndarray
+    tau: float
+    pulse: PiPulseModel
+
+    def __post_init__(self):
+        if np.min(self.n_reps) < 1:
+            raise ValueError("n_reps must be >= 1")
+        if self.tau <= 0:
+            raise ValueError("tau must be positive")
 
 
-def _sequence_unitaries(n_reps, tau: float, pulse: PiPulseModel,
-                        nv: NvParams, p: FieldParams, B, omega,
-                        steps_per_block: int) -> np.ndarray:
-    """Propagators (points, 4, 4) of n_reps repetitions at target amplitudes
-    B and frequencies omega (1-D arrays, or scalars that broadcast), control
-    at p's values.
+def _sequence_unitaries(seq: PulseSequence, nv: NvParams, p: FieldParams,
+                        B, omega, steps_per_block: int) -> np.ndarray:
+    """Propagators (points, 4, 4) of the sequence at target amplitudes B
+    and frequencies omega (1-D arrays, or scalars that broadcast, as may
+    seq.n_reps), control at p's values.
 
     Target windows take ``steps_per_block`` midpoint steps of length dt.
     With S(x) = exp(-i x sz / 2) and theta(t) = delta t + phi, delta =
@@ -246,11 +239,8 @@ def _sequence_unitaries(n_reps, tau: float, pulse: PiPulseModel,
     """
     if steps_per_block < 1:
         raise ValueError("steps_per_block must be >= 1")
-    if np.min(n_reps) < 1:
-        raise ValueError("n_reps must be >= 1")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    n_reps, B, omega = np.broadcast_arrays(np.ravel(n_reps), np.ravel(B),
+    tau, pulse = seq.tau, seq.pulse
+    n_reps, B, omega = np.broadcast_arrays(np.ravel(seq.n_reps), np.ravel(B),
                                            np.ravel(omega))
     # longest sequences first: the points that run repetition k are then a
     # prefix of the batch
@@ -263,7 +253,8 @@ def _sequence_unitaries(n_reps, tau: float, pulse: PiPulseModel,
     # row is unused (a unit sx keeps zeros off _su2_exp's hypot path)
     table = np.empty((B.size + 2, 4))
     table[:-2, 0], table[:-2, 1:] = p.gamma * B, (0.0, dt, 1.0)
-    table[-2] = (*_window_drive(p, 0.0, "control"), tau, 1.0)
+    table[-2] = (-p.gamma * p.B_c * np.cos(p.phi_c),
+                 p.gamma * p.B_c * np.sin(p.phi_c), tau, 1.0)
     table[-1] = ((0.5 * pulse.rabi_freq, 0.0, np.pi / pulse.rabi_freq,
                   float(pulse.hyperfine_on)) if pulse.kind == "finite"
                  else (1.0, 0.0, 0.0, 0.0))
@@ -292,8 +283,7 @@ def _sequence_unitaries(n_reps, tau: float, pulse: PiPulseModel,
 def sequence_unitary(seq: PulseSequence, nv: NvParams, p: FieldParams,
                      steps_per_block: int = 32) -> np.ndarray:
     """Rotating-frame propagator, ``steps_per_block`` steps per target window."""
-    return _sequence_unitaries(seq.n_reps, seq.tau, seq.pulse, nv, p, p.B,
-                               p.omega, steps_per_block)[0]
+    return _sequence_unitaries(seq, nv, p, p.B, p.omega, steps_per_block)[0]
 
 
 def simulate_sequence(seq: PulseSequence, nv: NvParams, p: FieldParams,
@@ -326,6 +316,11 @@ class ReadoutModel:
                 self, "sigma", float(np.sqrt(0.25 * 0.75 / self.n_avg)))
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        # sigma^2 scales the covariance sigma^2 (J^T J)^-1, whose deviations
+        # must not underflow
+        if self.sigma * self.sigma * np.finfo(float).eps < np.finfo(float).tiny:
+            raise ValueError(f"readout.sigma = {self.sigma!r} is too small: "
+                             f"its square {self.sigma * self.sigma!r} underflows")
         if self.baseline < 0 or self.baseline + self.contrast > 1.0 + 1e-12:
             raise ValueError("SPAM model requires baseline >= 0 and baseline + contrast <= 1")
         if self.contrast <= 0:
@@ -394,7 +389,7 @@ def _sweeps(sweeps, p: FieldParams, nv: NvParams, tau: float,
     omega = np.append(np.where(on_b[:, None], p.omega, values), extra[:, 1])
     reps = np.append(np.repeat(n_reps, points),
                      np.full(len(extra), n_reps[0]))
-    u = _sequence_unitaries(reps, tau, pulse, nv, p, B, omega,
+    u = _sequence_unitaries(PulseSequence(reps, tau, pulse), nv, p, B, omega,
                             steps_per_block)
     probs = np.abs(u @ _PROBE @ _BELL_READOUT.T) ** 2
     probs, extra_probs = (probs[:m * points].reshape(m, points, 4),

@@ -37,12 +37,11 @@ class Qfim2:
     def det(self) -> float:
         return self.f_bb * self.f_ww - self.f_bw**2
 
-    def is_singular(self, rel_tol: float = 1e-10) -> bool:
-        """det / ||F||^2 below tolerance (or an absolute floor of 1e-12)."""
-        scale = max(abs(self.f_bb), abs(self.f_bw), abs(self.f_ww))
-        if scale == 0.0:
-            return True
-        return self.det() <= 1e-12 or self.det() / scale**2 < rel_tol
+    def is_singular(self) -> bool:
+        """det <= 1e-10 max|F_ij|^2: a scale-free rule that also holds for
+        the zero matrix and for the negative determinants of rounding."""
+        return self.det() <= 1e-10 * max(abs(self.f_bb), abs(self.f_bw),
+                                         abs(self.f_ww)) ** 2
 
 
 @dataclass(frozen=True)

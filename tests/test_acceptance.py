@@ -18,8 +18,8 @@ from acmag.dynamics import (FieldParams, GeneratorPair, TimeGrid,
 from acmag.fitting import envelope_slope
 from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state,
                           expm_hermitian, haar_state, max_abs, tensor)
-from acmag.nv import (NvParams, PiPulseModel, ReadoutModel, bell_readout,
-                      build_sequence, control_frequency, operating_field,
+from acmag.nv import (NvParams, PiPulseModel, PulseSequence, ReadoutModel,
+                      bell_readout, control_frequency, operating_field,
                       scaling_study, sequence_unitary, simulate_sequence)
 from acmag.qfim import (SingularQfimError, classical_fim, qcrb,
                         qfim_closed_form, qfim_determinant,
@@ -189,7 +189,7 @@ def test_c09_no_control_singularity():
 def test_c10_nv_operating_point():
     nv = NvParams()
     p = operating_field(nv, 5.65)
-    seq = build_sequence(8, 0.017, PiPulseModel())
+    seq = PulseSequence(8, 0.017, PiPulseModel())
     psi = simulate_sequence(seq, nv, p, bell_state("phi+"))
     probs = bell_readout(psi)
     dev = float(np.max(np.abs(probs - 0.25)))
@@ -211,7 +211,7 @@ def test_c11_nv_scaling_reproduction():
 def test_c12_decoupling_error_order():
     nv = NvParams()
     p = replace(operating_field(nv, 5.65), omega=control_frequency(nv) + 2.0)
-    seq = build_sequence(4, 0.05, PiPulseModel())  # fixed T = N*tau
+    seq = PulseSequence(4, 0.05, PiPulseModel())  # fixed T = N*tau
     ref = sequence_unitary(seq, nv, p, steps_per_block=4096)
     errs = [np.linalg.norm(sequence_unitary(seq, nv, p, steps_per_block=s) - ref, 2)
             for s in (8, 16, 32, 64)]

@@ -267,3 +267,13 @@ def test_int_and_float_t_values_write_the_same_csv(tmp_path):
         out[name] = (tmp_path / name / "bounds.csv").read_bytes()
     assert out["ints"] == out["floats"]
     assert out["ints"].splitlines()[1].startswith(b"1,")
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: single_param_qfi_bound("phi", FieldParams.matched(1.0, 1.0),
+                                    1.0),
+     "theta must be 'B' or 'omega', got 'phi'"),
+], ids=["theta"])
+def test_rejections(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

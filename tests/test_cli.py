@@ -259,6 +259,24 @@ class TestExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert main(["qfim-scan", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("command,text,message", [
+        ("qfim-scan", b"\xff\xfe\x00{", "cannot read config file: "),
+        ("qfim-scan", b"[" * 100_000 + b"]" * 100_000,
+         "config is not valid JSON: "),
+        ("qfim-scan", b'{"field": 1.0}', "expected a mapping at field.\n"),
+        ("bounds", b'{"field": {"omega_mhz": 1.0}, "scan": {"t_values": []}}',
+         "scan.t_values must be a non-empty list of positive times\n"),
+    ], ids=["not-utf-8", "nested-too-deep", "section-not-a-mapping",
+            "no-t-values"])
+    def test_rejected_config_is_2_and_named(self, tmp_path, capsys, command,
+                                            text, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
     def test_numerical_failure_is_3(self, tmp_path):
         # adaptive starting far outside the window diverges immediately
         cfg = _write(tmp_path, "c.json",

@@ -652,3 +652,15 @@ class TestTimeGrid:
     def test_midpoints(self):
         grid = TimeGrid(0.0, 1.0, 4)
         np.testing.assert_allclose(grid.midpoints(), [0.125, 0.375, 0.625, 0.875])
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: generator_numeric(FieldParams.matched(1.0, 1.0), "phi",
+                               TimeGrid(0.0, 1.0, 8)),
+     "theta must be 'B' or 'omega', got 'phi'"),
+    (lambda: GeneratorPair(h_b=SIGMA_X, h_omega=SIGMA_X + 1j * SIGMA_X),
+     "generators must be Hermitian"),
+], ids=["theta", "non-hermitian"])
+def test_rejections(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from acmag.fitting import ols_slope
+from acmag.fitting import ols_slope, upper_envelope
 
 
 class TestOlsSlope:
@@ -31,3 +31,12 @@ class TestOlsSlope:
                                    [[2.0, 6.0], [1.0, -1.0]])
         np.testing.assert_array_equal(slopes, [2.0, -2.0])
         np.testing.assert_array_equal(stderr, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: upper_envelope([0.0, 1.0, 10.0], [1.0, 0.5, 0.1]),
+     "envelope extraction requires positive x"),
+], ids=["envelope-x"])
+def test_rejections(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -217,3 +217,17 @@ class TestIndexNormals:
             index_normals(0, -1, 8)
         with pytest.raises(TypeError):
             index_normals(1.0, 4, 8)
+
+
+_NON_HERMITIAN = np.triu(np.ones((4, 4))) / 4
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: pure_cov(bell_state("phi+"), _NON_HERMITIAN, np.eye(4)),
+     "pure_cov requires Hermitian operators"),
+    (lambda: partial_trace(_NON_HERMITIAN),
+     "density matrix must be Hermitian"),
+], ids=["pure_cov", "partial_trace"])
+def test_rejections(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -13,9 +13,8 @@ from acmag.dynamics import FieldParams
 from acmag.fitting import loglog_slope
 from acmag.linalg import bell_state, expm_hermitian, haar_state
 from acmag.nv import (SX_E, SY_E, AdaptiveDivergenceError, JacobianError,
-                      NvParams, PiPulseModel, ReadoutModel, SweepError,
-                      SweepResult,
-                      adaptive_loop, bell_readout, build_sequence,
+                      NvParams, PiPulseModel, PulseSequence, ReadoutModel,
+                      SweepError, SweepResult, adaptive_loop, bell_readout,
                       control_frequency, nv_rotating_hamiltonian,
                       operating_field, parameter_uncertainty, scaling_study,
                       sensor_coupling, sequence_unitary, simulate_sequence,
@@ -109,19 +108,23 @@ class TestConjugateByPi:
         np.testing.assert_allclose(_conjugate_by_pi(op), sign * op, atol=1e-15)
 
 
-class TestBuildSequence:
+class TestPulseSequence:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            build_sequence(0, 0.02, IDEAL)
-        with pytest.raises(ValueError):
-            build_sequence(1, -0.1, IDEAL)
+        with pytest.raises(ValueError, match="n_reps must be >= 1"):
+            PulseSequence(0, 0.02, IDEAL)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            PulseSequence(1, -0.1, IDEAL)
+        # a batch holds one N per point
+        with pytest.raises(ValueError, match="n_reps must be >= 1"):
+            PulseSequence(np.array([3, 0, 2]), 0.02, IDEAL)
+        assert PulseSequence(np.array([3, 1, 2]), 0.02, IDEAL).tau == 0.02
 
 
 class TestSimulateSequence:
     def test_interaction_echoes_out_without_drive(self):
         p = replace(operating_field(NV, 5.65), B=0.0, B_c=0.0)
         for n in (1, 3, 7):
-            seq = build_sequence(n, 0.03, IDEAL)
+            seq = PulseSequence(n, 0.03, IDEAL)
             u = sequence_unitary(seq, NV, p)
             assert _global_phase_distance(u, np.eye(4)) < 1e-8
 
@@ -129,7 +132,7 @@ class TestSimulateSequence:
         for phi in (0.0, 0.4):
             p = operating_field(NV, 5.65, phi=phi)
             for n in (1, 4):
-                seq = build_sequence(n, 0.03, IDEAL)
+                seq = PulseSequence(n, 0.03, IDEAL)
                 u = sequence_unitary(seq, NV, p)
                 assert _global_phase_distance(u, np.eye(4)) < 1e-10
 
@@ -142,7 +145,7 @@ class TestSimulateSequence:
         h_int = _package_interaction(NV)
         # keep gamma*B_c*tau well below 1 so the block defect is quadratic
         for tau in (0.004, 0.002, 0.001):
-            seq = build_sequence(1, tau, IDEAL)
+            seq = PulseSequence(1, tau, IDEAL)
             u = sequence_unitary(seq, NV, p)
             h_t = nv_rotating_hamiltonian(NV, p, 0.0, "target") - h_int
             h_c = _conjugate_by_pi(
@@ -154,13 +157,13 @@ class TestSimulateSequence:
 
     def test_finite_pulse_converges_to_ideal(self):
         p = replace(operating_field(NV, 5.65), B=5.7)
-        seq_i = build_sequence(2, 0.02, IDEAL)
+        seq_i = PulseSequence(2, 0.02, IDEAL)
         u_ideal = sequence_unitary(seq_i, NV, p)
         fast = PiPulseModel(kind="finite", rabi_freq=1000.0 * abs(NV.A))
-        seq_f = build_sequence(2, 0.02, fast)
+        seq_f = PulseSequence(2, 0.02, fast)
         u_fast = sequence_unitary(seq_f, NV, p)
         slow = PiPulseModel(kind="finite", rabi_freq=10.0 * abs(NV.A))
-        seq_s = build_sequence(2, 0.02, slow)
+        seq_s = PulseSequence(2, 0.02, slow)
         u_slow = sequence_unitary(seq_s, NV, p)
         assert (_global_phase_distance(u_fast, u_ideal)
                 < 0.1 * _global_phase_distance(u_slow, u_ideal))
@@ -168,7 +171,7 @@ class TestSimulateSequence:
 
     def test_requires_normalized_two_qubit_probe(self):
         p = operating_field(NV, 5.65)
-        seq = build_sequence(1, 0.02, IDEAL)
+        seq = PulseSequence(1, 0.02, IDEAL)
         with pytest.raises(ValueError):
             simulate_sequence(seq, NV, p, np.array([1.0, 1.0, 0, 0]))
 
@@ -176,7 +179,7 @@ class TestSimulateSequence:
         # with the hyperfine term switched off, the simulator must agree
         # with itself at any resolution up to midpoint quadrature error
         p = replace(operating_field(NV, 5.65), omega=control_frequency(NV) + 2.0)
-        seq = build_sequence(4, 0.05, IDEAL)
+        seq = PulseSequence(4, 0.05, IDEAL)
         ref = sequence_unitary(seq, NV, p, steps_per_block=2048)
         errs = [np.linalg.norm(sequence_unitary(seq, NV, p, steps_per_block=s)
                                - ref, 2) for s in (8, 16, 32)]
@@ -249,7 +252,7 @@ class TestTwoBlockEngine:
                                           steps_per_block):
         p = replace(operating_field(NV, 5.65, phi=0.4), B=5.9,
                     omega=control_frequency(NV) + detuning)
-        seq = build_sequence(n_reps, 0.017, pulse)
+        seq = PulseSequence(n_reps, 0.017, pulse)
         u = sequence_unitary(seq, NV, p, steps_per_block=steps_per_block)
         ref = _reference_sequence_unitary(seq, NV, p, steps_per_block)
         assert np.max(np.abs(u - ref)) <= 1e-12
@@ -267,7 +270,7 @@ class TestTwoBlockEngine:
                                   "near-half"])
     def test_window_power_edge_cases(self, turn, B_c, steps_per_block):
         p = replace(operating_field(NV, B_c), B=0.0)
-        seq = build_sequence(2, 0.017, IDEAL)
+        seq = PulseSequence(2, 0.017, IDEAL)
         # gamma B dt = turn makes each step of the hz = 0 block that turn
         p = replace(p, B=turn * steps_per_block / (p.gamma * seq.tau))
         u = sequence_unitary(seq, NV, p, steps_per_block=steps_per_block)
@@ -279,7 +282,7 @@ class TestTwoBlockEngine:
 
     def test_rejects_empty_target_windows(self):
         p = operating_field(NV, 5.65)
-        seq = build_sequence(1, 0.017, IDEAL)
+        seq = PulseSequence(1, 0.017, IDEAL)
         with pytest.raises(ValueError, match="steps_per_block"):
             sequence_unitary(seq, NV, p, steps_per_block=0)
 
@@ -315,7 +318,7 @@ class TestExactWindows:
     def test_constant_drive_is_exact(self):
         # on resonance the drive is static and a midpoint step is exact
         p = replace(operating_field(NV, 5.65, phi=0.4), B=5.9)
-        seq = build_sequence(3, 0.017, IDEAL)
+        seq = PulseSequence(3, 0.017, IDEAL)
         u = sequence_unitary(seq, NV, p, steps_per_block=1)
         assert np.max(np.abs(u - _exact_sequence_unitary(seq, NV, p))) <= 1e-13
 
@@ -325,7 +328,7 @@ class TestExactWindows:
     def test_midpoint_windows_converge_at_second_order(self, pulse, detuning):
         p = replace(operating_field(NV, 5.65, phi=0.4), B=5.9,
                     omega=control_frequency(NV) + detuning)
-        seq = build_sequence(4, 0.05, pulse)
+        seq = PulseSequence(4, 0.05, pulse)
         exact = _exact_sequence_unitary(seq, NV, p)
         errs = [np.linalg.norm(sequence_unitary(seq, NV, p, steps_per_block=s)
                                - exact, 2) for s in (8, 16, 32, 64, 4096)]
@@ -350,7 +353,7 @@ class TestExactWindows:
         tau = 0.017
         p = replace(operating_field(NV, 5.65, phi=phi), B=B,
                     omega=control_frequency(NV) + delta_tau / tau)
-        seq = build_sequence(n_reps, tau, pulse)
+        seq = PulseSequence(n_reps, tau, pulse)
         u = sequence_unitary(seq, NV, p, steps_per_block=steps_per_block)
         exact = _exact_sequence_unitary(seq, NV, p)
         delta, gb = abs(delta_tau / tau), p.gamma * B
@@ -366,7 +369,7 @@ class TestExactWindows:
 class TestBellReadout:
     def test_operating_point_distribution_is_flat(self):
         p = operating_field(NV, 5.65)
-        seq = build_sequence(8, 0.017, IDEAL)
+        seq = PulseSequence(8, 0.017, IDEAL)
         psi = simulate_sequence(seq, NV, p, bell_state("phi+"))
         probs = bell_readout(psi)
         np.testing.assert_allclose(probs, 0.25, atol=1e-3)
@@ -390,6 +393,16 @@ class TestBellReadout:
     def test_spam_validation(self):
         with pytest.raises(ValueError):
             ReadoutModel(contrast=0.9, baseline=0.2)
+
+    @pytest.mark.parametrize("sigma,square", [(1e-300, "0.0"),
+                                              (1e-150, "1e-300")])
+    def test_underflowing_sigma_rejected(self, sigma, square):
+        # sigma^2 scales every covariance; below this floor the
+        # uncertainties would read 0
+        with pytest.raises(ValueError) as info:
+            ReadoutModel(sigma=sigma)
+        assert str(info.value) == (f"readout.sigma = {sigma!r} is too small: "
+                                   f"its square {square} underflows")
 
 
 class TestSweepSignal:
@@ -423,7 +436,7 @@ class TestSweepSignal:
         pops = []
         for v in values:
             pv = replace(p, omega=v)
-            seq = build_sequence(2, 0.017, IDEAL)
+            seq = PulseSequence(2, 0.017, IDEAL)
             psi = simulate_sequence(seq, NV, pv, bell_state("phi+"))
             pops.append(bell_readout(psi, rotate=False)[0])
         assert np.argmax(pops) == 10  # center of the grid
@@ -438,7 +451,7 @@ class TestSweepSignal:
                                                  steps_per_block):
         p = operating_field(NV, 5.65)
         values = getattr(p, axis) + np.linspace(-halfwidth, halfwidth, 7)
-        seq = build_sequence(3, 0.017, pulse)
+        seq = PulseSequence(3, 0.017, pulse)
         ref = [bell_readout(simulate_sequence(
             seq, NV, replace(p, **{axis: v}), bell_state("phi+"),
             steps_per_block)) for v in values]
@@ -729,7 +742,7 @@ class TestAdaptiveLoop:
         monkeypatch.undo()
         ctrl = FieldParams(B=truth[0], omega=truth[1], B_c=start[0],
                            omega_c=start[1], gamma=sensor_coupling(NV))
-        psi = simulate_sequence(build_sequence(2, 0.025, IDEAL), NV, ctrl,
+        psi = simulate_sequence(PulseSequence(2, 0.025, IDEAL), NV, ctrl,
                                 bell_state("phi+"), 16)
         at = replace(ctrl, B=start[0], omega=start[1])
         ro = ReadoutModel(sigma=1e-3)
@@ -775,3 +788,29 @@ class TestAdaptiveLoop:
             if abs(traj[-1, 1] - truth[1]) < abs(traj[0, 1] - truth[1]):
                 wins += 1
         assert wins >= 95
+
+
+_AT = operating_field(NV, 5.65)
+_VALUES = _AT.B + np.linspace(-0.1, 0.1, 5)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: sweep_signal("B", _VALUES, _AT, NV, 0, 0.017, IDEAL,
+                          ReadoutModel()), "n_reps must be >= 1"),
+    (lambda: sweep_signal("B", _VALUES, _AT, NV, 1, 0.0, IDEAL,
+                          ReadoutModel()), "tau must be positive"),
+    (lambda: sweep_signal("phi", _VALUES, _AT, NV, 1, 0.017, IDEAL,
+                          ReadoutModel()),
+     "axis must be 'B' or 'omega', got 'phi'"),
+    (lambda: PiPulseModel("finite", rabi_freq=0.0),
+     "finite pulses require rabi_freq > 0"),
+    (lambda: ReadoutModel(sigma=-1.0), "sigma must be positive"),
+    (lambda: simulate_sequence(PulseSequence(1, 0.02, IDEAL), NV, _AT,
+                               np.array([1.0, 0.0])),
+     "probe must be a two-qubit state"),
+    (lambda: nv_rotating_hamiltonian(NV, _AT, 0.0, "pulse"),
+     "segment must be 'target' or 'control', got 'pulse'"),
+], ids=["n_reps", "tau", "axis", "rabi", "sigma", "probe", "segment"])
+def test_rejections(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

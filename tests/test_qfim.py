@@ -248,6 +248,38 @@ class TestQcrb:
     def test_is_covbound(self):
         assert isinstance(qcrb(Qfim2(4.0, 0.0, 16.0), 2), CovBound)
 
+    def test_small_regular_matrix_is_inverted(self):
+        # det 1e-14, far below 1 in absolute terms, of 1e-7 times I
+        f = Qfim2(1e-7, 0.0, 1e-7)
+        assert not f.is_singular()
+        bound = qcrb(f, 1)
+        assert (bound.var_b, bound.var_w, bound.cov_bw) == pytest.approx(
+            (1e7, 1e7, 0.0))
+
+    def test_matched_control_at_short_times_is_regular(self):
+        # det / max|F_ij|^2 = 4.8e-8, 480 times above the rule; det itself
+        # is about 5e-16
+        f = qfim_closed_form(FieldParams.matched(1.0, 50.0), 0.01)
+        assert f.det() / max(f.f_bb, f.f_ww) ** 2 == pytest.approx(4.8e-8,
+                                                                   rel=0.01)
+        assert not f.is_singular()
+        assert qcrb(f, 1).var_w > 0
+
+    def test_zero_and_rounded_parallel_matrices_are_singular(self):
+        assert Qfim2(0.0, 0.0, 0.0).is_singular()
+        # the Bell-probe QFIM of parallel generators 0.1 sx and 1.7 sx: its
+        # det is rounding, here below 0
+        f = Qfim2(4 * 0.1 * 0.1, 4 * 0.1 * 1.7, 4 * 1.7 * 1.7)
+        assert f.det() < 0 and f.is_singular()
+
+    @pytest.mark.parametrize("entries", [
+        (1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (4.0, 2.0, 1.0 + 1e-9),
+        (1e-7, 0.0, 1e-7), (3.0, -0.5, 7.0), (0.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("power", [-40, 40])
+    def test_verdict_is_scale_free(self, entries, power):
+        scaled = Qfim2(*(x * 2.0**power for x in entries))
+        assert scaled.is_singular() == Qfim2(*entries).is_singular()
+
 
 class TestRelativeErrorCurves:
     def test_frequency_generator_error_near_inverse_omega_t(self):
@@ -407,8 +439,8 @@ class TestClassicalFim:
     def test_rotated_bell_readout_fim_is_psd_and_invertible(self):
         # probabilities from the rotated Bell-basis readout of the full
         # two-qubit sequence, swept through the target parameters
-        from acmag.nv import (NvParams, PiPulseModel, bell_readout,
-                              build_sequence, operating_field,
+        from acmag.nv import (NvParams, PiPulseModel, PulseSequence,
+                              bell_readout, operating_field,
                               simulate_sequence)
         nv = NvParams()
         p = operating_field(nv, 5.65)
@@ -417,7 +449,7 @@ class TestClassicalFim:
 
         def prob_fn(b_val, w_val):
             pv = replace(p, B=b_val, omega=w_val)
-            seq = build_sequence(2, 0.017, pulse)
+            seq = PulseSequence(2, 0.017, pulse)
             return bell_readout(simulate_sequence(seq, nv, pv, probe))
 
         f = classical_fim(prob_fn, p, step=(5e-4, 0.05))
@@ -481,3 +513,26 @@ class TestNumericGeneratorsIntoQfim:
         f1 = qfim_from_generators(bell_state("phi+"), gen).matrix()
         f2 = qfim_closed_form(p, 1.0).matrix()
         assert np.max(np.abs(f1 - f2)) < 1e-6
+
+
+_GEN = generator_closed_form(FieldParams.matched(1.0, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: qfim_from_generators(bell_state("phi+"), _GEN, ancilla=False),
+     "probe dimension does not match the generators"),
+    (lambda: qcrb(Qfim2(4.0, 0.0, 16.0), 0),
+     "repetitions must be a positive integer"),
+    (lambda: relative_error_curves(FieldParams.matched(0.0, 1.0), [100.0]),
+     "frequency curves require B > 0"),
+    (lambda: probe_overlap_closed_form(bell_state("phi+"),
+                                       np.diag([1.0, 0.5])),
+     "u_rel must be unitary"),
+    (lambda: classical_fim(lambda b, w: np.full(4, 0.25),
+                           FieldParams.matched(1.0, 1.0), step=(0.0, None)),
+     "finite-difference steps must be positive"),
+], ids=["probe-size", "repetitions", "zero-amplitude", "non-unitary",
+        "step"])
+def test_rejections(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
