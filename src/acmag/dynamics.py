@@ -204,6 +204,19 @@ def _prefix_products(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ordered_product(q: np.ndarray) -> np.ndarray:
+    """The product q[n-1] @ ... @ q[0] of SU(2) pairs in time order along
+    axis 1, by pairwise tree reduction: each level multiplies neighbours
+    q[2k+1] @ q[2k], and an odd last step goes up a level as it is."""
+    while (n := q.shape[1]) > 1:
+        up = np.empty((2, (n + 1) // 2) + q.shape[2:], dtype=complex)
+        _su2_mul(q[:, 1::2], q[:, 0 : n - 1 : 2], out=up[:, : n // 2])
+        if n % 2:
+            up[:, -1] = q[:, -1]
+        q = up
+    return q[:, 0]
+
+
 def propagate(h, grid: TimeGrid) -> np.ndarray:
     """Time-ordered midpoint propagator of a 2x2 Hamiltonian function h.
 
@@ -223,7 +236,7 @@ def propagate(h, grid: TimeGrid) -> np.ndarray:
     ax, ay = hs[:, 0, 1].real, -hs[:, 0, 1].imag
     az = 0.5 * (hs[:, 0, 0] - hs[:, 1, 1]).real
     a0 = 0.5 * (hs[:, 0, 0] + hs[:, 1, 1]).real
-    u = _su2_matrix(_prefix_products(_su2_exp(ax, ay, az, grid.dt))[:, -1])
+    u = _su2_matrix(_ordered_product(_su2_exp(ax, ay, az, grid.dt)))
     return np.exp(-1j * np.sum(a0) * grid.dt) * u
 
 
@@ -231,12 +244,16 @@ def propagate(h, grid: TimeGrid) -> np.ndarray:
 # estimation generators
 # ---------------------------------------------------------------------------
 
-# steps per pass of the generator quadrature: its memory is O(_CHUNK). On a
-# 2-vCPU Xeon (2 MB of L2 per core) the scan ran fastest at 2^14 to 2^16
-# steps. The fixed-axis path ran 4 to 16% faster at 2^14 and about twice as
-# slow at 2^16, where its chunk outgrows L2; 2^15 stays, as the scan's sums
-# depend on it bit for bit
+# steps per pass of the scan in _scan_sums: its memory is O(_CHUNK). On a
+# 2-vCPU Xeon (2 MB of L2 per core) it ran fastest at 2^14 to 2^16 steps;
+# 2^15 stays, as the scan's sums depend on it bit for bit
 _CHUNK = 2**15
+# length of the fixed-axis path's phase table: its work is one float
+# cos/sin per table entry plus one long-double cos/sin per chunk of _TABLE
+# steps. On the same Xeon, under matched control, 2^12 took 0.15 and 0.19
+# ms on grids of 4e5 and 1e6 steps, the least over both (2^11: 0.13 and
+# 0.22 ms; 2^13: 0.22 and 0.23 ms; 2^15: 1.1 ms each)
+_TABLE = 2**12
 
 
 @lru_cache(maxsize=1)
@@ -245,7 +262,7 @@ def _generator_quadrature(p: FieldParams, grid: TimeGrid,
     """Midpoint quadratures of V_j^dag dH/dtheta V_j for theta = B and
     omega, dH/dtheta = gamma cos(omega t + phi) sx and -gamma B t
     sin(omega t + phi) sx, with V_j the propagator from t_start to the
-    midpoint t_j. The grid is walked in chunks of _CHUNK steps.
+    midpoint t_j.
 
     Fixed axis: without control H(t) is along sx, so V_j^dag sx V_j = sx
     and the generators are plain weighted sums times sx. Under matched
@@ -254,18 +271,17 @@ def _generator_quadrature(p: FieldParams, grid: TimeGrid,
     V_j^dag sx V_j = cos x_j sx - sin x_j sy at x_j = omega (t_j - t_start)
     = theta_j - theta_0, theta the target phase. The sums are taken against
     cos theta_j and sin theta_j and turned by theta_0 once at the end.
-    Neither case evaluates trig per step: one table of cos and sin of
-    omega dt k, k < _CHUNK, serves every chunk. A chunk whose first
-    midpoint has phase A gets cos theta_j and sin theta_j by angle addition
-    from cos A and sin A, with A taken afresh from that midpoint in long
-    double, so no rounding carries from chunk to chunk.
+    _fixed_axis_sums takes them from four moments of one phase table, with
+    no trig per step. Every table entry is still summed: only the order of
+    the midpoint sum changes, so its discretization error stays.
 
     Any other control scans: over half steps h_j, the prefix products of
     q_0 = h_0, q_j = h_j h_(j-1) are V_j = h_j h_(j-1)^2 ... h_0^2, and
     V^dag sx V has the sx, sy, sz coefficients (Re(a^2 - b^2),
     Im(a^2 - b^2), 2 Re(a* b)) of V = (a, b). A chunk from step s starts
     from the carried pair h_(s-1) V_(s-1) (the identity at s = 0), so
-    q_s = h_s h_(s-1) V_(s-1) and its local prefixes are the V_j."""
+    q_s = h_s h_(s-1) V_(s-1) and its local prefixes are the V_j; a chunk
+    is _CHUNK steps."""
     if control and (p.B_c, p.omega_c, p.phi_c) != (p.B, p.omega, p.phi):
         c = _scan_sums(p, grid)
     else:
@@ -276,34 +292,51 @@ def _generator_quadrature(p: FieldParams, grid: TimeGrid,
 
 def _fixed_axis_sums(p: FieldParams, grid: TimeGrid,
                      control: bool) -> np.ndarray:
-    """sx, sy, sz coefficients (2, 3) of h_B and h_omega from one phase
-    table, for a field whose H(t) keeps one axis."""
-    dt = grid.dt
-    tk = dt * np.arange(min(grid.steps, _CHUNK))
-    table = np.stack([np.cos(p.omega * tk), np.sin(p.omega * tk)])
-    # rounded to a float, a chunk's first phase is off by up to half an ulp
-    # of itself, alike for every step of the chunk: on a 1e6-step grid
-    # without control at omega*T = 500 that took the sums 2.6e-13 relative
-    # off their long-double values, against 3.8e-15 from a long-double phase
+    """sx, sy, sz coefficients (2, 3) of h_B and h_omega from four moments
+    of one phase table, for a field whose H(t) keeps one axis.
+
+    Without control the sums are of cos theta_j and t_j sin theta_j. Under
+    control they are of cos^2, sin cos, t sin cos and t sin^2 of theta_j,
+    which cos^2 = (1 + cos 2x)/2, sin cos = sin 2x / 2 and sin^2 = (1 -
+    cos 2x)/2 turn into sums of 1, t_j and e^(2 i theta_j). So both cases
+    sum e^(i m theta_j) and t_j e^(i m theta_j). Chunk c of the grid has
+    t_j = t_c + k dt and theta_j = A_c + omega dt k, and its sums are
+    e^(i m A_c) times the table's sum_k e^(i m omega dt k) and t_c and dt
+    times its sum_k k e^(i m omega dt k). Those moments are the same for
+    every full chunk; a ragged last chunk takes its own. The work is
+    O(_TABLE + steps / _TABLE), and the chunks combine as vectors."""
+    dt, n = grid.dt, grid.steps
+    m = 2 if control else 1
+    k = np.arange(min(n, _TABLE))
+    phase = m * p.omega * (dt * k)
+    table = np.cos(phase) + 1j * np.sin(phase)
+    starts = np.arange(0, n, k.size)
+    counts = np.minimum(n - starts, k.size)
+    moments = np.empty((starts.size, 2), dtype=complex)
+    moments[:] = table.sum(), table @ k
+    if (r := counts[-1]) < k.size:
+        moments[-1] = table[:r].sum(), table[:r] @ k[:r]
+    # a chunk's first midpoint t_c has phase A_c. Rounded to a float, A_c is
+    # off by up to half an ulp of itself, alike for every step of the chunk:
+    # on a 1e6-step grid without control at omega*T = 500 that took the sums
+    # 2.6e-13 relative off their long-double values, against 3.8e-15 from a
+    # long-double phase
     ld = np.longdouble
-    w, t_start, ld_dt, phi = ld(p.omega), ld(grid.t_start), ld(dt), ld(p.phi)
+    a = m * (ld(p.omega) * (ld(grid.t_start) + (starts + ld(0.5)) * ld(dt))
+             + ld(p.phi))
+    # each chunk's sums of e^(i m theta_j) and of k e^(i m theta_j)
+    z = moments * (np.cos(a).astype(float)
+                   + 1j * np.sin(a).astype(float))[:, None]
+    t_c = grid.t_start + (starts + 0.5) * dt
+    plain, timed = z[:, 0].sum(), z[:, 0] @ t_c + dt * z[:, 1].sum()
     # rows: cos theta_j and t_j sin theta_j; columns: summed against
     # cos theta_j and sin theta_j under control, or alone without
-    sums = np.zeros((2, 2))
-    # written over chunk by chunk: fresh arrays per chunk took a third longer
-    trig_buf, tsin_buf = np.empty_like(table), np.empty_like(tk)
-    for s in range(0, grid.steps, _CHUNK):
-        n = min(_CHUNK, grid.steps - s)
-        a = w * (t_start + (s + ld(0.5)) * ld_dt) + phi
-        cos_a, sin_a = float(np.cos(a)), float(np.sin(a))
-        trig = np.matmul([[cos_a, -sin_a], [sin_a, cos_a]], table[:, :n],
-                         out=trig_buf[:, :n])
-        tsin = np.add(tk[:n], grid.t_start + (s + 0.5) * dt, out=tsin_buf[:n])
-        tsin *= trig[1]
-        if control:
-            sums += [trig @ trig[0], trig @ tsin]
-        else:
-            sums[:, 0] += trig[0].sum(), tsin.sum()
+    if control:
+        t_sum = counts @ t_c + dt * (counts * (counts - 1) // 2).sum()
+        sums = 0.5 * np.array([[n + plain.real, plain.imag],
+                               [timed.imag, t_sum - timed.real]])
+    else:
+        sums = np.array([[plain.real, 0.0], [timed.imag, 0.0]])
     c = np.zeros((2, 3))
     c[:, :2] = [[dt * p.gamma], [-dt * p.gamma * p.B]] * sums
     if control:
@@ -416,7 +449,8 @@ def generator_closed_form(p: FieldParams, T: float,
     asymptotic mode returns (gamma*T/2) sigma_x and (gamma*B*T^2/4) sigma_y.
     Raises OverflowError when a coefficient overflows a float.
     """
-    bx, by, wx, wy = _generator_coeffs(p.gamma, p.B, p.omega, T, mode)
+    with np.errstate(all="ignore"):  # reported below, with the T
+        bx, by, wx, wy = _generator_coeffs(p.gamma, p.B, p.omega, T, mode)
     if not np.all(np.isfinite([bx, by, wx, wy])):
         raise OverflowError(f"generator coefficients overflow a float at T = {T}")
     return GeneratorPair(h_b=bx * SIGMA_X + by * SIGMA_Y,

@@ -34,14 +34,28 @@ class Qfim2:
     def matrix(self) -> np.ndarray:
         return np.array([[self.f_bb, self.f_bw], [self.f_bw, self.f_ww]])
 
+    def _scaled(self):
+        """The entries over s = 2^e >= max|F_ij| (e = 0 for the zero
+        matrix), and e; entries may be arrays. A power of two scales
+        exactly while no entry falls below the normal range, so det,
+        is_singular and qcrb round as F's own arithmetic would wherever
+        that stays finite, and still answer for any finite F."""
+        m = np.maximum(np.maximum(np.abs(self.f_bb), np.abs(self.f_bw)),
+                       np.abs(self.f_ww))
+        e = np.frexp(m)[1]
+        return [np.ldexp(x, -e) for x in (self.f_bb, self.f_bw, self.f_ww)], e
+
     def det(self) -> float:
-        return self.f_bb * self.f_ww - self.f_bw**2
+        """f_bb f_ww - f_bw^2, inf where it overflows a float."""
+        (a, b, c), e = self._scaled()
+        with np.errstate(over="ignore"):
+            return np.ldexp(a * c - b * b, 2 * e)
 
     def is_singular(self) -> bool:
         """det <= 1e-10 max|F_ij|^2: a scale-free rule that also holds for
         the zero matrix and for the negative determinants of rounding."""
-        return self.det() <= 1e-10 * max(abs(self.f_bb), abs(self.f_bw),
-                                         abs(self.f_ww)) ** 2
+        (a, b, c), _ = self._scaled()
+        return bool(a * c - b * b <= 1e-10 * max(abs(a), abs(b), abs(c))**2)
 
 
 @dataclass(frozen=True)
@@ -100,8 +114,12 @@ def qfim_closed_form(p: FieldParams, T: float) -> Qfim2:
 
     Reduces to diag(gamma^2 T^2, gamma^2 B^2 T^4 / 4) as omega*T -> inf.
     The entries are the Gram form of the closed-form generator coefficients.
+    Raises OverflowError when an entry overflows a float.
     """
-    f_bb, f_bw, f_ww, _ = _closed_form(p.gamma, p.B, p.omega, T)
+    with np.errstate(all="ignore"):  # reported below, with the T
+        f_bb, f_bw, f_ww, _ = _closed_form(p.gamma, p.B, p.omega, T)
+    if not np.all(np.isfinite([f_bb, f_bw, f_ww])):
+        raise OverflowError(f"QFIM entries overflow a float at T = {T}")
     return Qfim2(f_bb=float(f_bb), f_bw=float(f_bw), f_ww=float(f_ww))
 
 
@@ -111,8 +129,13 @@ def qfim_determinant(p: FieldParams, T: float) -> float:
     Strictly positive for T > 0 with nonzero B and omega, since
     sin(x) < x for all x > 0. Evaluated as 16 (b_x w_y - b_y w_x)^2 from the
     generator coefficients, whose small-omega*T series live in dynamics.
+    Raises OverflowError when it overflows a float.
     """
-    return float(_closed_form(p.gamma, p.B, p.omega, T)[3])
+    with np.errstate(all="ignore"):  # reported below, with the T
+        det = float(_closed_form(p.gamma, p.B, p.omega, T)[3])
+    if not np.isfinite(det):
+        raise OverflowError(f"QFIM determinant overflows a float at T = {T}")
+    return det
 
 
 def qcrb(f: Qfim2, repetitions: int = 1) -> CovBound:
@@ -122,10 +145,14 @@ def qcrb(f: Qfim2, repetitions: int = 1) -> CovBound:
     if f.is_singular():
         raise SingularQfimError(
             "QFIM is singular: joint estimation unattainable")
-    d = f.det()
-    m = float(repetitions)
-    return CovBound(var_b=f.f_ww / (d * m), var_w=f.f_bb / (d * m),
-                    cov_bw=-f.f_bw / (d * m), repetitions=repetitions)
+    # F^-1 = (F/s)^-1 / s
+    (a, b, c), e = f._scaled()
+    d = (a * c - b * b) * float(repetitions)
+    with np.errstate(over="ignore"):
+        var_b, var_w, cov_bw = (float(np.ldexp(x / d, -e))
+                                for x in (c, a, -b))
+    return CovBound(var_b=var_b, var_w=var_w, cov_bw=cov_bw,
+                    repetitions=repetitions)
 
 
 # ---------------------------------------------------------------------------

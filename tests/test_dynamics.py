@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acmag import dynamics
-from acmag.dynamics import (_CHUNK, ConvergenceError, FieldParams,
+from acmag.dynamics import (_CHUNK, _TABLE, ConvergenceError, FieldParams,
                             GeneratorPair, TimeGrid,
                             _drive_coeffs, _generator_coeffs,
-                            _generator_quadrature, _prefix_products,
+                            _generator_quadrature, _ordered_product,
+                            _prefix_products,
                             _su2_exp, _su2_matrix, _su2_mul, _su2_pow,
                             generator_closed_form, generator_numeric,
                             propagate)
@@ -259,6 +260,14 @@ class TestSu2Kernels:
         q = _random_pairs(np.random.default_rng(n), n)
         ref = _sequential_prefixes(_su2_matrix(q))
         assert max_abs(_su2_matrix(_prefix_products(q)) - ref) <= 1e-13
+
+    # odd lengths carry their last step up a level, at one level or several
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 63, 64, 65, 1025])
+    def test_ordered_product_is_the_last_prefix(self, n):
+        q = _random_pairs(np.random.default_rng(n), n, 3)
+        got = _ordered_product(q)
+        assert got.shape == (2, 3)
+        assert max_abs(got - _prefix_products(q)[:, -1]) <= 1e-14
 
 
 def _mp_generator_coeffs(g, B, w, T):
@@ -508,11 +517,40 @@ class TestGeneratorChunks:
                               _fixed_axis_generators(p, grid, control)):
             assert max_abs(got[theta] - ref) <= 1e-13 * max_abs(ref)
 
+    # step counts around whole tables: one step, one short of a table, one
+    # table, one past it, and k tables and r steps. A sum cancels where it is
+    # small (without control over a near-whole number of periods, under
+    # control over a short run of phases near a zero of sin), and rounding
+    # then reaches 5e-11 of it, for per-chunk sums of a rotated table as for
+    # moments; so the error is held against the sum of the weights' sizes,
+    # |dt gamma| n for h_B and |dt gamma B| sum |t_j| for h_omega
+    TABLE_STEPS = st.one_of(
+        st.sampled_from([1, _TABLE - 1, _TABLE, _TABLE + 1]),
+        st.builds(lambda k, r: k * _TABLE + r, st.integers(1, 3),
+                  st.integers(0, _TABLE - 1)))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(omega=st.floats(0.05, 50.0), phi=st.floats(-np.pi, np.pi),
+           t0=st.floats(0.0, 3.0), T=st.floats(0.01, 10.0),
+           steps=TABLE_STEPS, control=st.booleans())
+    def test_table_multiples_match_the_long_double_sums(self, omega, phi, t0,
+                                                        T, steps, control):
+        p = FieldParams.matched(1.3, omega, phi, gamma=1.7)
+        grid = TimeGrid(t0, t0 + T, steps)
+        got = _generator_quadrature.__wrapped__(p, grid, control)
+        size = grid.dt * p.gamma * np.array(
+            [steps, p.B * np.abs(grid.midpoints()).sum()])
+        for theta, ref, s in zip(("B", "omega"),
+                                 _fixed_axis_generators(p, grid, control),
+                                 size):
+            assert max_abs(got[theta] - ref) <= 1e-13 * s
+
     @pytest.mark.parametrize("control", [True, False],
                              ids=["matched", "matched-free"])
     def test_fixed_axis_trig_is_one_table(self, control):
-        # one cold call evaluates cos and sin on the table's _CHUNK phases
-        # and on a few scalars per chunk, never once per step
+        # one cold call evaluates cos and sin on the table's _TABLE phases,
+        # on one phase per chunk of _TABLE steps and on theta_0, never once
+        # per step
         p = FieldParams.matched(1.3, 7.0, phi=0.4)
         grid = TimeGrid(0.2, 2.3, 3 * _CHUNK + 17)
         _generator_quadrature.cache_clear()
@@ -521,12 +559,14 @@ class TestGeneratorChunks:
             generator_numeric(p, "B", grid, control)
         elements = sum(np.size(call.args[0])
                        for f in (cos, sin) for call in f.call_args_list)
-        assert elements <= 2 * _CHUNK + 4 * 4
+        chunks = -(-grid.steps // _TABLE)
+        assert elements <= 2 * _TABLE + 2 * chunks + 4
 
     def test_memory_does_not_grow_with_the_grid(self):
-        # the generator_quadrature workload's largest point
+        # the generator_quadrature workload's largest point: the table, its
+        # moments and a few arrays over the chunk axis, about 0.2 MB
         p, grid = FieldParams.matched(2.0, 50.0), TimeGrid(0.0, 10.0, 10**6)
-        assert self._peak_bytes(p, grid) < 32e6
+        assert self._peak_bytes(p, grid) < 1e6
 
     def test_scan_memory_does_not_grow_with_the_grid(self):
         # a whole-grid scan of 1e6 steps peaks near 144 MB

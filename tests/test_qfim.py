@@ -1,11 +1,12 @@
 """QFIM assembly, closed forms, bounds, probe search, measurement FIM."""
 
+import re
 from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acmag.dynamics import (FieldParams, GeneratorPair, TimeGrid,
@@ -226,6 +227,37 @@ class TestClosedFormProperties:
                       <= 8 * eps * np.outer(diag, diag))
         assert abs(bell.det() - det) <= tol
 
+    # over the whole range FieldParams accepts, each closed form gives finite
+    # values or one OverflowError that names the T, never inf, nan or a bare
+    # error from a float power
+    FLOATS = dict(allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(B=st.floats(0.0, None, **FLOATS),
+           omega=st.floats(0.0, None, exclude_min=True, **FLOATS),
+           g=st.floats(0.0, None, exclude_min=True, **FLOATS),
+           T=st.floats(0.0, None, exclude_min=True, **FLOATS))
+    def test_finite_or_a_named_overflow(self, B, omega, g, T):
+        p = FieldParams.matched(B, omega, gamma=g)
+        for form, values in (
+                (qfim_closed_form, lambda f: (f.f_bb, f.f_bw, f.f_ww)),
+                (qfim_determinant, lambda d: (d,)),
+                (generator_closed_form, lambda h: (h.h_b, h.h_omega))):
+            try:
+                out = form(p, T)
+            except OverflowError as err:
+                at_t = f"a float at T = {re.escape(str(T))}$"
+                assert re.search("overflows? " + at_t, str(err)), form.__name__
+            else:
+                assert np.all(np.isfinite(values(out))), form.__name__
+
+    def test_overflowing_entries_are_named(self):
+        for p, T in ((FieldParams.matched(1e200, 1.0), 1.0),
+                     (FieldParams.matched(1.0, 1.0), 1e100)):
+            with pytest.raises(OverflowError, match="QFIM entries overflow "
+                               f"a float at T = {re.escape(str(T))}$"):
+                qfim_closed_form(p, T)
+
 
 class TestQcrb:
     def test_diagonal_inverse(self):
@@ -279,6 +311,58 @@ class TestQcrb:
     def test_verdict_is_scale_free(self, entries, power):
         scaled = Qfim2(*(x * 2.0**power for x in entries))
         assert scaled.is_singular() == Qfim2(*entries).is_singular()
+
+    # every power of two 2^j at which c F is exact: finite and with no entry
+    # rounded into the subnormal range
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(entries=st.tuples(*3 * [st.floats(-1e10, 1e10,
+                                             allow_subnormal=False)]))
+    def test_verdict_holds_at_every_exact_power_of_two(self, entries):
+        verdict = Qfim2(*entries).is_singular()
+        js = np.arange(-1100, 1100)
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(np.array(entries)[:, None], js)
+        exact = (np.isfinite(scaled).all(0)
+                 & (np.ldexp(scaled, -js) == np.array(entries)[:, None]).all(0)
+                 & ((scaled == 0) | (np.abs(scaled)
+                                     >= np.finfo(float).tiny)).all(0))
+        assert exact.sum() > 100
+        for f in scaled.T[exact]:
+            assert Qfim2(*map(float, f)).is_singular() == verdict
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(f_bb=st.floats(1e-3, 1e3), f_ww=st.floats(1e-3, 1e3),
+           f_bw=st.one_of(st.just(0.0), st.floats(1e-3, 1e3),
+                          st.floats(-1e3, -1e-3)),
+           j=st.integers(-900, 900), repetitions=st.integers(1, 1000))
+    def test_bound_scales_as_the_inverse(self, f_bb, f_bw, f_ww, j,
+                                         repetitions):
+        f = Qfim2(f_bb, f_bw, f_ww)
+        assume(not f.is_singular())
+        c = 2.0**j
+        bound = qcrb(f, repetitions)
+        scaled = qcrb(Qfim2(c * f_bb, c * f_bw, c * f_ww), repetitions)
+        for name in ("var_b", "var_w", "cov_bw"):
+            assert getattr(scaled, name) == getattr(bound, name) / c
+
+    def test_entries_past_a_float_square(self):
+        # det of these overflows a float, and their squares did too
+        big = Qfim2(1e160, 0.0, 1e160)
+        assert big.det() == np.inf and not big.is_singular()
+        bound = qcrb(big, 1)
+        assert (bound.var_b, bound.var_w) == pytest.approx((1e-160, 1e-160),
+                                                           rel=1e-15)
+        assert qcrb(Qfim2(1e150, 0.0, 1e152), 1).var_b == pytest.approx(
+            1e-150, rel=1e-15)
+        # det / max|F_ij|^2 = 1e-20: singular under the scale-free rule
+        with pytest.raises(SingularQfimError):
+            qcrb(Qfim2(1e150, 0.0, 1e170), 1)
+
+    def test_entries_whose_det_underflows(self):
+        # det = 1e-400 is 0 in a float, but 1e-200 I is as regular as I
+        f = Qfim2(1e-200, 0.0, 1e-200)
+        assert not f.is_singular()
+        assert qcrb(f, 1).var_b == pytest.approx(1e200, rel=1e-15)
 
 
 class TestRelativeErrorCurves:
