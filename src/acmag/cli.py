@@ -245,43 +245,180 @@ def _readout_from(cfg: dict) -> ReadoutModel:
                         signals_used=c["signals_used"])
 
 
+# The CSV writer formats every number as '%.17g' would, a block of cells at
+# a time. A finite nonzero |x| with decimal exponent d is scaled to
+# y = |x| 10^(16 - d) in [1e16, 1e17) in long double; rounded to an integer,
+# y holds the 17 significant digits. The scale factors are correctly rounded,
+# so y is off by at most two roundings of eps/2 relative, under 1e17 * eps.
+# Python formats a cell whose y lies within _WINDOW of a rounding tie, a zero
+# and a text cell. Where long double is a plain double the window exceeds
+# 0.5, and Python formats every cell.
+_D = np.arange(-325, 310)  # d of finite nonzero doubles, one more each side
+_WINDOW = 1.2e17 * float(np.finfo(np.longdouble).eps)
+_QUAD = (np.arange(10_000, dtype=np.int16)[:, None]
+         // np.array([1000, 100, 10, 1], np.int16) % 10
+         + ord("0")).astype(np.uint8).view(np.uint32).ravel()  # "0000".."9999"
+
+
+def _exponents(e: np.ndarray) -> np.ndarray:
+    """The words "+hij" or "-hij" of the exponents e."""
+    return (_QUAD[abs(e)] - ord("0")
+            + np.where(e < 0, ord("-"), ord("+"))).astype(np.uint32)
+
+
+def _scales() -> np.ndarray:
+    """10^(16 - d) for each d in _D, parsed from "  1e+hij" by strtold, which
+    rounds correctly; infinities (of a plain double) become its max."""
+    text = np.empty((_D.size, 2), np.uint32)
+    text[:, 0] = int.from_bytes(b"  1e", "little")
+    text[:, 1] = _exponents(16 - _D)
+    return np.minimum(text.view("S8")[:, 0].astype(np.longdouble),
+                      np.finfo(np.longdouble).max)
+
+
+_SCALE = _scales()
+# A cell's 28 source bytes are 7 words, indices into _WORDS: bytes 0-3 are
+# "-.0" and the lead digit (a lead of 10, from a y that rounds up to 1e17,
+# reads as 1), 4-19 the other 16 digits, 20-23 the exponent's sign and
+# digits "+hij", 24 "e" and 25 the separator. Each layout picks its output
+# bytes from these.
+_LEAD, _EXPO = 10_000, 10_011
+_SEP = _EXPO + _D.size
+_WORDS = np.concatenate([
+    _QUAD, _QUAD[[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1]] - 0x303030 + 0x302E2D,
+    _exponents(_D), np.frombuffer(b"e,\0\0e\n\0\0", np.uint32)])
+
+
+def _layouts():
+    """Source byte of each output byte, and the size with the separator, of
+    each cell class (layout, p, sign): layouts 0-20 print in fixed notation
+    with exponent layout - 4, 21 and 22 in scientific notation with 2 and 3
+    exponent digits; p is the number of significant digits."""
+    lay, p, neg = (a.reshape(-1, 1) for a in np.meshgrid(
+        *map(np.int8, (range(23), range(1, 18), range(2))), indexing="ij"))
+    x = np.where(lay < 21, lay - 4, 0)  # a mantissa prints as x = 0
+    j = np.arange(25, dtype=np.int8) - neg  # output byte after the sign
+    m = p + (p > 1)  # where a scientific "e" goes
+    digits = np.where(j <= np.maximum(x, 0), 3 + j, 2 + j + np.minimum(x, 0))
+    fixed = np.select([j == np.maximum(x + 1, 1), (x < 0) & (j < 1 - x)],
+                      [1, 2], digits)  # ".", "0"
+    sci = np.select([j < m, j == m, j == m + 1], [fixed, 24, 20],
+                    41 - lay - m + j)  # "e", the exponent's sign, digits
+    perm = np.where(j < 0, 0, np.where(lay < 21, fixed, sci))  # "-"
+    size = np.where(lay < 21, np.where(x >= 0, x + 1 + (p - x) * (p > x + 1),
+                                       1 - x + p), m + lay - 17) + neg
+    perm = np.vstack([perm, np.zeros(25, np.int8)])  # empty cell, class -1
+    size = np.append(size, 0)
+    perm[np.arange(size.size), size] = 25  # the separator
+    return np.clip(perm, 0, 27), size + 1
+
+
+_PERM, _SIZE = _layouts()
+# the class of 17 significant digits for each exponent; each trailing zero
+# takes 2 off
+_LAYOUT = np.where(abs(_D - 6) <= 10, _D + 4, 21 + (abs(_D) >= 100)) * 34 + 32
+
+
+def _scaled(a: np.ndarray):
+    """The index in _D of each a's decimal exponent d, and the integer part
+    and the fraction of y = a 10^(16 - d) in [1e16, 1e17)."""
+    d = np.floor(np.log10(a)).astype(np.intp) - _D[0]
+    y = a * _SCALE[d]
+    num = y.astype(np.int64)
+    fix = (num - 10**16).view(np.uint64) >= 9 * 10**16  # log10 was off by 1
+    if fix.any():
+        d[fix] += np.where(num[fix] < 10**16, -1, 1)
+        y[fix] = a[fix] * _SCALE[d[fix]]
+        num[fix] = y[fix].astype(np.int64)
+    return d, num, (y - num).astype(float)
+
+
+def _format_block(x: np.ndarray, sep: np.ndarray):
+    """Bytes of the finite cells x, row-major, with the cells that Python
+    must format left empty, their indices and the end offset of each."""
+    d, num, frac = _scaled(np.maximum(np.abs(x), 5e-324))
+    python = abs(frac - 0.5) <= _WINDOW
+    python |= x == 0
+    num += frac > 0.5
+    words = np.empty((x.size, 7), np.intp)
+    lead, rest = np.divmod(num, 10**16)
+    for k, half in zip((1, 3), np.divmod(rest, 10**8)):
+        np.divmod(half, 10**4, out=(words[:, k], words[:, k + 1]))
+    np.add(lead, _LEAD, out=words[:, 0])
+    d += lead > 9
+    np.add(d, _EXPO, out=words[:, 5])
+    words[:, 6] = sep
+    src = _WORDS[words].view(np.uint8)
+    zeros = np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)  # trailing
+    cls = _LAYOUT[d] - 2 * zeros + np.signbit(x)
+    cls[python] = -1
+    perm = _PERM[cls] + np.arange(0, src.size, 28)[:, None]
+    size = _SIZE[cls]
+    out = src.ravel()[perm][np.arange(25) < size[:, None]]
+    cells = np.flatnonzero(python)
+    return out.tobytes(), cells, size.cumsum()[cells]
+
+
 def emit_results(columns: dict, summary: dict, out_dir: str | Path,
                  name: str) -> tuple[Path, Path]:
     """Write a CSV table and a JSON summary with stable formatting.
 
     ``columns`` maps each column name, in header order, to a 1-D sequence
-    of numbers or strings. Numbers are printed with 17 significant digits
-    so numeric tables round-trip exactly; summary keys are sorted. A
-    non-finite table cell or summary value raises FloatingPointError before
-    anything is written.
+    of numbers or strings. Text is printed as it is ('%s') and numbers,
+    integers included, as '%.17g' prints them, so numeric tables round-trip
+    exactly; summary keys are sorted. A non-finite table cell or summary
+    value raises FloatingPointError before anything is written.
+
+    numpy formats the numbers a block of rows at a time, byte for byte as
+    '%.17g' would (see the comment above _D); Python formats each zero,
+    each text cell and each cell within _WINDOW of a rounding tie. The CSV
+    is written as UTF-8.
     """
     header = list(columns)
     cols = [np.asarray(c) for c in columns.values()]
     if not cols or any(c.ndim != 1 or c.size != cols[0].size for c in cols):
         raise ValueError("table columns must be 1-D and of one length")
-    strings = [c.dtype.kind == "U" for c in cols]
-    bad = np.argwhere(np.stack([np.zeros(c.size, bool) if s
-                                else ~np.isfinite(c)
-                                for c, s in zip(cols, strings)], axis=1))
-    if bad.size:
-        i, j = bad[0]
-        raise FloatingPointError(f"non-finite value {cols[j][i]} in column "
-                                 f"{header[j]!r} at row {i}")
+    kinds = [c.dtype.kind for c in cols]
+    if not set(kinds) <= set("biufU"):
+        raise TypeError("table columns must hold numbers or text")
+    text = [c.tolist() if k == "U" else None for c, k in zip(cols, kinds)]
+    rows, ncol = cols[0].size, len(cols)
+    step = max(1, 2048 // ncol)
+    sep = np.full((min(step, rows), ncol), _SEP)
+    sep[:, -1] += 1  # "\n"
+    sep = sep.ravel()
+    parts = [(",".join(header) + "\n").encode()]
+    for r0 in range(0, rows, step):
+        block = np.array([c[r0:r0 + step] if t is None else
+                          np.zeros(min(step, rows - r0))
+                          for c, t in zip(cols, text)], float).T
+        bad = ~np.isfinite(block)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), ncol)
+            raise FloatingPointError(f"non-finite value {cols[j][r0 + i]} in "
+                                     f"column {header[j]!r} at row {r0 + i}")
+        x = block.ravel()
+        out, cells, ends = _format_block(x, sep[:x.size])
+        start = 0
+        for cell, v, end in zip(cells.tolist(), x[cells].tolist(),
+                                (ends - 1).tolist()):
+            i, j = divmod(cell, ncol)
+            parts += out[start:end], ("%.17g" % v if text[j] is None
+                                      else text[j][r0 + i]).encode()
+            start = end
+        parts.append(out[start:])
     try:
         summary_text = json.dumps(summary, sort_keys=True, indent=2,
                                   default=_json_default, allow_nan=False)
     except ValueError as exc:
         raise FloatingPointError(
             f"the summary holds a non-finite value: {exc}") from exc
-    # one %-format per row: the bytes of a per-row "{:.17g}" / "{}"
-    # str.format, at less cost per call
-    row = ",".join("%s" if s else "%.17g" for s in strings).__mod__
-    lines = [",".join(header), *map(row, zip(*(c.tolist() for c in cols)))]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     json_path = out / f"{name}.summary.json"
-    csv_path.write_text("\n".join(lines) + "\n")
+    with csv_path.open("wb") as fh:
+        fh.writelines(parts)
     try:
         json_path.write_text(summary_text + "\n")
     except OSError:  # leave no CSV without its summary

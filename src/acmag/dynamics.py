@@ -20,6 +20,7 @@ dimensionless once these are multiplied out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +31,15 @@ from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian, max_abs
 
 class ConvergenceError(RuntimeError):
     """Raised when a requested step-halving consistency check fails."""
+
+
+def _check_finite(record, names: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first of ``names`` that is NaN or
+    infinite, which every comparison below would let through."""
+    for name in names:
+        if not math.isfinite(getattr(record, name)):
+            raise ValueError(f"{name} must be finite, got "
+                             f"{getattr(record, name)}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +61,7 @@ class FieldParams:
     def __post_init__(self):
         if self.omega_c is None:
             object.__setattr__(self, "omega_c", self.omega)
+        _check_finite(self, ("B", "B_c", "omega", "omega_c", "gamma"))
         if self.B < 0 or self.B_c < 0:
             raise ValueError("field amplitudes must be non-negative")
         if self.omega <= 0 or self.omega_c <= 0:
@@ -75,6 +86,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
+        _check_finite(self, ("t_start", "t_end"))
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
         if self.steps < 1:

@@ -1,12 +1,14 @@
 """Config ingestion, result emission, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import acmag
+from acmag import cli
 from acmag.cli import (_CONTROL_MHZ, DEFAULTS, ConfigError, emit_results,
                        main, resolve_config, run)
 from acmag.dynamics import FieldParams
@@ -166,6 +169,128 @@ class TestEmitResults:
                                  "row 1$"):
             emit_results(columns, {}, out, "t")
         assert not out.exists()
+
+
+def _tie_distance(x):
+    """|frac(y) - 1/2| of each cell, as the writer computes it."""
+    return abs(cli._scaled(np.abs(x))[2] - 0.5)
+
+
+class TestPercentGFormatter:
+    """The vectorized writer against Python's '%.17g', cell by cell."""
+
+    @staticmethod
+    def _assert_exact(tmp_path, values):
+        values = np.asarray(values, dtype=float)
+        csv_path, _ = emit_results({"x": values}, {}, tmp_path, "t")
+        want = "".join("%.17g\n" % v for v in values.tolist())
+        assert csv_path.read_bytes() == b"x\n" + want.encode()
+
+    @staticmethod
+    def _neighbours_of_powers_of_ten():
+        # the doubles nearest 10^n and the 4 on either side of each
+        x = np.array([float(f"1e{n}") for n in range(-323, 309)])
+        near = [x]
+        up = down = x
+        for _ in range(4):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            near += [up, down]
+        near = np.concatenate(near)
+        return np.concatenate([near, -near])
+
+    def test_four_ulps_about_every_power_of_ten(self, tmp_path):
+        self._assert_exact(tmp_path, self._neighbours_of_powers_of_ten())
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(20261019)
+        bits = rng.integers(0, 2**64, 120_000, dtype=np.uint64)
+        # subnormals: every exponent bit clear, either sign
+        bits[:20_000] &= np.uint64(2**63 + 2**52 - 1)
+        x = bits.view(np.float64)
+        x = np.concatenate([x[np.isfinite(x)], [0.0, -0.0, 5e-324, -5e-324,
+                                                 1.7976931348623157e308]])
+        assert x.size >= 100_000
+        self._assert_exact(tmp_path, x)
+
+    def test_cells_either_side_of_the_rounding_window(self, tmp_path):
+        # decades where y's unit in the last place sets the grid of
+        # fractions, so both sides of the window are reached
+        rng = np.random.default_rng(7)
+        x = rng.uniform(1.0, 10.0, 400_000) * 10.0 ** rng.integers(
+            -300, 300, 400_000)
+        gap = _tie_distance(x) - cli._WINDOW
+        inside = x[gap <= 0][np.argsort(gap[gap <= 0])[-50:]]
+        outside = x[gap > 0][np.argsort(gap[gap > 0])[:50]]
+        assert inside.size == outside.size == 50
+        assert cli._WINDOW - _tie_distance(inside).min() < 0.01
+        assert _tie_distance(outside).max() - cli._WINDOW < 0.01
+        # exact ties at the 17th digit: 10^15 + 1/4 and + 3/4 are doubles
+        ties = np.array([1e15 + 0.25, 1e15 + 0.75, -(1e15 + 0.25)])
+        assert np.all(_tie_distance(ties) == 0.0)
+        cells = np.concatenate([inside, outside, ties])
+        self._assert_exact(tmp_path, cells)
+        sep = np.full(cells.size, cli._SEP + 1)
+        python_cells = cli._format_block(cells, sep)[1]
+        np.testing.assert_array_equal(python_cells,
+                                      np.r_[0:50, 100:103])
+
+    def test_python_formats_every_cell_when_the_window_is_one(
+            self, tmp_path, monkeypatch):
+        # the path of a platform whose long double is a plain double
+        x = np.concatenate([self._neighbours_of_powers_of_ten()[::7],
+                            np.random.default_rng(3).normal(size=2000)])
+        columns = {"axis": np.array(["B", "omega"] * (x.size // 2)),
+                   "x": x, "n": np.arange(x.size)}
+        before = emit_results(columns, {}, tmp_path, "t")[0].read_bytes()
+        monkeypatch.setattr(cli, "_WINDOW", 1.0)
+        after = emit_results(columns, {}, tmp_path, "t")[0].read_bytes()
+        sep = np.full(x.size, cli._SEP)
+        assert cli._format_block(x, sep)[1].size == x.size
+        assert after == before
+        self._assert_exact(tmp_path, x)
+
+    def test_scale_table_is_correctly_rounded(self):
+        # the premise of the window: each 10^k is the nearest long double
+        if cli._WINDOW >= 0.5:
+            pytest.skip("long double is a plain double here; Python formats "
+                        "every cell")
+        for d, scale in zip(cli._D.tolist(), cli._SCALE):
+            exact = Fraction(10) ** (16 - d)
+            neighbours = (np.nextafter(scale, np.longdouble(np.inf)),
+                          np.nextafter(scale, np.longdouble(0)))
+            error = abs(Fraction(*scale.as_integer_ratio()) - exact)
+            assert all(error < abs(Fraction(*v.as_integer_ratio()) - exact)
+                       for v in neighbours), d
+
+
+# SHA-256 of each command's CSV at its default config (bounds with
+# field.omega_mhz = 1.0), pinned on x86-64 with numpy 2.4: the writer must
+# keep every byte
+GOLDEN_CSV_SHA256 = {
+    "qfim-scan":
+        "6ba360d358042af759278869bbc21c4a6859f0b6409204e216ff823fc4bd7bf4",
+    "convergence":
+        "bef3598e6956e956203449e1e1f6844330c5e79db5ae57674885d8aa4afff96a",
+    "bounds":
+        "a69fc7f61dd4d4613fc0be43e227c28ed222fa39ca544fae2c4913f5ded97d6b",
+    "probe-search":
+        "035181304f01f558960d7b9431a6d5d306f281084af56bac52d22c55083d5dd2",
+    "nv-sweep":
+        "39428260e96e14aa33e274191c71df850db8c0c6b7d70d3864cec8f38f9c55a3",
+    "nv-scaling":
+        "b5cb6aa35ce3d2d93e83954894fe7ae254223d530806c82d810a06ad0ba40e83",
+    "adaptive":
+        "1ce721882038f625e6b6436331e322a47ecca799e164af81cc54c8b717f5ec07",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CSV_SHA256))
+def test_default_config_csv_bytes_are_pinned(tmp_path, command):
+    config = {"field": {"omega_mhz": 1.0}} if command == "bounds" else {}
+    csv_path, _ = run(command, _write(tmp_path, "c.json", config), None,
+                      tmp_path)
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_CSV_SHA256[command]
 
 
 class TestCommands:

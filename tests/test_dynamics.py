@@ -47,6 +47,15 @@ class TestFieldParams:
         with pytest.raises(ValueError):
             FieldParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["B", "B_c", "omega", "omega_c",
+                                      "gamma"])
+    def test_non_finite_entry_is_named(self, name, value):
+        kwargs = dict(B=1.0, omega=1.0, B_c=1.0, omega_c=1.0, gamma=1.0)
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite, got {value}$"):
+            FieldParams(**{**kwargs, name: value})
+
 
 class TestHamiltonianEval:
     # the sigma_x, sigma_z coefficients of the target and the total H
@@ -688,6 +697,14 @@ class TestTimeGrid:
             TimeGrid(1.0, 1.0, 5)
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["t_start", "t_end"])
+    def test_non_finite_end_is_named(self, name, value):
+        ends = {"t_start": 0.0, "t_end": 1.0, name: value}
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite, got {value}$"):
+            TimeGrid(ends["t_start"], ends["t_end"], 4)
 
     def test_midpoints(self):
         grid = TimeGrid(0.0, 1.0, 4)
