@@ -162,6 +162,9 @@ def _check_leaf(default, value, path: str):
         raise ConfigError(f"{path} must be >= {_MINIMA[path]}, got {value}")
     if path in _POSITIVE and value is not None and value <= 0:
         raise ConfigError(f"{path} must be positive, got {value}")
+    if (path.endswith(("_mhz", "_mhz_per_g")) and value is not None
+            and not math.isfinite(TWO_PI * value)):
+        raise ConfigError(f"{path} = {value!r} overflows a float in rad/us")
 
 
 def _merge(defaults, user, path=""):

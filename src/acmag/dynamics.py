@@ -113,17 +113,6 @@ class GeneratorPair:
                 raise ValueError("generators must be Hermitian")
 
 
-def _drive_coeffs(p: FieldParams, t, cos, control: bool):
-    """sigma_x, sigma_z coefficients of the target H(t), or with ``control``
-    of the total H(t); ``cos`` is the target's cos(omega*t + phi) at t."""
-    fx = p.gamma * p.B * cos
-    if not control:
-        return fx, 0.0
-    if (p.omega_c, p.phi_c) != (p.omega, p.phi):
-        cos = np.cos(p.omega_c * t + p.phi_c)
-    return fx - p.gamma * p.B_c * cos, 0.5 * p.omega_c
-
-
 # ---------------------------------------------------------------------------
 # vectorized step machinery: every step propagator is in SU(2), so the
 # kernels carry the pair (a, b) that stands for [[a, -b*], [b, a*]], stacked
@@ -216,17 +205,21 @@ def _prefix_products(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ordered_product(q: np.ndarray) -> np.ndarray:
-    """The product q[n-1] @ ... @ q[0] of SU(2) pairs in time order along
-    axis 1, by pairwise tree reduction: each level multiplies neighbours
-    q[2k+1] @ q[2k], and an odd last step goes up a level as it is."""
-    while (n := q.shape[1]) > 1:
-        up = np.empty((2, (n + 1) // 2) + q.shape[2:], dtype=complex)
-        _su2_mul(q[:, 1::2], q[:, 0 : n - 1 : 2], out=up[:, : n // 2])
-        if n % 2:
-            up[:, -1] = q[:, -1]
-        q = up
-    return q[:, 0]
+# steps per _carried_step in propagate and _scan_sums: their memory is
+# O(_CHUNK). On a 2-vCPU Xeon (2 MB of L2 per core) the scan ran fastest at
+# 2^14 to 2^16 steps; 2^15 stays, as its sums depend on it bit for bit
+_CHUNK = 2**15
+
+
+def _carried_step(h: np.ndarray, carry: np.ndarray) -> tuple:
+    """Midpoint propagators V_j = h_j h_(j-1)^2 ... h_0^2 of a chunk of
+    half steps h_j from step s, and the pair it carries on: the prefix
+    products of q_s = h_s C, q_j = h_j h_(j-1), with C = h_(s-1) V_(s-1)
+    carried in (the identity at s = 0), and h_last V_last, which after the
+    last chunk is h_(n-1)^2 ... h_0^2, the product of the full steps."""
+    v = _prefix_products(
+        _su2_mul(h, np.concatenate([carry, h[:, :-1]], axis=1)))
+    return v, _su2_mul(h[:, -1:], v[:, -1:])
 
 
 def propagate(h, grid: TimeGrid) -> np.ndarray:
@@ -235,31 +228,31 @@ def propagate(h, grid: TimeGrid) -> np.ndarray:
     h is called once, on the grid's midpoints, and returns a (steps, 2, 2)
     stack, Hermitian within 1e-10; a constant Hamiltonian is broadcast to
     that shape by the caller, so a missing step axis is never guessed. Each
-    step contributes exp(-i*h(t_mid)*dt); later steps are applied on the
-    left. Converges at second order in the step size.
+    step contributes exp(-i*h(t_mid)*dt), as two half steps _CHUNK at a
+    time by _carried_step; later steps are applied on the left. Converges
+    at second order in the step size.
     """
     hs = np.asarray(h(grid.midpoints()), dtype=complex)
     if hs.shape != (grid.steps, 2, 2):
         raise ValueError("propagate requires a (steps, 2, 2) stack of 2x2 "
                          f"Hamiltonians, got shape {hs.shape} for "
                          f"{grid.steps} steps")
-    if max_abs(hs - np.swapaxes(hs.conj(), -1, -2)) > 1e-10:
-        raise ValueError("propagate sampled a non-Hermitian Hamiltonian")
-    ax, ay = hs[:, 0, 1].real, -hs[:, 0, 1].imag
-    az = 0.5 * (hs[:, 0, 0] - hs[:, 1, 1]).real
-    a0 = 0.5 * (hs[:, 0, 0] + hs[:, 1, 1]).real
-    u = _su2_matrix(_ordered_product(_su2_exp(ax, ay, az, grid.dt)))
-    return np.exp(-1j * np.sum(a0) * grid.dt) * u
+    carry, trace = np.array([[1.0], [0.0]], dtype=complex), 0.0
+    for s in range(0, grid.steps, _CHUNK):
+        hc = hs[s : s + _CHUNK]
+        if max_abs(hc - np.swapaxes(hc.conj(), -1, -2)) > 1e-10:
+            raise ValueError("propagate sampled a non-Hermitian Hamiltonian")
+        ax, ay = hc[:, 0, 1].real, -hc[:, 0, 1].imag
+        az = 0.5 * (hc[:, 0, 0] - hc[:, 1, 1]).real
+        trace += np.sum(0.5 * (hc[:, 0, 0] + hc[:, 1, 1]).real)
+        _, carry = _carried_step(_su2_exp(ax, ay, az, 0.5 * grid.dt), carry)
+    return np.exp(-1j * trace * grid.dt) * _su2_matrix(carry[:, 0])
 
 
 # ---------------------------------------------------------------------------
 # estimation generators
 # ---------------------------------------------------------------------------
 
-# steps per pass of the scan in _scan_sums: its memory is O(_CHUNK). On a
-# 2-vCPU Xeon (2 MB of L2 per core) it ran fastest at 2^14 to 2^16 steps;
-# 2^15 stays, as the scan's sums depend on it bit for bit
-_CHUNK = 2**15
 # length of the fixed-axis path's phase table: its work is one float
 # cos/sin per table entry plus one long-double cos/sin per chunk of _TABLE
 # steps. On the same Xeon, under matched control, 2^12 took 0.15 and 0.19
@@ -279,7 +272,7 @@ def _generator_quadrature(p: FieldParams, grid: TimeGrid,
     Fixed axis: without control H(t) is along sx, so V_j^dag sx V_j = sx
     and the generators are plain weighted sums times sx. Under matched
     control, (B_c, omega_c, phi_c) == (B, omega, phi) exactly, the sx
-    terms of _drive_coeffs cancel bit for bit, H = (omega/2) sz and
+    terms of H(t) cancel bit for bit, H = (omega/2) sz and
     V_j^dag sx V_j = cos x_j sx - sin x_j sy at x_j = omega (t_j - t_start)
     = theta_j - theta_0, theta the target phase. The sums are taken against
     cos theta_j and sin theta_j and turned by theta_0 once at the end.
@@ -287,13 +280,9 @@ def _generator_quadrature(p: FieldParams, grid: TimeGrid,
     no trig per step. Every table entry is still summed: only the order of
     the midpoint sum changes, so its discretization error stays.
 
-    Any other control scans: over half steps h_j, the prefix products of
-    q_0 = h_0, q_j = h_j h_(j-1) are V_j = h_j h_(j-1)^2 ... h_0^2, and
+    Any other control scans the half steps with _carried_step, and
     V^dag sx V has the sx, sy, sz coefficients (Re(a^2 - b^2),
-    Im(a^2 - b^2), 2 Re(a* b)) of V = (a, b). A chunk from step s starts
-    from the carried pair h_(s-1) V_(s-1) (the identity at s = 0), so
-    q_s = h_s h_(s-1) V_(s-1) and its local prefixes are the V_j; a chunk
-    is _CHUNK steps."""
+    Im(a^2 - b^2), 2 Re(a* b)) of V = (a, b)."""
     if control and (p.B_c, p.omega_c, p.phi_c) != (p.B, p.omega, p.phi):
         c = _scan_sums(p, grid)
     else:
@@ -362,20 +351,19 @@ def _scan_sums(p: FieldParams, grid: TimeGrid) -> np.ndarray:
     """sx, sy, sz coefficients (2, 3) of h_B and h_omega from the chunked
     prefix scan, for a control that is not matched."""
     dt = grid.dt
-    carry = np.array([[1.0], [0.0]], dtype=complex)
-    c = np.zeros((2, 3))
+    own_cos = (p.omega_c, p.phi_c) != (p.omega, p.phi)
+    carry, c = np.array([[1.0], [0.0]], dtype=complex), np.zeros((2, 3))
     for s in range(0, grid.steps, _CHUNK):
         mids = grid.t_start + (np.arange(s, min(s + _CHUNK, grid.steps))
                                + 0.5) * dt
         phase = p.omega * mids + p.phi
         cos, sin = np.cos(phase), np.sin(phase)
         w = np.stack([dt * p.gamma * cos, -dt * p.gamma * p.B * mids * sin])
-        fx, fz = _drive_coeffs(p, mids, cos, True)
-        h = _su2_exp(fx, 0.0, fz, 0.5 * dt)
-        prefix = _prefix_products(
-            _su2_mul(h, np.concatenate([carry, h[:, :-1]], axis=1)))
-        carry = _su2_mul(h[:, -1:], prefix[:, -1:])
-        a, b = prefix
+        # H(t) = gamma (B cos theta - B_c cos theta_c) sx + (omega_c/2) sz
+        cos_c = np.cos(p.omega_c * mids + p.phi_c) if own_cos else cos
+        fx = p.gamma * p.B * cos - p.gamma * p.B_c * cos_c
+        (a, b), carry = _carried_step(
+            _su2_exp(fx, 0.0, 0.5 * p.omega_c, 0.5 * dt), carry)
         v = a * a - b * b
         c += w @ np.stack([v.real, v.imag, 2.0 * (np.conj(a) * b).real],
                           axis=1)

@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (FieldParams, _su2_exp, _su2_matrix, _su2_mul,
-                       _su2_pow)
+from .dynamics import (FieldParams, _check_finite, _su2_exp, _su2_matrix,
+                       _su2_mul, _su2_pow)
 from .fitting import loglog_slope, ols_slope
 from .linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_state, bell_basis,
                      bell_state, expm_hermitian, index_normals, tensor)
@@ -76,9 +76,9 @@ def _check_jacobians(j: np.ndarray, what: str, n_reps=None) -> None:
 
 
 class SweepError(ValueError):
-    """Sweep with zero width, or reaching B < 0 or omega <= 0, which
-    FieldParams rejects; ``axis``, ``n_reps`` (its N) and its ``low`` and
-    ``high`` ends name it."""
+    """Sweep with non-finite values or zero width, or reaching B < 0 or
+    omega <= 0, which FieldParams rejects; ``axis``, ``n_reps`` (its N) and
+    its ``low`` and ``high`` ends name it."""
 
     def __init__(self, axis: str, n_reps: int, low: float, high: float):
         super().__init__(axis, n_reps, low, high)
@@ -87,7 +87,8 @@ class SweepError(ValueError):
     def describe(self, scale: float = 1.0, unit: str = "") -> str:
         """The failure, with the ends divided by ``scale`` and in ``unit``."""
         low = f"{self.low / scale:.6g}{unit}"
-        what = (f"has zero width about {low}" if self.low == self.high
+        what = ("is not finite" if not np.isfinite([self.low, self.high]).all()
+                else f"has zero width about {low}" if self.low == self.high
                 else f"reaches {low} {'<' if self.axis == 'B' else '<='} 0")
         return f"the {self.axis} sweep at N = {self.n_reps} {what}"
 
@@ -95,11 +96,12 @@ class SweepError(ValueError):
 
 
 def _check_sweep_ranges(axes, values: np.ndarray, n_reps) -> None:
-    """Raise SweepError for the first row of ``values`` that has zero width
-    or whose low end breaks FieldParams' bound on its axis."""
+    """Raise SweepError for the first row of ``values`` that is not finite,
+    has zero width or whose low end breaks FieldParams' bound on its axis."""
     low, high = values.min(axis=1), values.max(axis=1)
     bounded = np.where(np.equal(axes, "B"), low >= 0, low > 0)
-    bad = np.flatnonzero((low == high) | ~bounded)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1) | (low == high)
+                         | ~bounded)
     if bad.size:
         i = bad[0]
         raise SweepError(axes[i], int(n_reps[i]), float(low[i]),
@@ -124,6 +126,7 @@ class NvParams:
     B_z0: float = 357.0              # static bias field
 
     def __post_init__(self):
+        _check_finite(self, ("D", "A", "gamma_e", "B_z0"))
         if self.D <= 0:
             raise ValueError("zero-field splitting must be positive")
 
@@ -186,6 +189,7 @@ class PiPulseModel:
     hyperfine_on: bool = True
 
     def __post_init__(self):
+        _check_finite(self, ("rabi_freq",))
         if self.kind not in ("ideal", "finite"):
             raise ValueError(f"pulse kind must be 'ideal' or 'finite', got {self.kind!r}")
         if self.kind == "finite" and self.rabi_freq <= 0:
@@ -209,6 +213,7 @@ class PulseSequence:
     pulse: PiPulseModel
 
     def __post_init__(self):
+        _check_finite(self, ("tau",))
         if np.min(self.n_reps) < 1:
             raise ValueError("n_reps must be >= 1")
         if self.tau <= 0:
@@ -314,6 +319,7 @@ class ReadoutModel:
         if self.sigma is None:
             object.__setattr__(
                 self, "sigma", float(np.sqrt(0.25 * 0.75 / self.n_avg)))
+        _check_finite(self, ("sigma", "contrast", "baseline"))
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         # sigma^2 scales the covariance sigma^2 (J^T J)^-1, whose deviations

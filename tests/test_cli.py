@@ -833,6 +833,17 @@ def _leaves(tree, path=()):
             yield path + (key,), value
 
 
+def _leaf_config(command, path, value):
+    """A config of ``command`` with the leaf at ``path`` set to ``value``,
+    and the omega_mhz that bounds requires."""
+    config = {"field": {"omega_mhz": 1591.5}} if command == "bounds" else {}
+    node = config
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return config
+
+
 # every DEFAULTS leaf of every command with each value; an int leaf takes
 # only small ints, as a count like scan.points = 10**12 would ask numpy
 # for terabytes
@@ -853,14 +864,9 @@ class TestExitCodeContract:
     @given(mutation=st.sampled_from(_MUTATIONS))
     def test_single_leaf_mutation_keeps_the_contract(self, mutation):
         command, path, value = mutation
-        config = {"field": {"omega_mhz": 1591.5}} if command == "bounds" else {}
-        node = config
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = value
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "c.json"
-            cfg.write_text(json.dumps(config))
+            cfg.write_text(json.dumps(_leaf_config(command, path, value)))
             out = Path(tmp) / "out"
             err = io.StringIO()
             with contextlib.redirect_stderr(err), \
@@ -873,6 +879,44 @@ class TestExitCodeContract:
                     "config error:" if code == 2 else
                     f"numerical error in {command}:")
                 assert not out.exists()
+
+    # a MHz leaf that is finite but whose value in rad/us is not: named by
+    # its key, before a package error names a field or a study fails
+    @pytest.mark.parametrize("command,path", [
+        (command, path) for command, tree in DEFAULTS.items()
+        for path, _ in _leaves(tree)
+        if path[-1].endswith(("_mhz", "_mhz_per_g"))])
+    def test_mhz_leaf_that_overflows_is_2_and_named(self, tmp_path, capsys,
+                                                    command, path):
+        cfg = _write(tmp_path, "c.json", _leaf_config(command, path, 1e308))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {'.'.join(path)} = 1e+308 overflows a float in "
+            "rad/us\n")
+        assert not out.exists()
+
+    # linspace overflows on half-widths above about 9e307, so these sweeps
+    # hold NaN; they are named as not finite, never as reaching nan
+    @pytest.mark.parametrize("command,payload,message", [
+        ("nv-sweep", {"sweep": {"halfwidth_b": 1e308}},
+         "the B sweep at N = 8 is not finite; it is protocol.b_c +- "
+         "sweep.halfwidth_b (null: 0.2 / protocol.n_reps)"),
+        ("nv-sweep", {"sweep": {"halfwidth_w_mhz": 2e307}},
+         "the omega sweep at N = 8 is not finite; it is " + _CONTROL_MHZ
+         + " +- sweep.halfwidth_w_mhz (null: 1 / (pi * protocol.n_reps**2))"),
+        ("nv-scaling", {"scaling": {"halfwidth_w_mhz": 2e307}},
+         "the omega sweep at N = 1 is not finite; it is " + _CONTROL_MHZ
+         + " +- scaling.halfwidth_w_mhz / N**2"),
+    ], ids=["nv-sweep-b", "nv-sweep-omega", "nv-scaling-omega"])
+    def test_non_finite_sweep_is_2_and_named(self, tmp_path, capsys, command,
+                                             payload, message):
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n" and "nan" not in err
+        assert not out.exists()
 
     # a truth frequency at or below 0 is named by its key before round 0,
     # whatever the window: a window wide enough to reach it no longer lets

@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 from acmag import dynamics
 from acmag.dynamics import (_CHUNK, _TABLE, ConvergenceError, FieldParams,
-                            GeneratorPair, TimeGrid,
-                            _drive_coeffs, _generator_coeffs,
-                            _generator_quadrature, _ordered_product,
-                            _prefix_products,
+                            GeneratorPair, TimeGrid, _generator_coeffs,
+                            _generator_quadrature, _prefix_products,
                             _su2_exp, _su2_matrix, _su2_mul, _su2_pow,
                             generator_closed_form, generator_numeric,
                             propagate)
@@ -57,39 +55,37 @@ class TestFieldParams:
             FieldParams(**{**kwargs, name: value})
 
 
-class TestHamiltonianEval:
-    # the sigma_x, sigma_z coefficients of the target and the total H
-    def test_target_at_zero_phase(self):
-        p = FieldParams(B=2.0, omega=5.0, gamma=3.0)
-        np.testing.assert_allclose(_drive_coeffs(p, 0.0, np.cos(p.phi), False),
-                                   (6.0, 0.0), atol=1e-15)
-
-    def test_matched_total_is_pure_z_rotation(self):
-        p = FieldParams.matched(1.3, 2.7, phi=0.4)
-        t = np.array([0.0, 0.31, 2.9, 17.0])
-        fx, fz = _drive_coeffs(p, t, np.cos(p.omega * t + p.phi), True)
-        np.testing.assert_allclose(fx, 0.0, atol=1e-12)
-        np.testing.assert_allclose(fz, 0.5 * p.omega_c, atol=1e-12)
+def _detuned_h(t):
+    """A (steps, 2, 2) stack of Hamiltonians whose steps do not commute."""
+    return (np.cos(3.0 * t)[:, None, None] * SIGMA_X - 0.4 * SIGMA_Y
+            + (0.5 + t)[:, None, None] * SIGMA_Z)
 
 
 class TestPropagate:
-    def test_constant_commuting_case(self):
+    # one and two steps, and one step short of, at and past one and two of
+    # the chunks that the walk carries its pair across
+    CHUNK_STEPS = [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+
+    @pytest.mark.parametrize("steps", CHUNK_STEPS)
+    def test_constant_commuting_case(self, steps):
         omega = 3.1
         u = propagate(lambda t: np.broadcast_to(0.5 * omega * SIGMA_Z,
                                                 (t.size, 2, 2)),
-                      TimeGrid(0, 2.0, 7))
+                      TimeGrid(0, 2.0, steps))
         np.testing.assert_allclose(u, expm_hermitian(0.5 * omega * SIGMA_Z, 2.0),
                                    atol=1e-12)
 
-    def test_matched_control_total(self):
+    @pytest.mark.parametrize("steps", CHUNK_STEPS)
+    def test_matched_control_total(self, steps):
         p = FieldParams.matched(1.0, 4.0)
         T = 2.5
 
         def h(t):
-            fx, fz = _drive_coeffs(p, t, np.cos(p.omega * t + p.phi), True)
-            return fx[:, None, None] * SIGMA_X + fz * SIGMA_Z
+            fx = (p.gamma * p.B * np.cos(p.omega * t + p.phi)
+                  - p.gamma * p.B_c * np.cos(p.omega_c * t + p.phi_c))
+            return fx[:, None, None] * SIGMA_X + 0.5 * p.omega_c * SIGMA_Z
 
-        u = propagate(h, TimeGrid(0, T, 200))
+        u = propagate(h, TimeGrid(0, T, steps))
         expected = np.diag([np.exp(-1j * p.omega_c * T / 2),
                             np.exp(1j * p.omega_c * T / 2)])
         np.testing.assert_allclose(u, expected, atol=1e-10)
@@ -108,6 +104,15 @@ class TestPropagate:
         for a, b in zip(errs, errs[1:]):
             assert 3.5 <= a / b <= 4.5
 
+    def test_chunks_compose(self):
+        # the split at step _CHUNK + 1 falls one step into the second chunk
+        n, dt = 2 * _CHUNK + 1, 1e-4
+        split = (_CHUNK + 1) * dt
+        u = propagate(_detuned_h, TimeGrid(0.0, n * dt, n))
+        first = propagate(_detuned_h, TimeGrid(0.0, split, _CHUNK + 1))
+        second = propagate(_detuned_h, TimeGrid(split, n * dt, _CHUNK))
+        assert max_abs(u - second @ first) <= 1e-12
+
     def test_rejects_4x4_hamiltonian(self):
         h4 = np.kron(SIGMA_X, SIGMA_Z) * 0.3
         with pytest.raises(ValueError, match="2x2"):
@@ -118,6 +123,15 @@ class TestPropagate:
         with pytest.raises(ValueError, match="non-Hermitian"):
             propagate(lambda t: np.broadcast_to(bad, (t.size, 2, 2)),
                       TimeGrid(0, 1.0, 3))
+
+    def test_rejects_a_non_hermitian_sample_in_the_last_chunk(self):
+        def h(t):
+            hs = _detuned_h(t)
+            hs[-1, 0, 1] += 1e-6
+            return hs
+
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            propagate(h, TimeGrid(0, 1.0, 2 * _CHUNK + 1))
 
     def test_rejects_a_missing_step_axis(self):
         # a forgotten [:, None, None] on a 2-step grid gives diag(cos t0,
@@ -147,6 +161,20 @@ class TestPropagate:
         propagate(h, grid)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], grid.midpoints())
+
+    def test_propagate_memory_does_not_grow_with_the_grid(self):
+        # a broadcast stack costs no memory, so what is left is the 8 MB of
+        # midpoints and one chunk's work; one whole-grid product of 1e6
+        # steps peaks near 128 MB
+        h = lambda t: np.broadcast_to(0.3 * SIGMA_X - 0.2 * SIGMA_Z,
+                                      (t.size, 2, 2))
+        tracemalloc.start()
+        try:
+            propagate(h, TimeGrid(0.0, 1.0, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestPropagateUnitarity:
@@ -269,14 +297,6 @@ class TestSu2Kernels:
         q = _random_pairs(np.random.default_rng(n), n)
         ref = _sequential_prefixes(_su2_matrix(q))
         assert max_abs(_su2_matrix(_prefix_products(q)) - ref) <= 1e-13
-
-    # odd lengths carry their last step up a level, at one level or several
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 63, 64, 65, 1025])
-    def test_ordered_product_is_the_last_prefix(self, n):
-        q = _random_pairs(np.random.default_rng(n), n, 3)
-        got = _ordered_product(q)
-        assert got.shape == (2, 3)
-        assert max_abs(got - _prefix_products(q)[:, -1]) <= 1e-14
 
 
 def _mp_generator_coeffs(g, B, w, T):
@@ -459,7 +479,10 @@ def _whole_grid_generators(p, grid, control):
     products q_j = h_j h_(j-1) over the whole grid."""
     mids = grid.midpoints()
     cos, sin = np.cos(p.omega * mids + p.phi), np.sin(p.omega * mids + p.phi)
-    fx, fz = _drive_coeffs(p, mids, cos, control)
+    fx, fz = p.gamma * p.B * cos, 0.0
+    if control:
+        fx = fx - p.gamma * p.B_c * np.cos(p.omega_c * mids + p.phi_c)
+        fz = 0.5 * p.omega_c
     q = _su2_exp(fx, 0.0, fz, 0.5 * grid.dt)
     q[:, 1:] = _su2_mul(q[:, 1:], q[:, :-1])
     a, b = _prefix_products(q)

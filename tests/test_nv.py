@@ -78,6 +78,13 @@ class TestNvParams:
         with pytest.raises(ValueError):
             NvParams(D=-1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["D", "A", "gamma_e", "B_z0"])
+    def test_non_finite_entry_is_named(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite, got {value}$"):
+            NvParams(**{name: value})
+
     def test_sensor_coupling(self):
         assert sensor_coupling(NV) == pytest.approx(NV.gamma_e / np.sqrt(2))
 
@@ -118,6 +125,20 @@ class TestPulseSequence:
         with pytest.raises(ValueError, match="n_reps must be >= 1"):
             PulseSequence(np.array([3, 0, 2]), 0.02, IDEAL)
         assert PulseSequence(np.array([3, 1, 2]), 0.02, IDEAL).tau == 0.02
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tau_is_named(self, value):
+        with pytest.raises(ValueError,
+                           match=f"^tau must be finite, got {value}$"):
+            PulseSequence(8, value, IDEAL)
+
+    # an ideal pulse ignores rabi_freq, but the record holds no NaN either
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["ideal", "finite"])
+    def test_non_finite_rabi_frequency_is_named(self, kind, value):
+        with pytest.raises(ValueError,
+                           match=f"^rabi_freq must be finite, got {value}$"):
+            PiPulseModel(kind, value)
 
 
 class TestSimulateSequence:
@@ -394,6 +415,13 @@ class TestBellReadout:
         with pytest.raises(ValueError):
             ReadoutModel(contrast=0.9, baseline=0.2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["sigma", "contrast", "baseline"])
+    def test_non_finite_entry_is_named(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite, got {value}$"):
+            ReadoutModel(**{name: value})
+
     @pytest.mark.parametrize("sigma,square", [(1e-300, "0.0"),
                                               (1e-150, "1e-300")])
     def test_underflowing_sigma_rejected(self, sigma, square):
@@ -479,6 +507,14 @@ class TestSweepSignal:
             "B", 1, 5.6, 5.6)
         with pytest.raises(ValueError):  # too few points for a slope fit
             sweep_signal("B", [5.6, 5.7], p, NV, 1, 0.017, IDEAL, ro)
+
+    @pytest.mark.parametrize("values", [[5.6, np.nan, 5.7],
+                                        [-np.inf, 5.6, np.inf]])
+    def test_non_finite_range_rejected(self, values):
+        with pytest.raises(SweepError,
+                           match="^the B sweep at N = 1 is not finite$"):
+            sweep_signal("B", values, operating_field(NV, 5.65), NV, 1,
+                         0.017, IDEAL, ReadoutModel())
 
     class _Reached(Exception):
         """The sweeps passed their check and reached the engine."""
