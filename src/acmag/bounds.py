@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FieldParams
+from .dynamics import FieldParams, _check_phi_zero
 from .qfim import _closed_form
 
 
@@ -84,8 +84,9 @@ def strategy_comparison(p: FieldParams, T) -> StrategyComparison:
     same repetition budget between the two parameters. Both limits are
     16/pi^2 and 8/pi^2. Repetition count cancels in every ratio. An array T
     gives array fields; OverflowError names the first T with an entry that
-    is not finite.
+    is not finite. Assumes phi = 0, as the closed forms do.
     """
+    _check_phi_zero(p)
     T = np.asarray(T, dtype=float)
     with np.errstate(all="ignore"):  # reported below, with the T
         f_bb, _, f_ww, _ = _closed_form(p.gamma, p.B, p.omega, T)

@@ -26,14 +26,12 @@ from . import __version__
 from .bounds import strategy_comparison
 from .dynamics import ConvergenceError, FieldParams, generator_closed_form
 from .fitting import loglog_slope, upper_envelope
-from .nv import (AdaptiveDivergenceError, JacobianError, NvParams,
+from .nv import (TWO_PI, AdaptiveDivergenceError, JacobianError, NvParams,
                  PiPulseModel, ReadoutModel, SweepError, _pair_specs, _sweeps,
                  adaptive_loop, control_frequency, operating_field,
                  parameter_uncertainty, scaling_study)
 from .qfim import (SingularQfimError, _closed_form, bell_probe_determinant,
                    relative_error_curves, sample_probe_determinants)
-
-TWO_PI = 2.0 * np.pi
 
 
 class ConfigError(ValueError):
@@ -227,11 +225,11 @@ def _nv_from(cfg: dict) -> NvParams:
     c = cfg["nv"]
     nv = NvParams(D=TWO_PI * c["d_mhz"], A=TWO_PI * c["a_mhz"],
                   gamma_e=TWO_PI * c["gamma_e_mhz_per_g"], B_z0=c["b_z0"])
-    if not control_frequency(nv) > 0:
+    if not 0 < control_frequency(nv) < np.inf:
         raise ConfigError(
             f"nv.b_z0 = {c['b_z0']} puts the control frequency {_CONTROL_MHZ}"
             f" at {control_frequency(nv) / TWO_PI:.6g} MHz; it must be "
-            "positive")
+            "positive and finite")
     return nv
 
 
@@ -261,25 +259,11 @@ _WINDOW = 1.2e17 * float(np.finfo(np.longdouble).eps)
 _QUAD = (np.arange(10_000, dtype=np.int16)[:, None]
          // np.array([1000, 100, 10, 1], np.int16) % 10
          + ord("0")).astype(np.uint8).view(np.uint32).ravel()  # "0000".."9999"
+# 10^(16 - d) for each d in _D, parsed from "1e<16 - d>" by strtold, which
+# rounds correctly; infinities (of a plain double) become its max
+_SCALE = np.minimum(np.array([b"1e%d" % k for k in (16 - _D).tolist()])
+                    .astype(np.longdouble), np.finfo(np.longdouble).max)
 
-
-def _exponents(e: np.ndarray) -> np.ndarray:
-    """The words "+hij" or "-hij" of the exponents e."""
-    return (_QUAD[abs(e)] - ord("0")
-            + np.where(e < 0, ord("-"), ord("+"))).astype(np.uint32)
-
-
-def _scales() -> np.ndarray:
-    """10^(16 - d) for each d in _D, parsed from "  1e+hij" by strtold, which
-    rounds correctly; infinities (of a plain double) become its max."""
-    text = np.empty((_D.size, 2), np.uint32)
-    text[:, 0] = int.from_bytes(b"  1e", "little")
-    text[:, 1] = _exponents(16 - _D)
-    return np.minimum(text.view("S8")[:, 0].astype(np.longdouble),
-                      np.finfo(np.longdouble).max)
-
-
-_SCALE = _scales()
 # A cell's 28 source bytes are 7 words, indices into _WORDS: bytes 0-3 are
 # "-.0" and the lead digit (a lead of 10, from a y that rounds up to 1e17,
 # reads as 1), 4-19 the other 16 digits, 20-23 the exponent's sign and
@@ -289,7 +273,9 @@ _LEAD, _EXPO = 10_000, 10_011
 _SEP = _EXPO + _D.size
 _WORDS = np.concatenate([
     _QUAD, _QUAD[[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1]] - 0x303030 + 0x302E2D,
-    _exponents(_D), np.frombuffer(b"e,\0\0e\n\0\0", np.uint32)])
+    (_QUAD[abs(_D)] - ord("0") + np.where(_D < 0, ord("-"), ord("+")))
+    .astype(np.uint32),  # "+hij" or "-hij"
+    np.frombuffer(b"e,\0\0e\n\0\0", np.uint32)])
 
 
 def _layouts():

@@ -108,9 +108,8 @@ class GeneratorPair:
     h_omega: np.ndarray
 
     def __post_init__(self):
-        for h in (self.h_b, self.h_omega):
-            if not is_hermitian(h, 1e-10):
-                raise ValueError("generators must be Hermitian")
+        if not is_hermitian(np.stack([self.h_b, self.h_omega])):
+            raise ValueError("generators must be Hermitian")
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +225,11 @@ def propagate(h, grid: TimeGrid) -> np.ndarray:
     """Time-ordered midpoint propagator of a 2x2 Hamiltonian function h.
 
     h is called once, on the grid's midpoints, and returns a (steps, 2, 2)
-    stack, Hermitian within 1e-10; a constant Hamiltonian is broadcast to
-    that shape by the caller, so a missing step axis is never guessed. Each
-    step contributes exp(-i*h(t_mid)*dt), as two half steps _CHUNK at a
-    time by _carried_step; later steps are applied on the left. Converges
-    at second order in the step size.
+    stack, finite and Hermitian within 1e-10; a constant Hamiltonian is
+    broadcast to that shape by the caller, so a missing step axis is never
+    guessed. Each step contributes exp(-i*h(t_mid)*dt), as two half steps
+    _CHUNK at a time by _carried_step; later steps are applied on the left.
+    Converges at second order in the step size.
     """
     hs = np.asarray(h(grid.midpoints()), dtype=complex)
     if hs.shape != (grid.steps, 2, 2):
@@ -240,8 +239,9 @@ def propagate(h, grid: TimeGrid) -> np.ndarray:
     carry, trace = np.array([[1.0], [0.0]], dtype=complex), 0.0
     for s in range(0, grid.steps, _CHUNK):
         hc = hs[s : s + _CHUNK]
-        if max_abs(hc - np.swapaxes(hc.conj(), -1, -2)) > 1e-10:
-            raise ValueError("propagate sampled a non-Hermitian Hamiltonian")
+        if not is_hermitian(hc):
+            raise ValueError("propagate sampled a non-Hermitian or non-finite "
+                             "Hamiltonian")
         ax, ay = hc[:, 0, 1].real, -hc[:, 0, 1].imag
         az = 0.5 * (hc[:, 0, 0] - hc[:, 1, 1]).real
         trace += np.sum(0.5 * (hc[:, 0, 0] + hc[:, 1, 1]).real)
@@ -441,14 +441,21 @@ def _generator_coeffs(g, B, w, T, mode: str = "exact"):
     return bx, by, wx, wy
 
 
+def _check_phi_zero(p: FieldParams) -> None:
+    """Raise ValueError unless phi = 0, which every closed form assumes."""
+    if p.phi != 0:
+        raise ValueError(f"the closed forms assume phi = 0, got phi = {p.phi}")
+
+
 def generator_closed_form(p: FieldParams, T: float,
                           mode: str = "exact") -> GeneratorPair:
     """Generators under matched control, exact or in the long-time limit.
 
-    The exact expressions assume phi = 0 and matched control. The
-    asymptotic mode returns (gamma*T/2) sigma_x and (gamma*B*T^2/4) sigma_y.
-    Raises OverflowError when a coefficient overflows a float.
+    Both modes assume phi = 0 (ValueError otherwise) and matched control.
+    The asymptotic mode returns (gamma*T/2) sigma_x and (gamma*B*T^2/4)
+    sigma_y. Raises OverflowError when a coefficient overflows a float.
     """
+    _check_phi_zero(p)
     with np.errstate(all="ignore"):  # reported below, with the T
         bx, by, wx, wy = _generator_coeffs(p.gamma, p.B, p.omega, T, mode)
     if not np.all(np.isfinite([bx, by, wx, wy])):

@@ -37,7 +37,7 @@ def loglog_slope(x, y) -> tuple[float, float]:
     y = np.asarray(y, dtype=float)
     if x.size < 3:
         raise ValueError("need at least 3 points for a slope fit")
-    if np.any(x <= 0) or np.any(y <= 0):
+    if not (np.all(x > 0) and np.all(y > 0)):  # NaN fails too
         raise ValueError("log-log fit requires strictly positive data")
     return ols_slope(np.log(x), np.log(y))
 
@@ -50,20 +50,16 @@ def upper_envelope(x, y, bins_per_decade: int = 8) -> tuple[np.ndarray, np.ndarr
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x <= 0):
+    if not np.all(x > 0):  # NaN fails too
         raise ValueError("envelope extraction requires positive x")
     lo, hi = np.log10(x.min()), np.log10(x.max())
     n_bins = max(1, int(np.ceil((hi - lo) * bins_per_decade)))
     edges = np.logspace(lo, hi, n_bins + 1)
     idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
-    xs, ys = [], []
-    for b in range(n_bins):
-        mask = idx == b
-        if not np.any(mask):
-            continue
-        ys.append(y[mask].max())
-        xs.append(np.sqrt(edges[b] * edges[b + 1]))
-    return np.asarray(xs), np.asarray(ys)
+    ys = np.full(n_bins, -np.inf)
+    np.maximum.at(ys, idx, y)
+    kept = np.bincount(idx, minlength=n_bins) > 0
+    return np.sqrt(edges[:-1] * edges[1:])[kept], ys[kept]
 
 
 def envelope_slope(x, y, bins_per_decade: int = 8) -> tuple[float, float]:

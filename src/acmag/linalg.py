@@ -38,7 +38,8 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    return max_abs(a - a.conj().T) <= tol
+    """a, or each matrix of a stack, is Hermitian within tol (NaN is not)."""
+    return max_abs(a - np.swapaxes(a.conj(), -1, -2)) <= tol
 
 
 def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:

@@ -407,13 +407,16 @@ def _sweeps(sweeps, p: FieldParams, nv: NvParams, tau: float,
         seeds = np.ravel(seeds).tolist()
         z = {s: index_normals(s, points, k) for s in seeds}
         signals += 0.0 + readout.sigma * np.array([z[s] for s in seeds])
-        bad = np.argwhere(~np.isfinite(signals).all(axis=2))
-        if bad.size:
-            s, i = bad[0]
+    bad = np.argwhere(~np.isfinite(signals).all(axis=2))
+    if bad.size:  # from the sequence, as for an overflowing tau, or the noise
+        s, i = bad[0]
+        at = f"{axes[s]} = {float(values[s, i])!r}"
+        if not np.isfinite(probs[s, i]).all():
             raise FloatingPointError(
-                f"non-finite noisy signal at {axes[s]} = "
-                f"{float(values[s, i])!r} (readout.sigma = "
-                f"{readout.sigma!r})")
+                f"non-finite Bell populations in the {axes[s]} sweep at N = "
+                f"{int(n_reps[s])}, {at} (protocol.tau = {tau!r})")
+        raise FloatingPointError(f"non-finite noisy signal at {at} "
+                                 f"(readout.sigma = {readout.sigma!r})")
     # five points about the operating point, fewer on a shorter sweep
     width = min(5, points)
     centre = np.where(on_b, p.B, p.omega)[:, None]
@@ -493,6 +496,8 @@ def _uncertainties(j: np.ndarray, se: np.ndarray, sigma: float,
     entry = np.arange(2 * k)
     se = se.reshape(m, 2 * k)
     moved[:, entry + 1, entry // 2, entry % 2] += se
+    if sigma * sigma == np.inf:  # where sigma**2 raises an unnamed error
+        raise OverflowError(f"readout.sigma = {sigma!r} squared overflows")
     cov = sigma**2 * np.linalg.inv(np.swapaxes(moved, -1, -2) @ moved)
     delta = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
     shift = np.where((se != 0.0)[..., None], delta[:, 1:] - delta[:, :1], 0.0)

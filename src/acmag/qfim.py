@@ -2,10 +2,10 @@
 
 For a pure probe evolving unitarily, the QFIM entries are four times the
 covariance of the Heisenberg-picture generators. This module assembles the
-matrix from generators and probes, provides the matched-control closed
-forms and their determinant, the Cramer-Rao covariance bound, the relative
-errors with respect to the long-time limit, the classical Fisher matrix of
-a measurement, and a Haar-random probe search.
+matrix from generators and probes, provides the phi = 0 matched-control
+closed forms and their determinant, the Cramer-Rao covariance bound, the
+relative errors with respect to the long-time limit, the classical Fisher
+matrix of a measurement, and a Haar-random probe search.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FieldParams, GeneratorPair, _generator_coeffs
+from .dynamics import (FieldParams, GeneratorPair, _check_phi_zero,
+                       _generator_coeffs)
 from .linalg import (I2, bell_state, density, index_normals, is_unitary,
                      partial_trace, pure_cov, tensor)
 
@@ -53,9 +54,9 @@ class Qfim2:
 
     def is_singular(self) -> bool:
         """det <= 1e-10 max|F_ij|^2: a scale-free rule that also holds for
-        the zero matrix and for the negative determinants of rounding."""
+        the zero matrix, rounding's negative determinants and NaN entries."""
         (a, b, c), _ = self._scaled()
-        return bool(a * c - b * b <= 1e-10 * max(abs(a), abs(b), abs(c))**2)
+        return not (a * c - b * b > 1e-10 * max(abs(a), abs(b), abs(c))**2)
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,7 @@ def qfim_closed_form(p: FieldParams, T: float) -> Qfim2:
     The entries are the Gram form of the closed-form generator coefficients.
     Raises OverflowError when an entry overflows a float.
     """
+    _check_phi_zero(p)
     with np.errstate(all="ignore"):  # reported below, with the T
         f_bb, f_bw, f_ww, _ = _closed_form(p.gamma, p.B, p.omega, T)
     if not np.all(np.isfinite([f_bb, f_bw, f_ww])):
@@ -131,6 +133,7 @@ def qfim_determinant(p: FieldParams, T: float) -> float:
     generator coefficients, whose small-omega*T series live in dynamics.
     Raises OverflowError when it overflows a float.
     """
+    _check_phi_zero(p)
     with np.errstate(all="ignore"):  # reported below, with the T
         det = float(_closed_form(p.gamma, p.B, p.omega, T)[3])
     if not np.isfinite(det):
@@ -169,8 +172,9 @@ def relative_error_curves(p: FieldParams, omega_t_values) -> dict[str, np.ndarra
     a*sigma_x + b*sigma_y is hypot(a, b). All entries depend on omega*T
     only, so they are evaluated at T = 1. Requires omega*T > 2*pi and B > 0.
     """
+    _check_phi_zero(p)
     xs = np.asarray(omega_t_values, dtype=float)
-    if np.any(xs <= 2 * np.pi):
+    if not np.all(xs > 2 * np.pi):  # NaN fails too
         raise ValueError("omega*T values must exceed 2*pi")
     if p.B <= 0:
         raise ValueError("frequency curves require B > 0")
@@ -266,11 +270,11 @@ def classical_fim(prob_fn, at: FieldParams,
     """
     db = step[0] if step[0] is not None else 1e-4 * at.B
     dw = step[1] if step[1] is not None else 1e-4 * at.omega
-    if db <= 0 or dw <= 0:
+    if not (db > 0 and dw > 0):  # NaN fails too
         raise ValueError("finite-difference steps must be positive")
     p0 = np.asarray(prob_fn(at.B, at.omega), dtype=float)
     for i, pi in enumerate(p0):
-        if pi <= 0:
+        if not pi > 0:
             raise ValueError(f"outcome {i} has non-positive probability {pi!r}")
     d1b, d1w = _central_diff(prob_fn, at.B, at.omega, db, dw)
     d2b, d2w = _central_diff(prob_fn, at.B, at.omega, db / 2, dw / 2)

@@ -94,6 +94,26 @@ class TestEmitResults:
                 emit_results(columns, {}, out, "bad")
         assert not out.exists()
 
+    def test_column_of_neither_numbers_nor_text_rejected(self, tmp_path):
+        out = tmp_path / "bad"
+        for column in (np.array([1.0 + 2.0j]), np.array([None]),
+                       np.array([b"B"])):
+            with pytest.raises(TypeError, match="numbers or text"):
+                emit_results({"x": column}, {}, out, "bad")
+        assert not out.exists()
+
+    def test_unserializable_summary_value_rejected(self, tmp_path):
+        # numpy scalars and arrays serialize as lists and numbers; anything
+        # else is refused before a file is written
+        out = tmp_path / "bad"
+        _, json_path = emit_results({"x": [1.0]}, {"n": np.int64(3),
+                                                   "v": np.ones(2)},
+                                    out, "ok")
+        assert json.loads(json_path.read_text()) == {"n": 3, "v": [1.0, 1.0]}
+        with pytest.raises(TypeError, match="cannot serialize <class 'set'>"):
+            emit_results({"x": [1.0]}, {"s": {1, 2}}, out, "bad")
+        assert not (out / "bad.csv").exists()
+
     def test_exact_bytes_of_mixed_columns(self, tmp_path):
         # one .17g format serves every number: ints up to 2**53 print as
         # their digits, and -0.0 and subnormals keep their sign and value
@@ -418,8 +438,9 @@ class TestExitCodes:
         {"sweep": {"points": 2}},
         {"protocol": {"tau": -1}},
         {"nv": {"b_z0": 1100.0}},
+        {"readout": {"signals_used": "four"}},
     ], ids=["tau-string", "n-reps-zero", "n-avg-zero", "two-points",
-            "negative-tau", "negative-control-frequency"])
+            "negative-tau", "negative-control-frequency", "signals-four"])
     def test_malformed_nv_sweep_config_is_2(self, tmp_path, capsys, payload):
         cfg = _write(tmp_path, "c.json", payload)
         out = tmp_path / "out"
@@ -490,6 +511,20 @@ class TestExitCodes:
         ("nv-sweep", {"readout": {"sigma": 1e308}},
          "non-finite noisy signal at omega = 11758.868138680453 "
          "(readout.sigma = 1e+308)"),
+        # the sequence's phases overflow, so its Bell populations are NaN:
+        # named by tau before the noise, the fit or the Jacobian can fail
+        ("nv-sweep", {"protocol": {"tau": 1e308}},
+         "non-finite Bell populations in the B sweep at N = 8, B = 5.625 "
+         "(protocol.tau = 1e+308)"),
+        ("nv-sweep", {"protocol": {"tau": 1e308}, "sweep": {"noise": False}},
+         "non-finite Bell populations in the B sweep at N = 8, B = 5.625 "
+         "(protocol.tau = 1e+308)"),
+        ("nv-scaling", {"protocol": {"tau": 1e308}},
+         "non-finite Bell populations in the B sweep at N = 1, B = 5.45 "
+         "(protocol.tau = 1e+308)"),
+        ("adaptive", {"protocol": {"tau": 1e308}},
+         "non-finite Bell populations in the B sweep at N = 8, "
+         "B = 5.6000000000000005 (protocol.tau = 1e+308)"),
     ])
     def test_non_finite_output_is_3(self, tmp_path, capsys, command, payload,
                                     message):
@@ -781,6 +816,28 @@ class TestExitCodes:
                                           "truth": {"b": 0.02}})
         assert main(["adaptive", "--config", str(cfg), "--out",
                      str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command", ["nv-sweep", "nv-scaling", "adaptive"])
+    def test_overflowing_control_frequency_is_2_and_named(self, tmp_path,
+                                                          capsys, command):
+        cfg = _write(tmp_path, "c.json", {"nv": {"b_z0": -1e308}})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: nv.b_z0 = -1e+308 puts the control frequency "
+            f"{_CONTROL_MHZ} at inf MHz; it must be positive and finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["nv-sweep", "nv-scaling"])
+    def test_readout_sigma_whose_square_overflows_is_2_and_named(
+            self, tmp_path, capsys, command):
+        cfg = _write(tmp_path, "c.json", {"readout": {"sigma": 1e200}})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config values overflow in {command}: "
+            "readout.sigma = 1e+200 squared overflows\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["nv-sweep", "nv-scaling"])
     @pytest.mark.parametrize("sigma,square", [(1e-300, "0.0"),

@@ -133,6 +133,15 @@ class TestPropagate:
         with pytest.raises(ValueError, match="non-Hermitian"):
             propagate(h, TimeGrid(0, 1.0, 2 * _CHUNK + 1))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_rejects_a_non_finite_sample(self, value):
+        # NaN fails every comparison, so a check written as "> 1e-10 is
+        # non-Hermitian" would pass it on and return an all-NaN propagator
+        with pytest.raises(ValueError, match="non-Hermitian or non-finite"):
+            propagate(lambda t: np.where(t > 0.5, value, 1.0)[:, None, None]
+                      * SIGMA_X, TimeGrid(0, 1.0, 4))
+
     def test_rejects_a_missing_step_axis(self):
         # a forgotten [:, None, None] on a 2-step grid gives diag(cos t0,
         # -cos t1), which is Hermitian and 2x2 but not one matrix per step
@@ -740,7 +749,17 @@ class TestTimeGrid:
      "theta must be 'B' or 'omega', got 'phi'"),
     (lambda: GeneratorPair(h_b=SIGMA_X, h_omega=SIGMA_X + 1j * SIGMA_X),
      "generators must be Hermitian"),
-], ids=["theta", "non-hermitian"])
+    (lambda: GeneratorPair(h_b=np.nan * SIGMA_X, h_omega=SIGMA_Y),
+     "generators must be Hermitian"),
+    (lambda: generator_closed_form(FieldParams.matched(1.0, 5.0, phi=0.3),
+                                   2.0),
+     "the closed forms assume phi = 0, got phi = 0.3"),
+    (lambda: generator_closed_form(FieldParams.matched(1.0, 5.0,
+                                                       phi=np.nan),
+                                   2.0, mode="asymptotic"),
+     "the closed forms assume phi = 0, got phi = nan"),
+], ids=["theta", "non-hermitian", "nan-generator", "phi",
+        "phi-nan-asymptotic"])
 def test_rejections(call, match):
     with pytest.raises(ValueError, match=match):
         call()

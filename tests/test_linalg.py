@@ -34,6 +34,25 @@ class TestPauli:
             pauli_op("w")
 
 
+class TestIsHermitian:
+    def test_a_stack_is_checked_matrix_by_matrix(self):
+        stack = np.stack([SIGMA_X, SIGMA_Y, 0.3 * SIGMA_Z])
+        assert is_hermitian(stack)
+        stack[1, 0, 1] += 1e-6
+        assert not is_hermitian(stack)
+        assert [is_hermitian(h) for h in stack] == [True, False, True]
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1j * np.nan])
+    def test_a_non_finite_entry_is_not_hermitian(self, value):
+        # a NaN compares False with any tolerance, so it must fail the check
+        for i, j in [(0, 0), (0, 1)]:
+            h = SIGMA_X.copy()
+            h[i, j] = value
+            assert not is_hermitian(h)
+            assert not is_hermitian(np.stack([SIGMA_Z, h]))
+
+
 class TestTensor:
     def test_identity(self):
         np.testing.assert_array_equal(tensor(I2, I2), np.eye(4))

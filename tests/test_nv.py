@@ -516,6 +516,20 @@ class TestSweepSignal:
             sweep_signal("B", values, operating_field(NV, 5.65), NV, 1,
                          0.017, IDEAL, ReadoutModel())
 
+    @pytest.mark.parametrize("add_noise", [False, True],
+                             ids=["noiseless", "noisy"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_populations_name_tau(self, add_noise):
+        # a window of 1e308 us takes every phase to inf: the Bell
+        # populations are NaN before any noise is added, and it is tau
+        # that is named, not the noise
+        p = operating_field(NV, 5.65)
+        with pytest.raises(FloatingPointError, match=(
+                r"^non-finite Bell populations in the omega sweep at N = 3, "
+                r"omega = .* \(protocol\.tau = 1e\+308\)$")):
+            sweep_signal("omega", p.omega + np.linspace(-0.1, 0.1, 5), p, NV,
+                         3, 1e308, IDEAL, ReadoutModel(), add_noise=add_noise)
+
     class _Reached(Exception):
         """The sweeps passed their check and reached the engine."""
 
@@ -658,6 +672,16 @@ class TestParameterUncertainty:
         assert r3.delta_w <= r2.delta_w * (1 + 1e-9)
         # and the two- and three-signal figures stay close
         assert r3.delta_w == pytest.approx(r2.delta_w, rel=0.5)
+
+    def test_sigma_whose_square_overflows_is_named(self):
+        # sigma**2 of a Python float raises a bare (34, 'Numerical result
+        # out of range') there
+        sb, sw = self._fake_sweeps(2.0, 4.0)
+        with pytest.raises(OverflowError, match=(
+                r"^readout\.sigma = 1e\+200 squared overflows$")):
+            parameter_uncertainty(sb, sw, ReadoutModel(sigma=1e200))
+        res = parameter_uncertainty(sb, sw, ReadoutModel(sigma=1e150))
+        assert res.delta_b == pytest.approx(1e150 / 2.0)
 
     def test_stderr_propagates_to_error_bars(self):
         sb, sw = self._fake_sweeps(2.0, 4.0, stderr=0.0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from acmag.bounds import strategy_comparison
 from acmag.dynamics import (FieldParams, GeneratorPair, TimeGrid,
                             _generator_coeffs, generator_closed_form,
                             generator_numeric)
@@ -277,6 +278,15 @@ class TestQcrb:
         with pytest.raises(SingularQfimError, match="unattainable"):
             qcrb(Qfim2(1.0, 2.0, 4.0), 1)
 
+    @pytest.mark.parametrize("entries", [
+        (np.nan, 0.0, 1.0), (1.0, np.nan, 1.0), (1.0, 0.0, np.nan)])
+    def test_nan_entry_is_singular(self, entries):
+        # NaN fails every comparison: the rule must read it as singular
+        # rather than hand qcrb NaN variances
+        assert Qfim2(*entries).is_singular()
+        with pytest.raises(SingularQfimError):
+            qcrb(Qfim2(*entries), 1)
+
     def test_is_covbound(self):
         assert isinstance(qcrb(Qfim2(4.0, 0.0, 16.0), 2), CovBound)
 
@@ -418,6 +428,13 @@ class TestProbeOverlap:
         rng = np.random.default_rng(5)
         psi = haar_state(4, rng)
         assert probe_overlap(psi, np.eye(2)) == pytest.approx(1.0)
+
+    def test_closed_form_of_the_identity_is_one(self):
+        # no rotation axis: the closed form answers |cos a| = 1 directly
+        rng = np.random.default_rng(5)
+        for psi in (haar_state(4, rng), bell_state("phi+"), ket(4, 0)):
+            assert probe_overlap_closed_form(psi, I2) == 1.0
+            assert probe_overlap_closed_form(psi, -1j * I2) == 1.0
 
     def test_bell_probe_gives_cos(self):
         rng = np.random.default_rng(6)
@@ -599,6 +616,49 @@ class TestNumericGeneratorsIntoQfim:
         assert np.max(np.abs(f1 - f2)) < 1e-6
 
 
+class TestPhiDomain:
+    # every closed form is derived for phi = 0
+    OFF = FieldParams.matched(1.0, 5.0, phi=0.3)
+    CALLS = {
+        "generator_closed_form": lambda p: generator_closed_form(p, 2.0),
+        "qfim_closed_form": lambda p: qfim_closed_form(p, 2.0),
+        "qfim_determinant": lambda p: qfim_determinant(p, 2.0),
+        "relative_error_curves": lambda p: relative_error_curves(p, [100.0]),
+        "strategy_comparison": lambda p: strategy_comparison(p, 2.0),
+    }
+
+    def test_the_phi_zero_answer_is_wrong_at_other_phi(self):
+        # the Bell-probe QFIM of the numerical generators at phi = 0.3
+        # is f_bb = 4.180, f_bw = -0.264; the phi = 0 closed form reads
+        # 4.377 and +0.044
+        grid = TimeGrid(0.0, 2.0, 20_000)
+        gen = GeneratorPair(*(generator_numeric(self.OFF, theta, grid)
+                              for theta in ("B", "omega")))
+        f = qfim_from_generators(bell_state("phi+"), gen)
+        at_zero = qfim_closed_form(replace(self.OFF, phi=0.0, phi_c=0.0), 2.0)
+        assert f.f_bb == pytest.approx(4.180, abs=1e-3)
+        assert f.f_bw == pytest.approx(-0.264, abs=1e-3)
+        assert abs(at_zero.f_bw - f.f_bw) > 0.25
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    @pytest.mark.parametrize("phi", [0.3, -1e-300, np.nan])
+    def test_other_phi_raises(self, name, phi):
+        with pytest.raises(ValueError, match="assume phi = 0, got phi = "):
+            self.CALLS[name](replace(self.OFF, phi=phi, phi_c=phi))
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_phi_zero_is_unchanged(self, name):
+        # -0.0 is phi = 0, and gives the default field's answer bit for bit
+        p = FieldParams.matched(1.0, 5.0)
+        got = self.CALLS[name](replace(p, phi=-0.0, phi_c=-0.0))
+        ref = self.CALLS[name](p)
+        if isinstance(ref, dict):
+            got, ref = list(got.values()), list(ref.values())
+        elif not isinstance(ref, float):
+            got, ref = list(vars(got).values()), list(vars(ref).values())
+        np.testing.assert_array_equal(got, ref)
+
+
 _GEN = generator_closed_form(FieldParams.matched(1.0, 1.0), 1.0)
 
 
@@ -615,8 +675,18 @@ _GEN = generator_closed_form(FieldParams.matched(1.0, 1.0), 1.0)
     (lambda: classical_fim(lambda b, w: np.full(4, 0.25),
                            FieldParams.matched(1.0, 1.0), step=(0.0, None)),
      "finite-difference steps must be positive"),
+    (lambda: classical_fim(lambda b, w: np.full(4, 0.25),
+                           FieldParams.matched(1.0, 1.0),
+                           step=(None, np.nan)),
+     "finite-difference steps must be positive"),
+    (lambda: classical_fim(lambda b, w: np.array([0.5, np.nan, 0.25, 0.25]),
+                           FieldParams.matched(1.0, 1.0)),
+     "outcome 1 has non-positive probability .*nan"),
+    (lambda: relative_error_curves(FieldParams.matched(1.0, 1.0),
+                                   [100.0, np.nan]),
+     "omega\\*T values must exceed 2\\*pi"),
 ], ids=["probe-size", "repetitions", "zero-amplitude", "non-unitary",
-        "step"])
+        "step", "nan-step", "nan-probability", "nan-omega-t"])
 def test_rejections(call, match):
     with pytest.raises(ValueError, match=match):
         call()
