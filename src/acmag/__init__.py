@@ -25,10 +25,9 @@ from .nv import (AdaptiveDivergenceError, JacobianError, NvParams,
                  parameter_uncertainty, scaling_study, sensor_coupling,
                  sequence_unitary, simulate_sequence, sweep_signal)
 from .qfim import (CovBound, Qfim2, SingularQfimError, bell_probe_determinant,
-                   classical_fim, probe_overlap, probe_overlap_closed_form,
-                   qcrb, qfim_closed_form, qfim_determinant,
-                   qfim_from_generators, relative_error_curves,
-                   sample_probe_determinants)
+                   classical_fim, probe_overlap, qcrb, qfim_closed_form,
+                   qfim_determinant, qfim_from_generators,
+                   relative_error_curves, sample_probe_determinants)
 
 __version__ = "0.1.0"
 

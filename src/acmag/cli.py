@@ -18,6 +18,7 @@ import copy
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +54,7 @@ _NV_DEFAULTS = {
 
 _PULSE_DEFAULTS = {"kind": "ideal", "rabi_mhz": 20.0, "hyperfine_on": True}
 
-_READOUT_DEFAULTS = {
-    "sigma": None,
-    "n_avg": 3_000_000,
-    "contrast": 1.0,
-    "baseline": 0.0,
-    "signals_used": "two",
-}
+_READOUT_DEFAULTS = {f.name: f.default for f in fields(ReadoutModel)}
 
 # adaptive sets its control from each round's estimate, so it has no b_c
 _PROTOCOL_DEFAULTS = {
@@ -237,13 +232,6 @@ def _pulse_from(cfg: dict) -> PiPulseModel:
     c = cfg["protocol"]["pulse"]
     return PiPulseModel(kind=c["kind"], rabi_freq=TWO_PI * c["rabi_mhz"],
                         hyperfine_on=bool(c["hyperfine_on"]))
-
-
-def _readout_from(cfg: dict) -> ReadoutModel:
-    c = cfg["readout"]
-    return ReadoutModel(sigma=c["sigma"], n_avg=int(c["n_avg"]),
-                        contrast=c["contrast"], baseline=c["baseline"],
-                        signals_used=c["signals_used"])
 
 
 # The CSV writer formats every number as '%.17g' would, a block of cells at
@@ -537,7 +525,7 @@ def _run_nv_sweep(cfg: dict):
     pr = cfg["protocol"]
     sw = cfg["sweep"]
     pulse = _pulse_from(cfg)
-    readout = _readout_from(cfg)
+    readout = ReadoutModel(**cfg["readout"])
     p = operating_field(nv, pr["b_c"], pr["phi"])
     n = int(pr["n_reps"])
     hb = sw["halfwidth_b"] if sw["halfwidth_b"] is not None else 0.2 / n
@@ -572,7 +560,7 @@ def _run_nv_scaling(cfg: dict):
     pr = cfg["protocol"]
     sc = cfg["scaling"]
     res = scaling_study(
-        nv, _readout_from(cfg),
+        nv, ReadoutModel(**cfg["readout"]),
         n_values=tuple(range(int(sc["n_min"]), int(sc["n_max"]) + 1)),
         tau=pr["tau"], B_c=pr["b_c"], phi=pr["phi"], pulse=_pulse_from(cfg),
         halfwidth_b=sc["halfwidth_b"],

@@ -26,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian, max_abs
+from .linalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, _check_count, is_hermitian,
+                     max_abs)
 
 
 class ConvergenceError(RuntimeError):
@@ -61,7 +62,8 @@ class FieldParams:
     def __post_init__(self):
         if self.omega_c is None:
             object.__setattr__(self, "omega_c", self.omega)
-        _check_finite(self, ("B", "B_c", "omega", "omega_c", "gamma"))
+        _check_finite(self, ("B", "B_c", "omega", "omega_c", "phi", "phi_c",
+                             "gamma"))
         if self.B < 0 or self.B_c < 0:
             raise ValueError("field amplitudes must be non-negative")
         if self.omega <= 0 or self.omega_c <= 0:
@@ -89,8 +91,7 @@ class TimeGrid:
         _check_finite(self, ("t_start", "t_end"))
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        _check_count(self.steps, "steps", 1)
 
     @property
     def dt(self) -> float:

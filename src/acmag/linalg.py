@@ -37,6 +37,15 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _check_count(value, name: str, minimum: int = 0) -> None:
+    """Raise ValueError naming ``name`` unless ``value``, one count or an
+    array of them, holds integers, not bools, of at least ``minimum``."""
+    if np.asarray(value).dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if np.any(np.asarray(value) < minimum):
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     """a, or each matrix of a stack, is Hermitian within tol (NaN is not)."""
     return max_abs(a - np.swapaxes(a.conj(), -1, -2)) <= tol
@@ -174,6 +183,7 @@ def index_normals(seed: int, n: int, size: int) -> np.ndarray:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if not 0 <= n <= 2**32:  # beyond, an index spans two entropy words
         raise ValueError(f"need 0 <= n <= 2**32 indices, got {n}")
+    _check_count(n, "n")
     # the seed's uint32 words, low first; 0 is the one word [0]
     words = [seed >> s & _MASK32 for s in range(0, seed.bit_length() or 1, 32)]
     entropy = np.empty((len(words) + 1, n), dtype=np.uint32)

@@ -37,8 +37,9 @@ import numpy as np
 from .dynamics import (FieldParams, _check_finite, _su2_exp, _su2_matrix,
                        _su2_mul, _su2_pow)
 from .fitting import loglog_slope, ols_slope
-from .linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_state, bell_basis,
-                     bell_state, expm_hermitian, index_normals, tensor)
+from .linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, _check_count, as_state,
+                     bell_basis, bell_state, expm_hermitian, index_normals,
+                     tensor)
 
 TWO_PI = 2.0 * np.pi
 
@@ -214,8 +215,7 @@ class PulseSequence:
 
     def __post_init__(self):
         _check_finite(self, ("tau",))
-        if np.min(self.n_reps) < 1:
-            raise ValueError("n_reps must be >= 1")
+        _check_count(self.n_reps, "n_reps", 1)
         if self.tau <= 0:
             raise ValueError("tau must be positive")
 
@@ -242,8 +242,7 @@ def _sequence_unitaries(seq: PulseSequence, nv: NvParams, p: FieldParams,
     batch of electron SU(2) problems, placed on the propagators' block
     diagonals.
     """
-    if steps_per_block < 1:
-        raise ValueError("steps_per_block must be >= 1")
+    _check_count(steps_per_block, "steps_per_block", 1)
     tau, pulse = seq.tau, seq.pulse
     n_reps, B, omega = np.broadcast_arrays(np.ravel(seq.n_reps), np.ravel(B),
                                            np.ravel(omega))
@@ -316,6 +315,7 @@ class ReadoutModel:
     signals_used: str = "two"
 
     def __post_init__(self):
+        _check_count(self.n_avg, "n_avg", 1)
         if self.sigma is None:
             object.__setattr__(
                 self, "sigma", float(np.sqrt(0.25 * 0.75 / self.n_avg)))
@@ -552,6 +552,7 @@ def scaling_study(nv: NvParams, readout: ReadoutModel,
     inverse.
     """
     p = operating_field(nv, B_c, phi)
+    _check_count(n_values, "n_values", 1)
     n_values = np.asarray(n_values, dtype=int)
     sweeps, _ = _sweeps(_pair_specs((p.B, p.omega), n_values,
                                     halfwidth_b / n_values,
@@ -595,6 +596,8 @@ def adaptive_loop(true_field: tuple[float, float],
     estimate that leaves the linear window around the true values, raise
     AdaptiveDivergenceError.
     """
+    _check_count(rounds, "rounds")
+    _check_count(shots, "shots", 1)
     b_true, w_true = true_field
     est = np.array(initial_guess, dtype=float)
     traj = [est.copy()]

@@ -16,8 +16,8 @@ import numpy as np
 
 from .dynamics import (FieldParams, GeneratorPair, _check_phi_zero,
                        _generator_coeffs)
-from .linalg import (I2, bell_state, density, index_normals, is_unitary,
-                     partial_trace, pure_cov, tensor)
+from .linalg import (I2, _check_count, bell_state, density, index_normals,
+                     is_unitary, partial_trace, pure_cov, tensor)
 
 
 class SingularQfimError(ValueError):
@@ -66,7 +66,6 @@ class CovBound:
     var_b: float
     var_w: float
     cov_bw: float
-    repetitions: int
 
 
 def qfim_from_generators(probe: np.ndarray, gen: GeneratorPair,
@@ -143,8 +142,7 @@ def qfim_determinant(p: FieldParams, T: float) -> float:
 
 def qcrb(f: Qfim2, repetitions: int = 1) -> CovBound:
     """Covariance bound (1/M) F^{-1}; raises on a singular QFIM."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be a positive integer")
+    _check_count(repetitions, "repetitions", 1)
     if f.is_singular():
         raise SingularQfimError(
             "QFIM is singular: joint estimation unattainable")
@@ -154,8 +152,7 @@ def qcrb(f: Qfim2, repetitions: int = 1) -> CovBound:
     with np.errstate(over="ignore"):
         var_b, var_w, cov_bw = (float(np.ldexp(x / d, -e))
                                 for x in (c, a, -b))
-    return CovBound(var_b=var_b, var_w=var_w, cov_bw=cov_bw,
-                    repetitions=repetitions)
+    return CovBound(var_b=var_b, var_w=var_w, cov_bw=cov_bw)
 
 
 # ---------------------------------------------------------------------------
@@ -207,30 +204,6 @@ def probe_overlap(probe: np.ndarray, u_rel: np.ndarray) -> float:
     return float(abs(np.trace(rho_s @ u_rel)))
 
 
-def probe_overlap_closed_form(probe: np.ndarray, u_rel: np.ndarray) -> float:
-    """Same overlap via the rotation-angle/axis form of u_rel.
-
-    Writing u_rel = e^{i a0} exp(-i a n.sigma), the overlap equals
-    sqrt(cos^2 a + (r11 - r22)^2 sin^2 a) with r the reduced probe state
-    expressed in the eigenbasis of n.sigma.
-    """
-    if not is_unitary(u_rel, 1e-10):
-        raise ValueError("u_rel must be unitary")
-    u = np.asarray(u_rel, dtype=complex)
-    phase = np.angle(np.linalg.det(u)) / 2.0
-    u0 = u * np.exp(-1j * phase)  # now in SU(2)
-    cos_a = float(np.clip(np.trace(u0).real / 2.0, -1.0, 1.0))
-    k = (u0 - u0.conj().T) / (-2.0j)  # sin(a) * n.sigma, Hermitian traceless
-    sin_a = float(np.linalg.norm(k, 2))
-    rho_s = partial_trace(density(probe), keep="first")
-    if sin_a < 1e-14:
-        return abs(cos_a)
-    _, vecs = np.linalg.eigh(k / sin_a)
-    rho_t = vecs.conj().T @ rho_s @ vecs
-    pop_diff = float((rho_t[0, 0] - rho_t[1, 1]).real)
-    return float(np.sqrt(cos_a**2 + pop_diff**2 * sin_a**2))
-
-
 def sample_probe_determinants(gen: GeneratorPair, n_samples: int,
                               seed: int) -> np.ndarray:
     """det(QFIM) over Haar-random two-qubit probes.
@@ -239,6 +212,7 @@ def sample_probe_determinants(gen: GeneratorPair, n_samples: int,
     independent generator seeded by (seed, index), so partitions of the
     index range reproduce identically (see linalg.index_normals).
     """
+    _check_count(n_samples, "n_samples")
     z = index_normals(seed, n_samples, 8).reshape(n_samples, 2, 4)
     psi = z[:, 0] + 1j * z[:, 1]
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)

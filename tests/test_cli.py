@@ -55,6 +55,16 @@ class TestConfig:
             with pytest.raises(ConfigError, match="unknown config key"):
                 resolve_config("adaptive", payload, None)
 
+    @pytest.mark.parametrize("command", ["nv-sweep", "nv-scaling"])
+    def test_readout_block_is_pinned(self, command):
+        # the readout keys are ReadoutModel's fields and defaults: a new
+        # field changes the config, so it must show here; JSON pins names,
+        # order and types
+        cfg = resolve_config(command, {}, None)
+        assert json.dumps(cfg["readout"]) == (
+            '{"sigma": null, "n_avg": 3000000, "contrast": 1.0, '
+            '"baseline": 0.0, "signals_used": "two"}')
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="omega_mhz"):
             resolve_config("bounds", {}, None)

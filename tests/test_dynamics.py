@@ -1,6 +1,7 @@
 """Hamiltonian evaluation, midpoint propagation, and generator quadrature."""
 
 import pickle
+import re
 import tracemalloc
 from unittest import mock
 
@@ -46,10 +47,11 @@ class TestFieldParams:
             FieldParams(**kwargs)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["B", "B_c", "omega", "omega_c",
-                                      "gamma"])
+    @pytest.mark.parametrize("name", ["B", "B_c", "omega", "omega_c", "phi",
+                                      "phi_c", "gamma"])
     def test_non_finite_entry_is_named(self, name, value):
-        kwargs = dict(B=1.0, omega=1.0, B_c=1.0, omega_c=1.0, gamma=1.0)
+        kwargs = dict(B=1.0, omega=1.0, phi=0.0, B_c=1.0, omega_c=1.0,
+                      phi_c=0.0, gamma=1.0)
         with pytest.raises(ValueError,
                            match=f"^{name} must be finite, got {value}$"):
             FieldParams(**{**kwargs, name: value})
@@ -738,6 +740,16 @@ class TestTimeGrid:
                            match=f"^{name} must be finite, got {value}$"):
             TimeGrid(ends["t_start"], ends["t_end"], 4)
 
+    @pytest.mark.parametrize("steps", [2.5, 4.0, True, np.float64(4)])
+    def test_non_integer_steps_are_named(self, steps):
+        # 2.5 steps would lay midpoints past t_end
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"steps must be an integer, got {steps!r}") + "$"):
+            TimeGrid(0.0, 1.0, steps)
+
+    def test_integer_steps_of_any_width_are_accepted(self):
+        assert TimeGrid(0.0, 1.0, np.int32(4)).dt == 0.25
+
     def test_midpoints(self):
         grid = TimeGrid(0.0, 1.0, 4)
         np.testing.assert_allclose(grid.midpoints(), [0.125, 0.375, 0.625, 0.875])
@@ -754,10 +766,11 @@ class TestTimeGrid:
     (lambda: generator_closed_form(FieldParams.matched(1.0, 5.0, phi=0.3),
                                    2.0),
      "the closed forms assume phi = 0, got phi = 0.3"),
+    # a NaN phi is named by FieldParams before it reaches a closed form
     (lambda: generator_closed_form(FieldParams.matched(1.0, 5.0,
                                                        phi=np.nan),
                                    2.0, mode="asymptotic"),
-     "the closed forms assume phi = 0, got phi = nan"),
+     "^phi must be finite, got nan$"),
 ], ids=["theta", "non-hermitian", "nan-generator", "phi",
         "phi-nan-asymptotic"])
 def test_rejections(call, match):

@@ -234,6 +234,9 @@ class TestIndexNormals:
             index_normals(-1, 4, 8)
         with pytest.raises(ValueError, match="2\\*\\*32"):
             index_normals(0, -1, 8)
+        with pytest.raises(ValueError,
+                           match="^n must be an integer, got 2.5$"):
+            index_normals(0, 2.5, 8)
         with pytest.raises(TypeError):
             index_normals(1.0, 4, 8)
 

@@ -870,7 +870,35 @@ _VALUES = _AT.B + np.linspace(-0.1, 0.1, 5)
      "probe must be a two-qubit state"),
     (lambda: nv_rotating_hamiltonian(NV, _AT, 0.0, "pulse"),
      "segment must be 'target' or 'control', got 'pulse'"),
-], ids=["n_reps", "tau", "axis", "rabi", "sigma", "probe", "segment"])
+    # counts are integers, and a bad count is named
+    (lambda: PulseSequence(2.5, 0.02, IDEAL),
+     "^n_reps must be an integer, got 2.5$"),
+    (lambda: PulseSequence(True, 0.02, IDEAL),
+     "^n_reps must be an integer, got True$"),
+    (lambda: PulseSequence(np.array([3.0, 1.0]), 0.02, IDEAL),
+     "^n_reps must be an integer, got array"),
+    (lambda: sequence_unitary(PulseSequence(2, 0.02, IDEAL), NV, _AT,
+                              steps_per_block=2.5),
+     "^steps_per_block must be an integer, got 2.5$"),
+    (lambda: sequence_unitary(PulseSequence(2, 0.02, IDEAL), NV, _AT,
+                              steps_per_block=0),
+     "^steps_per_block must be >= 1, got 0$"),
+    (lambda: scaling_study(NV, ReadoutModel(), n_values=(1, 2.5, 3)),
+     "^n_values must be an integer, got \\(1, 2.5, 3\\)$"),
+    (lambda: scaling_study(NV, ReadoutModel(), n_values=(0, 1, 2)),
+     "^n_values must be >= 1, got \\(0, 1, 2\\)$"),
+    (lambda: ReadoutModel(n_avg=0), "^n_avg must be >= 1, got 0$"),
+    (lambda: ReadoutModel(n_avg=-4), "^n_avg must be >= 1, got -4$"),
+    (lambda: ReadoutModel(n_avg=2.5), "^n_avg must be an integer, got 2.5$"),
+    (lambda: adaptive_loop((5.7, 1.0), (5.65, 1.0), 2.5, 10**5, NV),
+     "^rounds must be an integer, got 2.5$"),
+    (lambda: adaptive_loop((5.7, 1.0), (5.65, 1.0), 2, 1e5, NV),
+     "^shots must be an integer, got 100000.0$"),
+], ids=["n_reps", "tau", "axis", "rabi", "sigma", "probe", "segment",
+        "n_reps-float", "n_reps-bool", "n_reps-float-batch",
+        "steps_per_block-float", "steps_per_block-zero", "n_values-float",
+        "n_values-zero", "n_avg-zero", "n_avg-negative", "n_avg-float",
+        "rounds-float", "shots-float"])
 def test_rejections(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -14,13 +14,14 @@ from acmag.dynamics import (FieldParams, GeneratorPair, TimeGrid,
                             _generator_coeffs, generator_closed_form,
                             generator_numeric)
 from acmag.fitting import envelope_slope, upper_envelope
-from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state,
-                          expm_hermitian, haar_state, ket, tensor)
+from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state, density,
+                          expm_hermitian, haar_state, ket, partial_trace,
+                          tensor)
 from acmag.qfim import (CovBound, Qfim2, SingularQfimError, _closed_form,
                         bell_probe_determinant, classical_fim, probe_overlap,
-                        probe_overlap_closed_form, qcrb, qfim_closed_form,
-                        qfim_determinant, qfim_from_generators,
-                        relative_error_curves, sample_probe_determinants)
+                        qcrb, qfim_closed_form, qfim_determinant,
+                        qfim_from_generators, relative_error_curves,
+                        sample_probe_determinants)
 
 # frozen from the closed-form expression at gamma=B=omega=T=1, verified
 # against the generator-built matrix in test_closed_form_matches_generators
@@ -429,13 +430,6 @@ class TestProbeOverlap:
         psi = haar_state(4, rng)
         assert probe_overlap(psi, np.eye(2)) == pytest.approx(1.0)
 
-    def test_closed_form_of_the_identity_is_one(self):
-        # no rotation axis: the closed form answers |cos a| = 1 directly
-        rng = np.random.default_rng(5)
-        for psi in (haar_state(4, rng), bell_state("phi+"), ket(4, 0)):
-            assert probe_overlap_closed_form(psi, I2) == 1.0
-            assert probe_overlap_closed_form(psi, -1j * I2) == 1.0
-
     def test_bell_probe_gives_cos(self):
         rng = np.random.default_rng(6)
         for _ in range(15):
@@ -451,17 +445,22 @@ class TestProbeOverlap:
         u = expm_hermitian(SIGMA_Z, 0.9)
         assert probe_overlap(psi, u) == pytest.approx(1.0, abs=1e-12)
 
-    def test_closed_form_agrees_with_trace_form(self):
+    def test_matches_bloch_vector_formula(self):
+        # for u = e^{i phi} exp(-i a n.sigma) the overlap is
+        # sqrt(cos^2 a + (n.r)^2 sin^2 a), r the Bloch vector of rho_S
         rng = np.random.default_rng(7)
-        for _ in range(20):
+        angles = [0.0, 1e-16, np.pi, 2 * np.pi, *rng.uniform(0, np.pi, 40)]
+        for a in angles:
             psi = haar_state(4, rng)
+            rho_s = partial_trace(density(psi), keep="first")
+            r = np.array([np.trace(rho_s @ s).real
+                          for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
             n = rng.standard_normal(3)
             n /= np.linalg.norm(n)
-            a = rng.uniform(0, np.pi)
             u = np.exp(1j * rng.uniform(0, 2 * np.pi)) * expm_hermitian(
                 n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z, a)
             assert probe_overlap(psi, u) == pytest.approx(
-                probe_overlap_closed_form(psi, u), abs=1e-10)
+                np.sqrt(np.cos(a)**2 + (n @ r)**2 * np.sin(a)**2), abs=1e-13)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
@@ -643,7 +642,10 @@ class TestPhiDomain:
     @pytest.mark.parametrize("name", list(CALLS))
     @pytest.mark.parametrize("phi", [0.3, -1e-300, np.nan])
     def test_other_phi_raises(self, name, phi):
-        with pytest.raises(ValueError, match="assume phi = 0, got phi = "):
+        # FieldParams itself names a NaN phi before any closed form runs
+        match = ("^phi must be finite, got nan$" if np.isnan(phi)
+                 else "assume phi = 0, got phi = ")
+        with pytest.raises(ValueError, match=match):
             self.CALLS[name](replace(self.OFF, phi=phi, phi_c=phi))
 
     @pytest.mark.parametrize("name", list(CALLS))
@@ -666,11 +668,14 @@ _GEN = generator_closed_form(FieldParams.matched(1.0, 1.0), 1.0)
     (lambda: qfim_from_generators(bell_state("phi+"), _GEN, ancilla=False),
      "probe dimension does not match the generators"),
     (lambda: qcrb(Qfim2(4.0, 0.0, 16.0), 0),
-     "repetitions must be a positive integer"),
+     "^repetitions must be >= 1, got 0$"),
+    (lambda: qcrb(Qfim2(4.0, 0.0, 16.0), 2.5),
+     "^repetitions must be an integer, got 2.5$"),
+    (lambda: sample_probe_determinants(_GEN, 2.5, 0),
+     "^n_samples must be an integer, got 2.5$"),
     (lambda: relative_error_curves(FieldParams.matched(0.0, 1.0), [100.0]),
      "frequency curves require B > 0"),
-    (lambda: probe_overlap_closed_form(bell_state("phi+"),
-                                       np.diag([1.0, 0.5])),
+    (lambda: probe_overlap(bell_state("phi+"), np.diag([1.0, 0.5])),
      "u_rel must be unitary"),
     (lambda: classical_fim(lambda b, w: np.full(4, 0.25),
                            FieldParams.matched(1.0, 1.0), step=(0.0, None)),
@@ -685,7 +690,8 @@ _GEN = generator_closed_form(FieldParams.matched(1.0, 1.0), 1.0)
     (lambda: relative_error_curves(FieldParams.matched(1.0, 1.0),
                                    [100.0, np.nan]),
      "omega\\*T values must exceed 2\\*pi"),
-], ids=["probe-size", "repetitions", "zero-amplitude", "non-unitary",
+], ids=["probe-size", "repetitions", "non-integral-repetitions",
+        "non-integral-samples", "zero-amplitude", "non-unitary",
         "step", "nan-step", "nan-probability", "nan-omega-t"])
 def test_rejections(call, match):
     with pytest.raises(ValueError, match=match):
