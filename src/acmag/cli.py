@@ -19,7 +19,10 @@ import json
 import math
 import sys
 from dataclasses import fields
+from functools import cache
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -244,33 +247,35 @@ def _pulse_from(cfg: dict) -> PiPulseModel:
 # 0.5, and Python formats every cell.
 _D = np.arange(-325, 310)  # d of finite nonzero doubles, one more each side
 _WINDOW = 1.2e17 * float(np.finfo(np.longdouble).eps)
-_QUAD = (np.arange(10_000, dtype=np.int16)[:, None]
-         // np.array([1000, 100, 10, 1], np.int16) % 10
-         + ord("0")).astype(np.uint8).view(np.uint32).ravel()  # "0000".."9999"
-# 10^(16 - d) for each d in _D, parsed from "1e<16 - d>" by strtold, which
-# rounds correctly; infinities (of a plain double) become its max
-_SCALE = np.minimum(np.array([b"1e%d" % k for k in (16 - _D).tolist()])
-                    .astype(np.longdouble), np.finfo(np.longdouble).max)
 
-# A cell's 28 source bytes are 7 words, indices into _WORDS: bytes 0-3 are
-# "-.0" and the lead digit (a lead of 10, from a y that rounds up to 1e17,
-# reads as 1), 4-19 the other 16 digits, 20-23 the exponent's sign and
-# digits "+hij", 24 "e" and 25 the separator. Each layout picks its output
-# bytes from these.
+# A cell's 28 source bytes are 7 words, indices into _Tables.words: bytes
+# 0-3 are "-.0" and the lead digit (a lead of 10, from a y that rounds up to
+# 1e17, reads as 1), 4-19 the other 16 digits, 20-23 the exponent's sign and
+# digits "+hij", 24 "e", 25 the separator and 26 _MARK. Each class of cells
+# picks its output bytes from these; a cell that Python formats prints _MARK,
+# which no number prints, and its separator.
 _LEAD, _EXPO = 10_000, 10_011
 _SEP = _EXPO + _D.size
-_WORDS = np.concatenate([
-    _QUAD, _QUAD[[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1]] - 0x303030 + 0x302E2D,
-    (_QUAD[abs(_D)] - ord("0") + np.where(_D < 0, ord("-"), ord("+")))
-    .astype(np.uint32),  # "+hij" or "-hij"
-    np.frombuffer(b"e,\0\0e\n\0\0", np.uint32)])
+_MARK = b"\x01"
+_BLOCK = 2048  # cells per block, in whole rows (one row at the least)
+
+
+class _Tables(NamedTuple):
+    scale: np.ndarray  # 10^(16 - d) for each d in _D, in long double
+    words: np.ndarray  # the uint32 source words
+    layout: np.ndarray  # the class of 17 significant digits for each d
+    perm: np.ndarray  # per class, the source byte of each output byte
+    keep: np.ndarray  # per class, which of its 25 output bytes it prints
+    size: np.ndarray  # per class, the bytes it prints, separator included
+    zeros: np.ndarray  # trailing zeros of each 4-digit group but "0000"
 
 
 def _layouts():
-    """Source byte of each output byte, and the size with the separator, of
-    each cell class (layout, p, sign): layouts 0-20 print in fixed notation
-    with exponent layout - 4, 21 and 22 in scientific notation with 2 and 3
-    exponent digits; p is the number of significant digits."""
+    """Source byte of each output byte, which output bytes print, and the
+    size with the separator, of each cell class (layout, p, sign): layouts
+    0-20 print in fixed notation with exponent layout - 4, 21 and 22 in
+    scientific notation with 2 and 3 exponent digits; p is the number of
+    significant digits. The last class, -1, prints _MARK."""
     lay, p, neg = (a.reshape(-1, 1) for a in np.meshgrid(
         *map(np.int8, (range(23), range(1, 18), range(2))), indexing="ij"))
     x = np.where(lay < 21, lay - 4, 0)  # a mantissa prints as x = 0
@@ -284,35 +289,55 @@ def _layouts():
     perm = np.where(j < 0, 0, np.where(lay < 21, fixed, sci))  # "-"
     size = np.where(lay < 21, np.where(x >= 0, x + 1 + (p - x) * (p > x + 1),
                                        1 - x + p), m + lay - 17) + neg
-    perm = np.vstack([perm, np.zeros(25, np.int8)])  # empty cell, class -1
-    size = np.append(size, 0)
+    perm = np.vstack([perm, np.full(25, 26, np.int8)])  # _MARK
+    size = np.append(size, 1)
     perm[np.arange(size.size), size] = 25  # the separator
-    return np.clip(perm, 0, 27), size + 1
+    size += 1
+    return perm.astype(np.uint8), np.arange(25) < size[:, None], size
 
 
-_PERM, _SIZE = _layouts()
-# the class of 17 significant digits for each exponent; each trailing zero
-# takes 2 off
-_LAYOUT = np.where(abs(_D - 6) <= 10, _D + 4, 21 + (abs(_D) >= 100)) * 34 + 32
+@cache
+def _tables() -> _Tables:
+    """The writer's tables, built on the first call that writes a number."""
+    quad = (np.arange(10_000, dtype=np.int16)[:, None]
+            // np.array([1000, 100, 10, 1], np.int16) % 10
+            + ord("0")).astype(np.uint8)  # "0000".."9999"
+    q = quad.view(np.uint32).ravel()
+    words = np.concatenate([
+        q, q[[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1]] - 0x303030 + 0x302E2D,
+        (q[abs(_D)] - ord("0") + np.where(_D < 0, ord("-"), ord("+")))
+        .astype(np.uint32),  # "+hij" or "-hij"
+        np.frombuffer(b"e,\1\0e\n\1\0", np.uint32)])  # "e", separator, _MARK
+    # parsed from "1e<16 - d>" by strtold, which rounds correctly;
+    # infinities (of a plain double) become its max
+    scale = np.minimum(np.array([b"1e%d" % k for k in (16 - _D).tolist()])
+                       .astype(np.longdouble), np.finfo(np.longdouble).max)
+    # each trailing zero of 17 significant digits takes 2 off the class
+    layout = (np.where(abs(_D - 6) <= 10, _D + 4, 21 + (abs(_D) >= 100))
+              * 34 + 32)
+    zeros = np.argmax(quad[:, ::-1] != ord("0"), axis=1).astype(np.int8)
+    return _Tables(scale, words, layout, *_layouts(), zeros)
 
 
 def _scaled(a: np.ndarray):
     """The index in _D of each a's decimal exponent d, and the integer part
     and the fraction of y = a 10^(16 - d) in [1e16, 1e17)."""
+    scale = _tables().scale
     d = np.floor(np.log10(a)).astype(np.intp) - _D[0]
-    y = a * _SCALE[d]
+    y = a * scale[d]
     num = y.astype(np.int64)
     fix = (num - 10**16).view(np.uint64) >= 9 * 10**16  # log10 was off by 1
     if fix.any():
         d[fix] += np.where(num[fix] < 10**16, -1, 1)
-        y[fix] = a[fix] * _SCALE[d[fix]]
+        y[fix] = a[fix] * scale[d[fix]]
         num[fix] = y[fix].astype(np.int64)
     return d, num, (y - num).astype(float)
 
 
 def _format_block(x: np.ndarray, sep: np.ndarray):
-    """Bytes of the finite cells x, row-major, with the cells that Python
-    must format left empty, their indices and the end offset of each."""
+    """Bytes of the finite cells x, row-major, with _MARK in place of each
+    cell that Python must format, and the indices of those cells."""
+    t = _tables()
     d, num, frac = _scaled(np.maximum(np.abs(x), 5e-324))
     python = abs(frac - 0.5) <= _WINDOW
     python |= x == 0
@@ -325,15 +350,20 @@ def _format_block(x: np.ndarray, sep: np.ndarray):
     d += lead > 9
     np.add(d, _EXPO, out=words[:, 5])
     words[:, 6] = sep
-    src = _WORDS[words].view(np.uint8)
-    zeros = np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)  # trailing
-    cls = _LAYOUT[d] - 2 * zeros + np.signbit(x)
+    src = t.words[words].view(np.uint8)
+    # trailing zeros from the last 4-digit group; where that is "0000", from
+    # all 17 digits
+    zeros = t.zeros[words[:, 4]]
+    last = np.flatnonzero(words[:, 4] == 0)
+    zeros[last] = np.argmax(src[last, 19:2:-1] != ord("0"), axis=1)
+    cls = t.layout[d] - 2 * zeros + np.signbit(x)
     cls[python] = -1
-    perm = _PERM[cls] + np.arange(0, src.size, 28)[:, None]
-    size = _SIZE[cls]
-    out = src.ravel()[perm][np.arange(25) < size[:, None]]
-    cells = np.flatnonzero(python)
-    return out.tobytes(), cells, size.cumsum()[cells]
+    # each class's row of source bytes, cut to the bytes it prints, plus the
+    # offset of its cell's source; the rows are uint8, since a large per-block
+    # array is page-faulted afresh in every block
+    at = np.repeat(np.arange(0, src.size, 28), t.size[cls])
+    at += np.take(t.perm, cls, 0)[np.take(t.keep, cls, 0)]
+    return np.take(src.ravel(), at).tobytes(), np.flatnonzero(python)
 
 
 def emit_results(columns: dict, summary: dict, out_dir: str | Path,
@@ -348,8 +378,9 @@ def emit_results(columns: dict, summary: dict, out_dir: str | Path,
 
     numpy formats the numbers a block of rows at a time, byte for byte as
     '%.17g' would (see the comment above _D); Python formats each zero,
-    each text cell and each cell within _WINDOW of a rounding tie. The CSV
-    is written as UTF-8.
+    each text cell and each cell within _WINDOW of a rounding tie, and
+    those cells replace the _MARK bytes numpy prints for them. The CSV is
+    written as UTF-8.
     """
     header = list(columns)
     cols = [np.asarray(c) for c in columns.values()]
@@ -359,8 +390,9 @@ def emit_results(columns: dict, summary: dict, out_dir: str | Path,
     if not set(kinds) <= set("biufU"):
         raise TypeError("table columns must hold numbers or text")
     text = [c.tolist() if k == "U" else None for c, k in zip(cols, kinds)]
+    is_text = np.array([k == "U" for k in kinds])
     rows, ncol = cols[0].size, len(cols)
-    step = max(1, 2048 // ncol)
+    step = max(1, _BLOCK // ncol)
     sep = np.full((min(step, rows), ncol), _SEP)
     sep[:, -1] += 1  # "\n"
     sep = sep.ravel()
@@ -375,15 +407,15 @@ def emit_results(columns: dict, summary: dict, out_dir: str | Path,
             raise FloatingPointError(f"non-finite value {cols[j][r0 + i]} in "
                                      f"column {header[j]!r} at row {r0 + i}")
         x = block.ravel()
-        out, cells, ends = _format_block(x, sep[:x.size])
-        start = 0
-        for cell, v, end in zip(cells.tolist(), x[cells].tolist(),
-                                (ends - 1).tolist()):
-            i, j = divmod(cell, ncol)
-            parts += out[start:end], ("%.17g" % v if text[j] is None
-                                      else text[j][r0 + i]).encode()
-            start = end
-        parts.append(out[start:])
+        out, cells = _format_block(x, sep[:x.size])
+        # what stands at each _MARK: one more entry than cells, as out has
+        # one more piece than marks
+        fill = (b"%.17g\0" * cells.size
+                % tuple(x[cells].tolist())).split(b"\0")
+        for k in np.flatnonzero(is_text[cells % ncol]).tolist():
+            i, j = divmod(int(cells[k]), ncol)
+            fill[k] = text[j][r0 + i].encode()
+        parts += chain.from_iterable(zip(out.split(_MARK), fill))
     try:
         summary_text = json.dumps(summary, sort_keys=True, indent=2,
                                   default=_json_default, allow_nan=False)
@@ -394,8 +426,7 @@ def emit_results(columns: dict, summary: dict, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     json_path = out / f"{name}.summary.json"
-    with csv_path.open("wb") as fh:
-        fh.writelines(parts)
+    csv_path.write_bytes(b"".join(parts))
     try:
         json_path.write_text(summary_text + "\n")
     except OSError:  # leave no CSV without its summary

@@ -178,7 +178,10 @@ def index_normals(seed: int, n: int, size: int) -> np.ndarray:
     are checked against default_rng itself, so a numpy whose seeding
     differs raises RuntimeError rather than drawing other numbers.
     """
-    seed = operator.index(seed)
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if not 0 <= n <= 2**32:  # beyond, an index spans two entropy words

@@ -279,12 +279,103 @@ class TestPercentGFormatter:
         assert after == before
         self._assert_exact(tmp_path, x)
 
+    @staticmethod
+    def _expected(columns):
+        """The CSV that '%s' and '%.17g', cell by cell, print."""
+        cells = [["%s" % v if isinstance(v, str) else "%.17g" % v
+                  for v in np.asarray(c).tolist()] for c in columns.values()]
+        lines = [",".join(columns), *map(",".join, zip(*cells))]
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_trailing_zero_table(self):
+        zeros = cli._tables().zeros
+        for k in range(1, 10_000):
+            digits = "%04d" % k
+            assert zeros[k] == len(digits) - len(digits.rstrip("0")), k
+
+    def test_cells_whose_last_digit_group_is_zero(self, tmp_path):
+        # each of these rounds to 17 digits that end in "0000": the trailing
+        # zeros are counted over all 17 digits; 2**60 and 5e-324 do not
+        x = np.array([1e4, 1e20, 123e4, 1.234, 12345678901230000.0, 1e-300,
+                      100.0, 9e15, 1.5, 0.5, 2.0**60, 5e-324])
+        x = np.concatenate([x, -x])
+        _, num, frac = cli._scaled(np.abs(x))
+        last = (num + (frac > 0.5)) % 10_000 == 0
+        assert last.tolist() == 2 * (10 * [True] + 2 * [False])
+        sep = np.full(x.size, cli._SEP + 1)
+        assert cli._format_block(x, sep)[1].size == 0  # numpy prints each
+        self._assert_exact(tmp_path, x)
+        index = np.arange(0, 70_000, 7)  # integers, most ending in zeros
+        columns = {"index": index, "x": np.resize(x, index.size),
+                   "scaled": index * 1e10}
+        csv_path, _ = emit_results(columns, {}, tmp_path, "t")
+        assert csv_path.read_bytes() == self._expected(columns)
+
+    def test_python_cells_at_the_edges_of_blocks(self, tmp_path):
+        # zeros and exact ties first and last in blocks, and side by side
+        ncol = 3
+        block = cli._BLOCK // ncol * ncol
+        x = np.random.default_rng(11).normal(size=3 * block + 2 * ncol)
+        tie = 1e15 + 0.25
+        for b in range(0, x.size, block):
+            x[b], x[min(b + block, x.size) - 1] = 0.0, -tie
+        x[1:4] = tie, 0.0, -0.0
+        x[block - 3:block + 2] = 0.0, tie, -tie, 0.0, tie
+        columns = {f"c{j}": x[j::ncol] for j in range(ncol)}
+        csv_path, _ = emit_results(columns, {}, tmp_path, "t")
+        assert csv_path.read_bytes() == self._expected(columns)
+        sep = np.full(block, cli._SEP)
+        out, cells = cli._format_block(x[:block], sep)
+        assert cells[:4].tolist() == [0, 1, 2, 3]
+        assert cells[-3:].tolist() == [block - 3, block - 2, block - 1]
+        assert out.startswith(b"\1,\1,\1,\1,")
+        assert out.endswith(b"\1,\1,\1,")
+
+    def test_text_columns_with_zeros(self, tmp_path):
+        # text first and last, marks and NULs inside text, zeros and ties
+        # between
+        n = 3001
+        rng = np.random.default_rng(5)
+        words = np.array(["B", "omega", "\u00e9t\u00e9", "a\x01b", "c\0d", ""])
+        x = rng.normal(size=n)
+        x[::3] = 0.0
+        x[1::7] = 1e15 + 0.75
+        columns = {"axis": words[np.arange(n) % words.size], "x": x,
+                   "n": np.arange(n), "zero": np.zeros(n),
+                   "note": words[::-1][np.arange(n) % words.size]}
+        csv_path, _ = emit_results(columns, {}, tmp_path, "t")
+        assert csv_path.read_bytes() == self._expected(columns)
+
+    def test_block_larger_than_the_writer_uses(self):
+        # _format_block keeps no table sized to a block
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=3 * cli._BLOCK + 1) * 10.0 ** rng.integers(
+            -30, 30, 3 * cli._BLOCK + 1)
+        x[[0, 1, 500, 501, -2, -1]] = 0.0, 1e15 + 0.25, 0.0, -0.0, 0.0, 0.0
+        out, cells = cli._format_block(x, np.full(x.size, cli._SEP + 1))
+        pieces = out.split(cli._MARK)
+        assert len(pieces) == cells.size + 1
+        got = b"".join(p + b"%.17g" % v
+                       for p, v in zip(pieces, x[cells].tolist()))
+        assert got + pieces[-1] == b"".join(b"%.17g\n" % v
+                                            for v in x.tolist())
+
+    def test_tables_are_built_on_first_use(self):
+        # importing the CLI, which every command does, builds none of them
+        src = str(Path(acmag.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", "import acmag.cli as c; "
+             "print(c._tables.cache_info().currsize)"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.stdout == "0\n", done.stderr
+
     def test_scale_table_is_correctly_rounded(self):
         # the premise of the window: each 10^k is the nearest long double
         if cli._WINDOW >= 0.5:
             pytest.skip("long double is a plain double here; Python formats "
                         "every cell")
-        for d, scale in zip(cli._D.tolist(), cli._SCALE):
+        for d, scale in zip(cli._D.tolist(), cli._tables().scale):
             exact = Fraction(10) ** (16 - d)
             neighbours = (np.nextafter(scale, np.longdouble(np.inf)),
                           np.nextafter(scale, np.longdouble(0)))

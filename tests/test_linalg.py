@@ -237,7 +237,8 @@ class TestIndexNormals:
         with pytest.raises(ValueError,
                            match="^n must be an integer, got 2.5$"):
             index_normals(0, 2.5, 8)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError,
+                           match="^seed must be an integer, got 1.0$"):
             index_normals(1.0, 4, 8)
 
 

@@ -508,6 +508,15 @@ class TestSweepSignal:
         with pytest.raises(ValueError):  # too few points for a slope fit
             sweep_signal("B", [5.6, 5.7], p, NV, 1, 0.017, IDEAL, ro)
 
+    @pytest.mark.parametrize("low", [1e-9, 0.5, 1.0])
+    def test_omega_sweep_reaching_down_to_one_is_accepted(self, low):
+        # FieldParams' bound is omega > 0: a low end in (0, 1] rad/us passes
+        values = low + np.array([0.0, 0.5, 1.0])
+        res = sweep_signal("omega", values, operating_field(NV, 5.65), NV, 1,
+                           0.017, IDEAL, ReadoutModel())
+        assert res.values.tolist() == values.tolist()
+        assert np.isfinite(res.probs).all()
+
     @pytest.mark.parametrize("values", [[5.6, np.nan, 5.7],
                                         [-np.inf, 5.6, np.inf]])
     def test_non_finite_range_rejected(self, values):

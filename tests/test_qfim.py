@@ -308,6 +308,15 @@ class TestQcrb:
         assert not f.is_singular()
         assert qcrb(f, 1).var_w > 0
 
+    @pytest.mark.parametrize("ratio", [1.5e-10, 2e-10, 3e-10])
+    def test_rule_reads_det_over_the_largest_entry_squared(self, ratio):
+        # largest entry 0.75 (its own scaled value, below 1) and det / 0.75^2
+        # between 1e-10 and 4e-10: regular, though det < 1e-10 / 0.75^2
+        f = Qfim2(0.75, 0.0, ratio * 0.75)
+        assert f.det() / 0.75**2 == pytest.approx(ratio, rel=1e-15)
+        assert not f.is_singular()
+        assert Qfim2(0.75, 0.0, 0.9e-10 * 0.75).is_singular()
+
     def test_zero_and_rounded_parallel_matrices_are_singular(self):
         assert Qfim2(0.0, 0.0, 0.0).is_singular()
         # the Bell-probe QFIM of parallel generators 0.1 sx and 1.7 sx: its
