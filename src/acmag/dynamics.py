@@ -254,12 +254,32 @@ def propagate(h, grid: TimeGrid) -> np.ndarray:
 # estimation generators
 # ---------------------------------------------------------------------------
 
-# length of the fixed-axis path's phase table: its work is one float
-# cos/sin per table entry plus one long-double cos/sin per chunk of _TABLE
-# steps. On the same Xeon, under matched control, 2^12 took 0.15 and 0.19
-# ms on grids of 4e5 and 1e6 steps, the least over both (2^11: 0.13 and
-# 0.22 ms; 2^13: 0.22 and 0.23 ms; 2^15: 1.1 ms each)
+# length of the fixed-axis path's phase table: _expi builds it from about
+# 2 sqrt(_TABLE) float cos/sin, and the chunks of _TABLE steps take their
+# phase factors from about 2 sqrt(chunks) long-double ones; the rest is
+# O(_TABLE + chunks) products and sums. On the same Xeon, under matched
+# control, the least of 20 interleaved rounds on grids of 4e5 and 1e6 steps
+# was 70 and 88 us at 2^10, 68 and 78 us at 2^11, 75 and 78 us at 2^12, 90
+# and 86 us at 2^13 and 284 and 277 us at 2^14. 2^11 is faster on the
+# smaller grid only (its median is 2% slower on the larger), so 2^12 stays
 _TABLE = 2**12
+
+
+def _expi(step, count: int, dtype, start=0.0) -> np.ndarray:
+    """e^(i (start + j step)) for j < count, complex at dtype's precision.
+
+    The outer product of e^(i (start + h w step)) and e^(i l step) for
+    h, l < w = ceil(sqrt(count)): 4 w cos/sin elements in place of 2 count.
+    Each factor is taken from its own phase, so no rounding carries along
+    the progression; an entry is off its direct cos and sin by the rounding
+    of the two phases and of one product.
+    """
+    w = math.isqrt(count - 1) + 1
+    x = np.arange(w, dtype=dtype) * [[w], [1]] * step
+    x[0] += start
+    e = np.empty(x.shape, np.result_type(x, 1j))
+    e.real, e.imag = np.cos(x), np.sin(x)
+    return (e[0, :, None] * e[1]).ravel()[:count]
 
 
 @lru_cache(maxsize=1)
@@ -277,9 +297,10 @@ def _generator_quadrature(p: FieldParams, grid: TimeGrid,
     V_j^dag sx V_j = cos x_j sx - sin x_j sy at x_j = omega (t_j - t_start)
     = theta_j - theta_0, theta the target phase. The sums are taken against
     cos theta_j and sin theta_j and turned by theta_0 once at the end.
-    _fixed_axis_sums takes them from four moments of one phase table, with
-    no trig per step. Every table entry is still summed: only the order of
-    the midpoint sum changes, so its discretization error stays.
+    _fixed_axis_sums takes them from two moments of one phase table and
+    the chunks' phase factors, both built by _expi from two short tables,
+    with no trig per step. Every table entry is still summed: only the
+    order of the midpoint sum changes, so its discretization error stays.
 
     Any other control scans the half steps with _carried_step, and
     V^dag sx V has the sx, sy, sz coefficients (Re(a^2 - b^2),
@@ -294,7 +315,7 @@ def _generator_quadrature(p: FieldParams, grid: TimeGrid,
 
 def _fixed_axis_sums(p: FieldParams, grid: TimeGrid,
                      control: bool) -> np.ndarray:
-    """sx, sy, sz coefficients (2, 3) of h_B and h_omega from four moments
+    """sx, sy, sz coefficients (2, 3) of h_B and h_omega from two moments
     of one phase table, for a field whose H(t) keeps one axis.
 
     Without control the sums are of cos theta_j and t_j sin theta_j. Under
@@ -302,39 +323,39 @@ def _fixed_axis_sums(p: FieldParams, grid: TimeGrid,
     which cos^2 = (1 + cos 2x)/2, sin cos = sin 2x / 2 and sin^2 = (1 -
     cos 2x)/2 turn into sums of 1, t_j and e^(2 i theta_j). So both cases
     sum e^(i m theta_j) and t_j e^(i m theta_j). Chunk c of the grid has
-    t_j = t_c + k dt and theta_j = A_c + omega dt k, and its sums are
-    e^(i m A_c) times the table's sum_k e^(i m omega dt k) and t_c and dt
-    times its sum_k k e^(i m omega dt k). Those moments are the same for
-    every full chunk; a ragged last chunk takes its own. The work is
-    O(_TABLE + steps / _TABLE), and the chunks combine as vectors."""
+    t_j = t_c + k dt and theta_j = A_c + omega dt k, so with e_c =
+    e^(i m A_c) and the table's moments M0 = sum_k e^(i m omega dt k) and
+    M1 = sum_k k e^(i m omega dt k), the full chunks give M0 sum_c e_c and
+    M0 sum_c e_c t_c + dt M1 sum_c e_c; a ragged last chunk adds its own
+    moments. The table and the e_c each come from _expi, and the work is
+    O(_TABLE + steps / _TABLE) products and sums."""
     dt, n = grid.dt, grid.steps
     m = 2 if control else 1
-    k = np.arange(min(n, _TABLE))
-    phase = m * p.omega * (dt * k)
-    table = np.cos(phase) + 1j * np.sin(phase)
-    starts = np.arange(0, n, k.size)
-    counts = np.minimum(n - starts, k.size)
-    moments = np.empty((starts.size, 2), dtype=complex)
-    moments[:] = table.sum(), table @ k
-    if (r := counts[-1]) < k.size:
-        moments[-1] = table[:r].sum(), table[:r] @ k[:r]
-    # a chunk's first midpoint t_c has phase A_c. Rounded to a float, A_c is
-    # off by up to half an ulp of itself, alike for every step of the chunk:
-    # on a 1e6-step grid without control at omega*T = 500 that took the sums
+    size = min(n, _TABLE)
+    full, r = divmod(n, size)
+    k = np.arange(size)
+    table = _expi(m * p.omega * dt, size, float)
+    # e_c from long-double phases A_c. Rounded to a float, A_c is off by up
+    # to half an ulp of itself, alike for every step of the chunk: on a
+    # 1e6-step grid without control at omega*T = 500 that took the sums
     # 2.6e-13 relative off their long-double values, against 3.8e-15 from a
     # long-double phase
     ld = np.longdouble
-    a = m * (ld(p.omega) * (ld(grid.t_start) + (starts + ld(0.5)) * ld(dt))
-             + ld(p.phi))
-    # each chunk's sums of e^(i m theta_j) and of k e^(i m theta_j)
-    z = moments * (np.cos(a).astype(float)
-                   + 1j * np.sin(a).astype(float))[:, None]
-    t_c = grid.t_start + (starts + 0.5) * dt
-    plain, timed = z[:, 0].sum(), z[:, 0] @ t_c + dt * z[:, 1].sum()
+    e = _expi(m * ld(p.omega) * (ld(dt) * size), full + (r > 0), ld,
+              m * (ld(p.omega) * (ld(grid.t_start) + ld(0.5) * ld(dt))
+                   + ld(p.phi))).astype(complex)
+    t_c = grid.t_start + (np.arange(e.size) * size + 0.5) * dt
+    m0, e_sum = table.sum(), e[:full].sum()
+    plain = m0 * e_sum
+    timed = m0 * (e[:full] @ t_c[:full]) + dt * (table @ k) * e_sum
+    if r:
+        r0 = table[:r].sum()
+        plain += e[-1] * r0
+        timed += e[-1] * (t_c[-1] * r0 + dt * (table[:r] @ k[:r]))
     # rows: cos theta_j and t_j sin theta_j; columns: summed against
     # cos theta_j and sin theta_j under control, or alone without
     if control:
-        t_sum = counts @ t_c + dt * (counts * (counts - 1) // 2).sum()
+        t_sum = n * grid.t_start + dt * (n * n / 2)
         sums = 0.5 * np.array([[n + plain.real, plain.imag],
                                [timed.imag, t_sum - timed.real]])
     else:

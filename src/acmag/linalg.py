@@ -179,6 +179,8 @@ def index_normals(seed: int, n: int, size: int) -> np.ndarray:
     differs raises RuntimeError rather than drawing other numbers.
     """
     try:
+        if isinstance(seed, bool):  # operator.index reads True as 1
+            raise TypeError
         seed = operator.index(seed)
     except TypeError:
         raise TypeError(f"seed must be an integer, got {seed!r}") from None

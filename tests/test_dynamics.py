@@ -3,6 +3,7 @@
 import pickle
 import re
 import tracemalloc
+from math import isqrt
 from unittest import mock
 
 import mpmath as mp
@@ -552,8 +553,11 @@ class TestGeneratorChunks:
 
     @pytest.mark.parametrize("p,grid,control", [
         (LONG, RAGGED, True), (LONG, RAGGED, False),
-        (FieldParams.matched(2.0, 50.0), TimeGrid(0.0, 10.0, 10**6), False)],
-        ids=["matched", "matched-free", "workload-free"])
+        (FieldParams.matched(2.0, 50.0), TimeGrid(0.0, 10.0, 10**6), False),
+        (FieldParams.matched(1.0, 20.0), TimeGrid(0.0, 10.0, 400_000), True),
+        (FieldParams.matched(2.0, 50.0), TimeGrid(0.0, 10.0, 10**6), True)],
+        ids=["matched", "matched-free", "workload-free", "workload-4e5",
+             "workload-1e6"])
     def test_long_phases_match_the_long_double_sums(self, p, grid, control):
         got = _generator_quadrature.__wrapped__(p, grid, control)
         for theta, ref in zip(("B", "omega"),
@@ -591,9 +595,10 @@ class TestGeneratorChunks:
     @pytest.mark.parametrize("control", [True, False],
                              ids=["matched", "matched-free"])
     def test_fixed_axis_trig_is_one_table(self, control):
-        # one cold call evaluates cos and sin on the table's _TABLE phases,
-        # on one phase per chunk of _TABLE steps and on theta_0, never once
-        # per step
+        # one cold call evaluates cos and sin on two rows of about
+        # sqrt(_TABLE) phases for the table, two of about sqrt(chunks) for
+        # the chunks of _TABLE steps and on theta_0: never once per step,
+        # per table entry or per chunk
         p = FieldParams.matched(1.3, 7.0, phi=0.4)
         grid = TimeGrid(0.2, 2.3, 3 * _CHUNK + 17)
         _generator_quadrature.cache_clear()
@@ -603,11 +608,26 @@ class TestGeneratorChunks:
         elements = sum(np.size(call.args[0])
                        for f in (cos, sin) for call in f.call_args_list)
         chunks = -(-grid.steps // _TABLE)
-        assert elements <= 2 * _TABLE + 2 * chunks + 4
+        assert elements <= 4 * (isqrt(_TABLE) + isqrt(chunks)) + 10
+
+    # counts around whole squares, where the rows of _expi's outer product
+    # run out: each entry against cos and sin of its own phase, taken
+    # directly, within a few ulps of the larger of 1 and the phase
+    @pytest.mark.parametrize("count", [1, 2, 63, 64, 65, 4095, 4096, 4097])
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("step,start", [(0.7, 0.0), (-0.013, 2.9),
+                                            (0.11, 400.0)])
+    def test_expi_matches_the_direct_phases(self, count, dtype, step, start):
+        got = dynamics._expi(dtype(step), count, dtype, dtype(start))
+        x = dtype(start) + np.arange(count, dtype=dtype) * dtype(step)
+        assert got.dtype == np.result_type(dtype, 1j) and got.shape == (count,)
+        ulp = np.finfo(dtype).eps * np.maximum(1.0, np.abs(x))
+        assert np.all(np.abs(got.real - np.cos(x)) <= 4 * ulp)
+        assert np.all(np.abs(got.imag - np.sin(x)) <= 4 * ulp)
 
     def test_memory_does_not_grow_with_the_grid(self):
-        # the generator_quadrature workload's largest point: the table, its
-        # moments and a few arrays over the chunk axis, about 0.2 MB
+        # the generator_quadrature workload's largest point: the table, the
+        # chunks' phase factors and a few short arrays, about 0.23 MB
         p, grid = FieldParams.matched(2.0, 50.0), TimeGrid(0.0, 10.0, 10**6)
         assert self._peak_bytes(p, grid) < 1e6
 

@@ -240,6 +240,10 @@ class TestIndexNormals:
         with pytest.raises(TypeError,
                            match="^seed must be an integer, got 1.0$"):
             index_normals(1.0, 4, 8)
+        # operator.index takes True as 1, the streams of seed 1
+        with pytest.raises(TypeError,
+                           match="^seed must be an integer, got True$"):
+            index_normals(True, 4, 8)
 
 
 _NON_HERMITIAN = np.triu(np.ones((4, 4))) / 4

@@ -1,7 +1,7 @@
 """QFIM assembly, closed forms, bounds, probe search, measurement FIM."""
 
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import mpmath as mp
 import numpy as np
@@ -274,6 +274,10 @@ class TestQcrb:
         assert ten.var_b == pytest.approx(one.var_b / 10)
         assert ten.var_w == pytest.approx(one.var_w / 10)
         assert ten.cov_bw == pytest.approx(one.cov_bw / 10)
+
+    def test_default_is_one_repetition(self):
+        f = Qfim2(3.0, 0.5, 7.0)
+        assert astuple(qcrb(f)) == astuple(qcrb(f, 1))
 
     def test_singular_matrix_raises(self):
         with pytest.raises(SingularQfimError, match="unattainable"):
