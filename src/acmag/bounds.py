@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FieldParams, _check_phi_zero
+from .dynamics import FieldParams, _check_closed_form
 from .qfim import _closed_form
 
 
@@ -86,7 +86,7 @@ def strategy_comparison(p: FieldParams, T) -> StrategyComparison:
     gives array fields; OverflowError names the first T with an entry that
     is not finite. Assumes phi = 0, as the closed forms do.
     """
-    _check_phi_zero(p)
+    _check_closed_form(p)
     T = np.asarray(T, dtype=float)
     with np.errstate(all="ignore"):  # reported below, with the T
         f_bb, _, f_ww, _ = _closed_form(p.gamma, p.B, p.omega, T)

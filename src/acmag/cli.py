@@ -125,10 +125,11 @@ _MINIMA = {"seed": 0, "protocol.n_reps": 1, "protocol.steps_per_block": 1,
            "scaling.points": 3, "search.samples": 1, "adaptive.rounds": 0,
            "adaptive.shots": 1}
 _POSITIVE = ("field.b", "nv.gamma_e_mhz_per_g", "protocol.b_c", "protocol.tau",
-             "truth.b", "scan.t", "sweep.halfwidth_b", "sweep.halfwidth_w_mhz",
-             "scaling.halfwidth_b", "scaling.halfwidth_w_mhz",
-             "adaptive.window_b", "adaptive.window_w_mhz",
-             "adaptive.jac_halfwidth_b", "adaptive.jac_halfwidth_w_mhz")
+             "truth.b", "scan.t", "search.t", "sweep.halfwidth_b",
+             "sweep.halfwidth_w_mhz", "scaling.halfwidth_b",
+             "scaling.halfwidth_w_mhz", "adaptive.window_b",
+             "adaptive.window_w_mhz", "adaptive.jac_halfwidth_b",
+             "adaptive.jac_halfwidth_w_mhz")
 
 
 def _is_number(value) -> bool:

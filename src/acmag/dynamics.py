@@ -109,7 +109,7 @@ class GeneratorPair:
     h_omega: np.ndarray
 
     def __post_init__(self):
-        if not is_hermitian(np.stack([self.h_b, self.h_omega])):
+        if not is_hermitian(np.array((self.h_b, self.h_omega))):
             raise ValueError("generators must be Hermitian")
 
 
@@ -254,15 +254,16 @@ def propagate(h, grid: TimeGrid) -> np.ndarray:
 # estimation generators
 # ---------------------------------------------------------------------------
 
-# length of the fixed-axis path's phase table: _expi builds it from about
-# 2 sqrt(_TABLE) float cos/sin, and the chunks of _TABLE steps take their
-# phase factors from about 2 sqrt(chunks) long-double ones; the rest is
-# O(_TABLE + chunks) products and sums. On the same Xeon, under matched
-# control, the least of 20 interleaved rounds on grids of 4e5 and 1e6 steps
-# was 70 and 88 us at 2^10, 68 and 78 us at 2^11, 75 and 78 us at 2^12, 90
-# and 86 us at 2^13 and 284 and 277 us at 2^14. 2^11 is faster on the
-# smaller grid only (its median is 2% slower on the larger), so 2^12 stays
+# sx, sy and sz as rows: c @ _SIGMAS[:k] sums k coefficients over them
+_SIGMAS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]).reshape(3, 4)
+
+# length of the fixed-axis path's phase table, whose work is O(_TABLE +
+# steps / _TABLE). On the same Xeon, under matched control, the least of 20
+# interleaved rounds on grids of 4e5 and 1e6 steps was 51 and 67 us at
+# 2^10, 47 and 57 us at 2^11, 50 and 54 us at 2^12 and 59 and 57 us at
+# 2^13: 2^11 and 2^12 tie over both grids, so 2^12 stays
 _TABLE = 2**12
+_STEPS = np.arange(_TABLE, dtype=complex)  # k in the moment M1, as complex
 
 
 def _expi(step, count: int, dtype, start=0.0) -> np.ndarray:
@@ -276,7 +277,8 @@ def _expi(step, count: int, dtype, start=0.0) -> np.ndarray:
     """
     w = math.isqrt(count - 1) + 1
     x = np.arange(w, dtype=dtype) * [[w], [1]] * step
-    x[0] += start
+    if start:
+        x[0] += start
     e = np.empty(x.shape, np.result_type(x, 1j))
     e.real, e.imag = np.cos(x), np.sin(x)
     return (e[0, :, None] * e[1]).ravel()[:count]
@@ -295,12 +297,8 @@ def _generator_quadrature(p: FieldParams, grid: TimeGrid,
     control, (B_c, omega_c, phi_c) == (B, omega, phi) exactly, the sx
     terms of H(t) cancel bit for bit, H = (omega/2) sz and
     V_j^dag sx V_j = cos x_j sx - sin x_j sy at x_j = omega (t_j - t_start)
-    = theta_j - theta_0, theta the target phase. The sums are taken against
-    cos theta_j and sin theta_j and turned by theta_0 once at the end.
-    _fixed_axis_sums takes them from two moments of one phase table and
-    the chunks' phase factors, both built by _expi from two short tables,
-    with no trig per step. Every table entry is still summed: only the
-    order of the midpoint sum changes, so its discretization error stays.
+    = theta_j - theta_0, theta the target phase. _fixed_axis_sums takes
+    the sums from moments of one phase table, with no trig per step.
 
     Any other control scans the half steps with _carried_step, and
     V^dag sx V has the sx, sy, sz coefficients (Re(a^2 - b^2),
@@ -309,8 +307,7 @@ def _generator_quadrature(p: FieldParams, grid: TimeGrid,
         c = _scan_sums(p, grid)
     else:
         c = _fixed_axis_sums(p, grid, control)
-    return {theta: x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
-            for theta, (x, y, z) in zip(("B", "omega"), c)}
+    return dict(zip(("B", "omega"), (c @ _SIGMAS).reshape(2, 2, 2)))
 
 
 def _fixed_axis_sums(p: FieldParams, grid: TimeGrid,
@@ -320,20 +317,19 @@ def _fixed_axis_sums(p: FieldParams, grid: TimeGrid,
 
     Without control the sums are of cos theta_j and t_j sin theta_j. Under
     control they are of cos^2, sin cos, t sin cos and t sin^2 of theta_j,
-    which cos^2 = (1 + cos 2x)/2, sin cos = sin 2x / 2 and sin^2 = (1 -
-    cos 2x)/2 turn into sums of 1, t_j and e^(2 i theta_j). So both cases
-    sum e^(i m theta_j) and t_j e^(i m theta_j). Chunk c of the grid has
-    t_j = t_c + k dt and theta_j = A_c + omega dt k, so with e_c =
-    e^(i m A_c) and the table's moments M0 = sum_k e^(i m omega dt k) and
-    M1 = sum_k k e^(i m omega dt k), the full chunks give M0 sum_c e_c and
-    M0 sum_c e_c t_c + dt M1 sum_c e_c; a ragged last chunk adds its own
-    moments. The table and the e_c each come from _expi, and the work is
-    O(_TABLE + steps / _TABLE) products and sums."""
+    which the double angles turn into sums of 1, t_j and e^(2 i theta_j).
+    So both cases sum e^(i m theta_j) and t_j e^(i m theta_j). Chunk c of
+    the grid has t_j = t_c + k dt and theta_j = A_c + omega dt k, so with
+    e_c = e^(i m A_c) and the table's moments M0 = sum_k e^(i m omega dt k)
+    and M1 = sum_k k e^(i m omega dt k), the full chunks give M0 sum_c e_c
+    and M0 sum_c e_c t_c + dt M1 sum_c e_c; a ragged last chunk adds its
+    own moments. The table and the e_c each come from _expi, and the work
+    is O(_TABLE + steps / _TABLE) products and sums. The few scalars left,
+    and under control their turn by theta_0, are plain float arithmetic."""
     dt, n = grid.dt, grid.steps
     m = 2 if control else 1
     size = min(n, _TABLE)
     full, r = divmod(n, size)
-    k = np.arange(size)
     table = _expi(m * p.omega * dt, size, float)
     # e_c from long-double phases A_c. Rounded to a float, A_c is off by up
     # to half an ulp of itself, alike for every step of the chunk: on a
@@ -341,32 +337,31 @@ def _fixed_axis_sums(p: FieldParams, grid: TimeGrid,
     # 2.6e-13 relative off their long-double values, against 3.8e-15 from a
     # long-double phase
     ld = np.longdouble
-    e = _expi(m * ld(p.omega) * (ld(dt) * size), full + (r > 0), ld,
-              m * (ld(p.omega) * (ld(grid.t_start) + ld(0.5) * ld(dt))
+    omega, dt_ld = ld(p.omega), ld(dt)
+    e = _expi(m * omega * (dt_ld * size), full + (r > 0), ld,
+              m * (omega * (ld(grid.t_start) + ld(0.5) * dt_ld)
                    + ld(p.phi))).astype(complex)
-    t_c = grid.t_start + (np.arange(e.size) * size + 0.5) * dt
+    t_c = grid.t_start + np.arange(0.5, e.size * size, size) * dt
     m0, e_sum = table.sum(), e[:full].sum()
     plain = m0 * e_sum
-    timed = m0 * (e[:full] @ t_c[:full]) + dt * (table @ k) * e_sum
+    timed = m0 * (e[:full] @ t_c[:full]) + dt * (table @ _STEPS[:size]) * e_sum
     if r:
         r0 = table[:r].sum()
         plain += e[-1] * r0
-        timed += e[-1] * (t_c[-1] * r0 + dt * (table[:r] @ k[:r]))
-    # rows: cos theta_j and t_j sin theta_j; columns: summed against
-    # cos theta_j and sin theta_j under control, or alone without
-    if control:
-        t_sum = n * grid.t_start + dt * (n * n / 2)
-        sums = 0.5 * np.array([[n + plain.real, plain.imag],
-                               [timed.imag, t_sum - timed.real]])
-    else:
-        sums = np.array([[plain.real, 0.0], [timed.imag, 0.0]])
-    c = np.zeros((2, 3))
-    c[:, :2] = [[dt * p.gamma], [-dt * p.gamma * p.B]] * sums
-    if control:
-        th0 = p.omega * grid.t_start + p.phi
-        cos0, sin0 = np.cos(th0), np.sin(th0)
-        c[:, :2] = c[:, :2] @ [[cos0, sin0], [sin0, -cos0]]
-    return c
+        timed += e[-1] * (t_c[-1] * r0 + dt * (table[:r] @ _STEPS[:r]))
+    plain, timed = complex(plain), complex(timed)
+    g_b, g_w = dt * p.gamma, -dt * p.gamma * p.B
+    if not control:
+        return np.array([[g_b * plain.real, 0.0, 0.0],
+                         [g_w * timed.imag, 0.0, 0.0]])
+    # the sums against cos theta_j and sin theta_j, turned by theta_0
+    t_sum = n * grid.t_start + dt * (n * n / 2)
+    th0 = p.omega * grid.t_start + p.phi
+    cos0, sin0 = math.cos(th0), math.sin(th0)
+    rows = ((g_b * (0.5 * (n + plain.real)), g_b * (0.5 * plain.imag)),
+            (g_w * (0.5 * timed.imag), g_w * (0.5 * (t_sum - timed.real))))
+    return np.array([[x * cos0 + y * sin0, x * sin0 - y * cos0, 0.0]
+                     for x, y in rows])
 
 
 def _scan_sums(p: FieldParams, grid: TimeGrid) -> np.ndarray:
@@ -452,8 +447,7 @@ def _generator_coeffs(g, B, w, T, mode: str = "exact"):
     by = -(0.5 * g * (sin2 / w))
     wx = -0.5 * g * B * (-T * c / (2 * w) + s / (4 * w * w))
     wy = 0.5 * g * B * (T * T / 2 - T * s / (2 * w) + sin2 / (2 * w * w))
-    small = np.abs(x) < _SERIES_BELOW
-    if np.any(small):
+    if (small := np.abs(x) < _SERIES_BELOW).any():
         shape = np.shape(small)
         wx, wy = (np.array(np.broadcast_to(v, shape)) for v in (wx, wy))
         scale, xs = (np.broadcast_to(v, shape)[small]
@@ -463,24 +457,26 @@ def _generator_coeffs(g, B, w, T, mode: str = "exact"):
     return bx, by, wx, wy
 
 
-def _check_phi_zero(p: FieldParams) -> None:
-    """Raise ValueError unless phi = 0, which every closed form assumes."""
+def _check_closed_form(p: FieldParams, T=None) -> None:
+    """Raise ValueError unless phi = 0 and a given T is one finite number."""
     if p.phi != 0:
         raise ValueError(f"the closed forms assume phi = 0, got phi = {p.phi}")
+    if T is not None and (np.ndim(T) != 0 or not math.isfinite(T)):
+        raise ValueError(f"T must be a finite scalar, got T = {T!r}")
 
 
 def generator_closed_form(p: FieldParams, T: float,
                           mode: str = "exact") -> GeneratorPair:
     """Generators under matched control, exact or in the long-time limit.
 
-    Both modes assume phi = 0 (ValueError otherwise) and matched control.
-    The asymptotic mode returns (gamma*T/2) sigma_x and (gamma*B*T^2/4)
-    sigma_y. Raises OverflowError when a coefficient overflows a float.
+    Both modes assume phi = 0, matched control and one finite T (ValueError
+    otherwise). The asymptotic mode returns (gamma*T/2) sigma_x and
+    (gamma*B*T^2/4) sigma_y. Raises OverflowError when a coefficient
+    overflows a float.
     """
-    _check_phi_zero(p)
+    _check_closed_form(p, T)
     with np.errstate(all="ignore"):  # reported below, with the T
-        bx, by, wx, wy = _generator_coeffs(p.gamma, p.B, p.omega, T, mode)
-    if not np.all(np.isfinite([bx, by, wx, wy])):
+        c = np.array(_generator_coeffs(p.gamma, p.B, p.omega, T, mode), float)
+    if not np.isfinite(c).all():
         raise OverflowError(f"generator coefficients overflow a float at T = {T}")
-    return GeneratorPair(h_b=bx * SIGMA_X + by * SIGMA_Y,
-                         h_omega=wx * SIGMA_X + wy * SIGMA_Y)
+    return GeneratorPair(*(c.reshape(2, 2) @ _SIGMAS[:2]).reshape(2, 2, 2))

@@ -34,12 +34,14 @@ def pauli_op(axis: str) -> np.ndarray:
 
 def max_abs(a: np.ndarray) -> float:
     """Max absolute entry; the default operator distance in this package."""
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def _check_count(value, name: str, minimum: int = 0) -> None:
     """Raise ValueError naming ``name`` unless ``value``, one count or an
     array of them, holds integers, not bools, of at least ``minimum``."""
+    if type(value) is int and minimum <= value < 2**64:  # int64 or uint64
+        return
     if np.asarray(value).dtype.kind not in "iu":
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if np.any(np.asarray(value) < minimum):
@@ -48,7 +50,7 @@ def _check_count(value, name: str, minimum: int = 0) -> None:
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     """a, or each matrix of a stack, is Hermitian within tol (NaN is not)."""
-    return max_abs(a - np.swapaxes(a.conj(), -1, -2)) <= tol
+    return max_abs(a - a.conj().swapaxes(-1, -2)) <= tol
 
 
 def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:

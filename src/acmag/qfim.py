@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (FieldParams, GeneratorPair, _check_phi_zero,
+from .dynamics import (FieldParams, GeneratorPair, _check_closed_form,
                        _generator_coeffs)
 from .linalg import (I2, _check_count, bell_state, density, index_normals,
                      is_unitary, partial_trace, pure_cov, tensor)
@@ -116,7 +116,7 @@ def qfim_closed_form(p: FieldParams, T: float) -> Qfim2:
     The entries are the Gram form of the closed-form generator coefficients.
     Raises OverflowError when an entry overflows a float.
     """
-    _check_phi_zero(p)
+    _check_closed_form(p, T)
     with np.errstate(all="ignore"):  # reported below, with the T
         f_bb, f_bw, f_ww, _ = _closed_form(p.gamma, p.B, p.omega, T)
     if not np.all(np.isfinite([f_bb, f_bw, f_ww])):
@@ -132,7 +132,7 @@ def qfim_determinant(p: FieldParams, T: float) -> float:
     generator coefficients, whose small-omega*T series live in dynamics.
     Raises OverflowError when it overflows a float.
     """
-    _check_phi_zero(p)
+    _check_closed_form(p, T)
     with np.errstate(all="ignore"):  # reported below, with the T
         det = float(_closed_form(p.gamma, p.B, p.omega, T)[3])
     if not np.isfinite(det):
@@ -169,7 +169,7 @@ def relative_error_curves(p: FieldParams, omega_t_values) -> dict[str, np.ndarra
     a*sigma_x + b*sigma_y is hypot(a, b). All entries depend on omega*T
     only, so they are evaluated at T = 1. Requires omega*T > 2*pi and B > 0.
     """
-    _check_phi_zero(p)
+    _check_closed_form(p)
     xs = np.asarray(omega_t_values, dtype=float)
     if not np.all(xs > 2 * np.pi):  # NaN fails too
         raise ValueError("omega*T values must exceed 2*pi")

@@ -598,6 +598,8 @@ class TestExitCodes:
         ("adaptive", {"truth": {"b": 0.0}}),
         ("adaptive", {"truth": {"b": -1}}),
         ("adaptive", {"truth": {"b": -1e300}}),
+        ("probe-search", {"search": {"t": 0.0}}),
+        ("probe-search", {"search": {"t": -1.0}}),
     ])
     def test_out_of_range_values_are_config_errors(self, command, payload):
         with pytest.raises(ConfigError, match="must be"):

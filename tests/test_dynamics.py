@@ -355,6 +355,24 @@ class TestGeneratorClosedForm:
         with pytest.raises(ValueError):
             generator_closed_form(FieldParams.matched(1.0, 1.0), 1.0, "series")
 
+    # a scalar T gives what _generator_coeffs gives on 1-D arrays of the
+    # same inputs, bit for bit: below, at and above the series threshold
+    # omega*T = 0.5, far above it, and in the asymptotic mode
+    @pytest.mark.parametrize("omega_t,mode", [
+        (0.1, "exact"), (0.5 * (1 - 1e-15), "exact"), (0.5, "exact"),
+        (0.5 * (1 + 1e-15), "exact"), (1e3, "exact"), (2.0, "asymptotic")])
+    def test_is_the_one_formula(self, omega_t, mode):
+        g, B, w = 1.7, 1.3, 3.0
+        T = omega_t / w
+        got = generator_closed_form(FieldParams.matched(B, w, gamma=g), T,
+                                    mode)
+        want = [float(np.broadcast_to(c, (1,))[0]) for c in _generator_coeffs(
+            *(np.array([v]) for v in (g, B, w, T)), mode)]
+        assert [got.h_b[1, 0].real, got.h_b[1, 0].imag,
+                got.h_omega[1, 0].real, got.h_omega[1, 0].imag] == want
+        for h in (got.h_b, got.h_omega):
+            assert h[0, 0] == h[1, 1] == 0 and h[0, 1] == np.conj(h[1, 0])
+
 
 class TestGeneratorNumeric:
     def test_zero_amplitude_kills_frequency_generator(self):

@@ -1,5 +1,7 @@
 """Operator and state primitives: algebra, exponentials, reductions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,3 +260,40 @@ _NON_HERMITIAN = np.triu(np.ones((4, 4))) / 4
 def test_rejections(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# one count of each kind with its verdict and exact message (None where it
+# is accepted): plain ints take a path of their own and must agree with
+# the numpy path that every other kind takes
+@pytest.mark.parametrize("value,minimum,message", [
+    (5, 5, None), (6, 5, None), (0, 0, None),
+    (4, 5, "n must be >= 5, got 4"),
+    (-1, 0, "n must be >= 0, got -1"),
+    # numpy holds ints below 2**64 as int64 or uint64, larger ones as objects
+    (2**64 - 1, 1, None),
+    (2**64, 1, "n must be an integer, got 18446744073709551616"),
+    (True, 1, "n must be an integer, got True"),
+    (False, 0, "n must be an integer, got False"),
+    (np.True_, 1, "n must be an integer, got np.True_"),
+    (2.0, 1, "n must be an integer, got 2.0"),
+    (np.int64(3), 1, None), (np.uint8(2), 1, None),
+    (np.int64(0), 1, "n must be >= 1, got np.int64(0)"),
+    (np.array([1, 2]), 1, None), (np.array([], dtype=int), 1, None),
+    (np.array([0, 2]), 1, "n must be >= 1, got array([0, 2])"),
+    (np.array([True]), 0, "n must be an integer, got array([ True])"),
+])
+def test_count_check_verdicts(value, minimum, message):
+    if message is None:
+        linalg._check_count(value, "n", minimum)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            linalg._check_count(value, "n", minimum)
+
+
+def test_plain_int_counts_skip_numpy(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain int count went through numpy")
+
+    monkeypatch.setattr(np, "asarray", refuse)
+    linalg._check_count(7, "n", 1)
+    linalg._check_count(0, "n")

@@ -260,6 +260,47 @@ class TestClosedFormProperties:
                                f"a float at T = {re.escape(str(T))}$"):
                 qfim_closed_form(p, T)
 
+    FORMS = {"generator_closed_form": generator_closed_form,
+             "qfim_closed_form": qfim_closed_form,
+             "qfim_determinant": qfim_determinant}
+
+    # a NaN or infinite T is not an overflow, and an array of several T is
+    # none of the scalar forms' inputs
+    @pytest.mark.parametrize("name", list(FORMS))
+    @pytest.mark.parametrize("T", [
+        np.nan, np.inf, -np.inf, np.float64(np.nan), np.array(np.inf),
+        np.array([1.0, 2.0]), np.array([1.0]), [1.0, 2.0]],
+        ids=["nan", "inf", "-inf", "np-nan", "0d-inf", "array", "one-entry",
+             "list"])
+    def test_a_t_that_is_not_one_finite_number_is_named(self, name, T):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"T must be a finite scalar, got T = {T!r}") + "$"):
+            self.FORMS[name](FieldParams.matched(1.0, 2.0), T)
+
+    def test_the_asymptotic_generators_name_a_nan_t(self):
+        with pytest.raises(ValueError, match="^T must be a finite scalar, "
+                           "got T = nan$"):
+            generator_closed_form(FieldParams.matched(1.0, 2.0), np.nan,
+                                  mode="asymptotic")
+
+    @pytest.mark.parametrize("name", list(FORMS))
+    def test_a_zero_dimensional_t_is_one_number(self, name):
+        p = FieldParams.matched(1.3, 2.0)
+        got, ref = self.FORMS[name](p, np.array(1.5)), self.FORMS[name](p, 1.5)
+        if not isinstance(ref, float):
+            got, ref = list(vars(got).values()), list(vars(ref).values())
+        np.testing.assert_array_equal(got, ref)
+
+    # a finite T whose values overflow stays an OverflowError
+    @pytest.mark.parametrize("name,message", [
+        ("generator_closed_form", "generator coefficients overflow"),
+        ("qfim_closed_form", "QFIM entries overflow"),
+        ("qfim_determinant", "QFIM determinant overflows")])
+    def test_a_finite_t_that_overflows_is_an_overflow(self, name, message):
+        with pytest.raises(OverflowError,
+                           match=f"^{message} a float at T = 1e\\+200$"):
+            self.FORMS[name](FieldParams.matched(1.0, 1.0), 1e200)
+
 
 class TestQcrb:
     def test_diagonal_inverse(self):
