@@ -36,5 +36,8 @@ grid = TimeGrid(0.0, 3.0, 60_000)
 gen = GeneratorPair(h_b=generator_numeric(p, "B", grid, control=False),
                     h_omega=generator_numeric(p, "omega", grid, control=False))
 f0 = qfim_from_generators(bell_state("phi+"), gen)
-print("uncontrolled evolution: det(F) =", f0.det(),
-      "-> singular:", f0.is_singular())
+# det(F) of the parallel generators is rounding of a zero, of either sign,
+# so it is shown on the scale of F_BB F_ww
+print(f"uncontrolled evolution: det(F) / (F_BB F_ww) = "
+      f"{f0.det() / (f0.f_bb * f0.f_ww):.1e} (rounding) -> singular: "
+      f"{f0.is_singular()}")

@@ -147,18 +147,24 @@ def _su2_exp(ax: np.ndarray, ay: np.ndarray, az: np.ndarray,
     return q
 
 
-def _su2_mul(p: np.ndarray, q: np.ndarray, out=None) -> np.ndarray:
-    """Batched product p @ q of SU(2) pairs; trailing axes broadcast.
+def _su2_mul(p, q, out=None, cross=None, work=None) -> np.ndarray:
+    """Batched product p @ q of SU(2) pairs (a, b), (2, ...) arrays or
+    tuples of two arrays; trailing axes broadcast.
 
     ``out``, when given, receives the product and must not overlap p or q.
+    A caller that multiplies by p more than once may pass its ``cross``
+    factors (conj(b1), conj(a1)) of p = (a1, b1), and ``work``, an array of
+    one row of the product's shape, so that no call makes them.
     """
     (a1, b1), (a2, b2) = p, q
     if out is None:
         out = np.empty((2,) + np.broadcast(a1, a2).shape, dtype=complex)
     np.multiply(a1, a2, out=out[0])
-    out[0] -= np.conj(b1) * b2
+    out[0] -= np.multiply(np.conj(b1) if cross is None else cross[0], b2,
+                          out=work)
     np.multiply(b1, a2, out=out[1])
-    out[1] += np.conj(a1) * b2
+    out[1] += np.multiply(np.conj(a1) if cross is None else cross[1], b2,
+                          out=work)
     return out
 
 
@@ -457,12 +463,19 @@ def _generator_coeffs(g, B, w, T, mode: str = "exact"):
     return bx, by, wx, wy
 
 
-def _check_closed_form(p: FieldParams, T=None) -> None:
-    """Raise ValueError unless phi = 0 and a given T is one finite number."""
+def _check_closed_form(p: FieldParams, T=None):
+    """Raise ValueError unless phi = 0 and a given T is one finite number;
+    return the T to compute with, inf for an int beyond the float range,
+    which overflows the forms as a large float T does, so that their
+    OverflowError names the T."""
     if p.phi != 0:
         raise ValueError(f"the closed forms assume phi = 0, got phi = {p.phi}")
-    if T is not None and (np.ndim(T) != 0 or not math.isfinite(T)):
-        raise ValueError(f"T must be a finite scalar, got T = {T!r}")
+    try:
+        if T is None or np.ndim(T) == 0 and math.isfinite(T):
+            return T
+    except OverflowError:  # an int too large for a float
+        return math.inf
+    raise ValueError(f"T must be a finite scalar, got T = {T!r}")
 
 
 def generator_closed_form(p: FieldParams, T: float,
@@ -474,9 +487,9 @@ def generator_closed_form(p: FieldParams, T: float,
     (gamma*B*T^2/4) sigma_y. Raises OverflowError when a coefficient
     overflows a float.
     """
-    _check_closed_form(p, T)
+    t = _check_closed_form(p, T)
     with np.errstate(all="ignore"):  # reported below, with the T
-        c = np.array(_generator_coeffs(p.gamma, p.B, p.omega, T, mode), float)
+        c = np.array(_generator_coeffs(p.gamma, p.B, p.omega, t, mode), float)
     if not np.isfinite(c).all():
         raise OverflowError(f"generator coefficients overflow a float at T = {T}")
     return GeneratorPair(*(c.reshape(2, 2) @ _SIGMAS[:2]).reshape(2, 2, 2))

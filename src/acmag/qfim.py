@@ -116,9 +116,9 @@ def qfim_closed_form(p: FieldParams, T: float) -> Qfim2:
     The entries are the Gram form of the closed-form generator coefficients.
     Raises OverflowError when an entry overflows a float.
     """
-    _check_closed_form(p, T)
+    t = _check_closed_form(p, T)
     with np.errstate(all="ignore"):  # reported below, with the T
-        f_bb, f_bw, f_ww, _ = _closed_form(p.gamma, p.B, p.omega, T)
+        f_bb, f_bw, f_ww, _ = _closed_form(p.gamma, p.B, p.omega, t)
     if not np.all(np.isfinite([f_bb, f_bw, f_ww])):
         raise OverflowError(f"QFIM entries overflow a float at T = {T}")
     return Qfim2(f_bb=float(f_bb), f_bw=float(f_bw), f_ww=float(f_ww))
@@ -132,9 +132,9 @@ def qfim_determinant(p: FieldParams, T: float) -> float:
     generator coefficients, whose small-omega*T series live in dynamics.
     Raises OverflowError when it overflows a float.
     """
-    _check_closed_form(p, T)
+    t = _check_closed_form(p, T)
     with np.errstate(all="ignore"):  # reported below, with the T
-        det = float(_closed_form(p.gamma, p.B, p.omega, T)[3])
+        det = float(_closed_form(p.gamma, p.B, p.omega, t)[3])
     if not np.isfinite(det):
         raise OverflowError(f"QFIM determinant overflows a float at T = {T}")
     return det

@@ -90,6 +90,32 @@ class TestEmitResults:
             assert float(got[1]) == b  # 17 significant digits round-trip
         assert json.loads(json_path.read_text()) == {"x": 1.0}
 
+    @pytest.mark.parametrize("before", ["longer", "shorter"])
+    def test_overwrites_earlier_outputs_in_place(self, tmp_path, before):
+        cfg = _write(tmp_path, "c.json", {"scan": {"points": 7}})
+        fresh = run("qfim-scan", cfg, None, tmp_path / "fresh")
+        out = tmp_path / "out"
+        out.mkdir()
+        for path in fresh:
+            size = path.stat().st_size
+            (out / path.name).write_bytes(
+                b"9\n" * (size if before == "longer" else size // 4))
+        written = run("qfim-scan", cfg, None, out)
+        assert [p.name for p in written] == [p.name for p in fresh]
+        for new, ref in zip(written, fresh):
+            assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_new_files_get_write_bytes_mode_bits(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            (tmp_path / "ref").write_bytes(b"")
+            paths = emit_results({"a": [1.0]}, {}, tmp_path / "out", "study")
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "ref").stat().st_mode
+        assert [p.stat().st_mode for p in paths] == [mode, mode]
+
     def test_empty_table_is_header_only(self, tmp_path):
         csv_path, _ = emit_results({"x": [], "y": []}, {}, tmp_path, "empty")
         assert csv_path.read_text() == "x,y\n"
@@ -912,6 +938,32 @@ class TestExitCodes:
             "config error: cannot write output: ")
         assert sorted(p.name for p in out.iterdir()) == [
             "qfim-scan.summary.json"]
+
+    # /dev/full opens and then fails every write with ENOSPC
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("failing", ["qfim-scan.csv",
+                                         "qfim-scan.summary.json"])
+    def test_a_failed_write_leaves_no_csv(self, tmp_path, capsys, failing):
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, "c.json", {"scan": {"points": 5}})
+        # outputs of an earlier run, longer than the ones that fail
+        assert main(["qfim-scan", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / failing).unlink()
+        (out / failing).symlink_to("/dev/full")
+        cfg = _write(tmp_path, "c.json", {"scan": {"points": 3}})
+        assert main(["qfim-scan", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: cannot write output: ")
+        # a failed CSV leaves the earlier summary as it was; a failed
+        # summary takes the CSV written before it. The names come first:
+        # a link left to /dev/full would read without end
+        kept = ["qfim-scan.summary.json"] if failing.endswith(".csv") else []
+        assert [p.name for p in out.iterdir()] == kept
+        for name in kept:
+            assert (out / name).read_bytes() == earlier[name]
 
     def test_adaptive_without_rounds_sweeps_nothing(self, tmp_path):
         cfg = _write(tmp_path, "c.json", {"adaptive": {"b0": 0.01,

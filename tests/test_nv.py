@@ -1,6 +1,8 @@
 """NV two-qubit protocol: frames, decoupling, readout, uncertainty fits."""
 
+import json
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acmag import cli
 from acmag import nv as nv_module
 from acmag.dynamics import FieldParams
 from acmag.fitting import loglog_slope
@@ -306,6 +309,143 @@ class TestTwoBlockEngine:
         seq = PulseSequence(1, 0.017, IDEAL)
         with pytest.raises(ValueError, match="steps_per_block"):
             sequence_unitary(seq, NV, p, steps_per_block=0)
+
+
+def _pair_product(p, q):
+    """SU(2) pair product p @ q, as the engine formed it one repetition at
+    a time."""
+    (a1, b1), (a2, b2) = p, q
+    out = np.empty((2,) + np.broadcast(a1, a2).shape, dtype=complex)
+    np.multiply(a1, a2, out=out[0])
+    out[0] -= np.conj(b1) * b2
+    np.multiply(b1, a2, out=out[1])
+    out[1] += np.conj(a1) * b2
+    return out
+
+
+def _per_repetition_unitaries(seq, nv, p, B, omega, steps_per_block):
+    """_sequence_unitaries with one window exponential and two fresh pair
+    products per repetition, as the engine ran before its windows were
+    batched: the byte-for-byte oracle of the batched loop."""
+    tau, pulse = seq.tau, seq.pulse
+    n_reps, B, omega = np.broadcast_arrays(np.ravel(seq.n_reps), np.ravel(B),
+                                           np.ravel(omega))
+    order = np.argsort(-n_reps, kind="stable")
+    n_reps, B, omega = n_reps[order], B[order], omega[order]
+    dt = tau / steps_per_block
+    delta = (omega - p.omega_c)[:, None]
+    table = np.empty((B.size + 2, 4))
+    table[:-2, 0], table[:-2, 1:] = p.gamma * B, (0.0, dt, 1.0)
+    table[-2] = (-p.gamma * p.B_c * np.cos(p.phi_c),
+                 p.gamma * p.B_c * np.sin(p.phi_c), tau, 1.0)
+    table[-1] = ((0.5 * pulse.rabi_freq, 0.0, np.pi / pulse.rabi_freq,
+                  float(pulse.hyperfine_on)) if pulse.kind == "finite"
+                 else (1.0, 0.0, 0.0, 0.0))
+    ax, ay, dts, weight = table.T[..., None]
+    steps = nv_module._su2_exp(ax, ay, weight * nv_module._hyperfine_z(nv),
+                               dts)
+    x, ctrl, pi = steps[:, :-2], steps[:, -2], steps[:, -1]
+    q = (_pair_product(pi, _pair_product(ctrl, pi)) if pulse.kind == "finite"
+         else np.stack([np.conj(ctrl[0]), -np.conj(ctrl[1])]))
+    s = np.exp(-0.5j * delta * dt)
+    a, b = nv_module._su2_pow(np.stack([x[0] * s, x[1] * np.conj(s)]),
+                              steps_per_block)
+    a *= np.exp(0.5j * delta * tau)
+    theta = p.phi + 0.5 * delta * (dt + tau)
+    u = np.stack([a, b * np.exp(-1j * theta)])
+    for k in range(1, n_reps[0]):
+        m = np.searchsorted(-n_reps, -k)  # points with n_reps > k
+        window = np.stack([a[:m], b[:m] * np.exp(
+            -1j * (theta[:m] + 2 * k * tau * delta[:m]))])
+        u[:, :m] = _pair_product(window, _pair_product(q, u[:, :m]))
+    u = _pair_product(q, u)[:, np.argsort(order)]
+    out = np.zeros((B.size, 4, 4), dtype=complex)
+    out[:, 0::2, 0::2], out[:, 1::2, 1::2] = nv_module._su2_matrix(
+        u).swapaxes(0, 1)
+    return out
+
+
+class TestRepetitionLoop:
+    """The batched windows and in-place products of _sequence_unitaries
+    give the per-repetition loop's propagators byte for byte."""
+
+    PULSES = [IDEAL, PiPulseModel(kind="ideal", hyperfine_on=False),
+              PiPulseModel(kind="finite", rabi_freq=TWO_PI * 20.0),
+              PiPulseModel(kind="finite", rabi_freq=TWO_PI * 20.0,
+                           hyperfine_on=False)]
+
+    @staticmethod
+    def _check(seq, p, B, omega, steps_per_block):
+        got = nv_module._sequence_unitaries(seq, NV, p, B, omega,
+                                            steps_per_block)
+        ref = _per_repetition_unitaries(seq, NV, p, B, omega, steps_per_block)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    # _PHASE_BLOCK 1 and 5 split the phases into blocks of one repetition
+    # and of a few, cut inside a repetition's run of points or between two
+    @pytest.mark.parametrize("block", [1, 5, nv_module._PHASE_BLOCK])
+    @pytest.mark.parametrize("n_reps", [
+        [1, 1, 1, 1], 6, [3, 7, 1, 7, 2, 3, 7], [12, 1, 5, 5, 9, 2, 12]],
+        ids=["all-one", "scalar", "tied-unsorted", "tied-unsorted-long"])
+    @pytest.mark.parametrize("steps_per_block", [1, 16])
+    @pytest.mark.parametrize("pulse", PULSES, ids=[
+        "ideal", "ideal-no-hyperfine", "finite", "finite-no-hyperfine"])
+    def test_matches_the_per_repetition_loop(self, monkeypatch, pulse,
+                                             steps_per_block, n_reps, block):
+        monkeypatch.setattr(nv_module, "_PHASE_BLOCK", block)
+        p = operating_field(NV, 5.65, phi=0.4)
+        size = np.size(n_reps) if np.ndim(n_reps) else 5
+        B = np.linspace(0.0, 9.0, size)  # B = 0 included
+        omega = p.omega + np.linspace(-30.0, 45.0, size)
+        self._check(PulseSequence(n_reps, 0.017, pulse), p, B, omega,
+                    steps_per_block)
+
+    @pytest.mark.parametrize("command,config", [
+        ("nv-scaling", {}),
+        ("nv-scaling", {"scaling": {"n_max": 40},
+                        "protocol": {"pulse": {"kind": "finite"}}}),
+        ("nv-sweep", {}),
+        ("nv-sweep", {"protocol": {"pulse": {"kind": "finite",
+                                             "hyperfine_on": False}}}),
+        ("adaptive", {})],
+        ids=["nv-scaling", "nv-scaling-finite", "nv-sweep",
+             "nv-sweep-finite-no-hyperfine", "adaptive"])
+    def test_matches_on_the_cli_batches(self, tmp_path, monkeypatch, command,
+                                        config):
+        batches = []
+        engine = nv_module._sequence_unitaries
+
+        def record(seq, nv, p, B, omega, steps_per_block):
+            batches.append((seq, p, B, omega, steps_per_block))
+            return engine(seq, nv, p, B, omega, steps_per_block)
+
+        monkeypatch.setattr(nv_module, "_sequence_unitaries", record)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        cli.run(command, path, None, tmp_path)
+        monkeypatch.undo()
+        assert batches
+        for seq, p, B, omega, steps_per_block in batches:
+            self._check(seq, p, B, omega, steps_per_block)
+
+    def test_memory_does_not_grow_as_n_max_squared(self):
+        # one point per N = 1..n_max: a table of every repetition's window
+        # at every point would take n_max^2 / 2 complex pairs, 64 MB at
+        # n_max = 2000, where the batch itself grows as n_max
+        p = operating_field(NV, 5.65)
+        peaks = {}
+        for n_max in (500, 2000):
+            seq = PulseSequence(np.arange(1, n_max + 1), 0.017, IDEAL)
+            tracemalloc.start()
+            try:
+                nv_module._sequence_unitaries(seq, NV, p, p.B, p.omega, 32)
+                peaks[n_max] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a peak linear in n_max grows at most 4-fold, a quadratic one 16-fold
+        assert peaks[2000] < 8 * peaks[500]
+        assert peaks[2000] < 8e6
 
 
 def _exact_sequence_unitary(seq, nv, p):

@@ -301,6 +301,18 @@ class TestClosedFormProperties:
                            match=f"^{message} a float at T = 1e\\+200$"):
             self.FORMS[name](FieldParams.matched(1.0, 1.0), 1e200)
 
+    # an int beyond the float range is a finite T whose values overflow
+    @pytest.mark.parametrize("name,message", [
+        ("generator_closed_form", "generator coefficients overflow"),
+        ("qfim_closed_form", "QFIM entries overflow"),
+        ("qfim_determinant", "QFIM determinant overflows")])
+    @pytest.mark.parametrize("T", [10**400, -10**400], ids=["big", "-big"])
+    def test_an_int_beyond_the_floats_is_an_overflow_at_t(self, name, message,
+                                                          T):
+        with pytest.raises(OverflowError,
+                           match=f"^{message} a float at T = {T}$"):
+            self.FORMS[name](FieldParams.matched(1.0, 1.0), T)
+
 
 class TestQcrb:
     def test_diagonal_inverse(self):
