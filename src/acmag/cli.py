@@ -17,7 +17,6 @@ import argparse
 import copy
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 from functools import cache
@@ -428,28 +427,16 @@ def emit_results(columns: dict, summary: dict, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     json_path = out / f"{name}.summary.json"
-    _write_over(csv_path, b"".join(parts))
     try:
-        _write_over(json_path, (summary_text + "\n").encode())
-    except OSError:  # leave no CSV without its summary
-        csv_path.unlink()
+        csv_path.write_bytes(b"".join(parts))
+        json_path.write_text(summary_text + "\n")
+    except OSError:  # remove both outputs, an earlier run's too, so that
+        # no table stands without its summary; a directory is no output
+        for path in (csv_path, json_path):
+            if not path.is_dir():
+                path.unlink(missing_ok=True)
         raise
     return csv_path, json_path
-
-
-def _write_over(path: Path, data: bytes) -> None:
-    """Write data over the file at path, created with write_bytes' mode
-    bits if it is missing, and cut it to data's length: truncating first,
-    as write_bytes does, costs more than the write on some file systems.
-    A failed write removes the file, which holds new bytes and old ones."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        with open(fd, "wb") as f:
-            f.write(data)
-            f.truncate()
-    except OSError:
-        path.unlink()
-        raise
 
 
 def _json_default(x):

@@ -42,9 +42,6 @@ from .linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, _check_count, as_state,
                      tensor)
 
 TWO_PI = 2.0 * np.pi
-# points of window phases that _sequence_unitaries takes in one
-# exponential: its memory is O(points + _PHASE_BLOCK), not O(points * N)
-_PHASE_BLOCK = 2**13
 
 SX_E = tensor(SIGMA_X, I2)
 SY_E = tensor(SIGMA_Y, I2)
@@ -243,12 +240,8 @@ def _sequence_unitaries(seq: PulseSequence, nv: NvParams, p: FieldParams,
     sx_e, so a sequence costs O(n_reps) pair products per point at any
     ``steps_per_block``. All points and both nuclear blocks run as one
     batch of electron SU(2) problems, placed on the propagators' block
-    diagonals. The window phases of up to _PHASE_BLOCK points take one
-    exponential, however many repetitions they span, and each repetition's
-    two pair products are written in place, with the conjugates of q, a
-    and the windows taken once. Every element sees the operations of one
-    repetition at a time, in their order, so the propagators are the same
-    bytes however the phases are blocked.
+    diagonals. Each repetition's two pair products are written in place
+    into preallocated rows, with the conjugates of q and a taken once.
     """
     _check_count(steps_per_block, "steps_per_block", 1)
     tau, pulse = seq.tau, seq.pulse
@@ -281,37 +274,23 @@ def _sequence_unitaries(seq: PulseSequence, nv: NvParams, p: FieldParams,
     a *= np.exp(0.5j * delta * tau)
     theta = p.phi + 0.5 * delta * (dt + tau)
     u = np.stack([a, b * np.exp(-1j * theta)])
-    # both nuclear blocks of a point side by side on one axis: repetition
-    # k runs on the first 2 * runs[k - 1] entries, those of the points with
-    # n_reps > k. q and its cross factors stand at every entry, so each
-    # product is of arrays of one shape, which numpy runs in long inner
-    # loops where a broadcast q would run pair by pair
-    runs = np.searchsorted(-n_reps, -np.arange(1, n_reps[0])).tolist()
-    u, a, b, theta, delta = (u.reshape(2, -1), a.ravel(), b.ravel(),
-                             theta.ravel(), delta.ravel())
-    q = np.tile(q, (1, B.size))
+    # both nuclear blocks of a point side by side on one axis, so that
+    # repetition k runs on a prefix of it. q and its cross factors stand at
+    # every entry: each product is of arrays of one shape, which numpy runs
+    # in long inner loops where a broadcast q would run pair by pair
+    u, q, a = u.reshape(2, -1), np.tile(q, (1, B.size)), a.ravel()
     cross, ca, v, work = (np.conj(q[::-1]), np.conj(a), np.empty_like(u),
                           np.empty_like(a))
-    k = 1
-    while k < n_reps[0]:
-        # the windows of repetitions k, k + 1, ..., with the phases of at
-        # most _PHASE_BLOCK points (or one repetition's) in one exponential
-        m = runs[k - 1 : k - 1 + max(1, _PHASE_BLOCK // runs[k - 1])]
-        reps = np.repeat(np.arange(k, k + len(m)), m)
-        wb = np.concatenate([b[:2 * r] for r in m])
-        wb *= np.repeat(np.exp(-1j * (
-            np.concatenate([theta[:r] for r in m])
-            + 2 * reps * tau * np.concatenate([delta[:r] for r in m]))), 2)
-        cwb = np.conj(wb)
-        start = 0
-        for r in m:
-            e, stop = 2 * r, start + 2 * r
-            _su2_mul(q[:, :e], u[:, :e], out=v[:, :e], cross=cross[:, :e],
-                     work=work[:e])
-            _su2_mul((a[:e], wb[start:stop]), v[:, :e], out=u[:, :e],
-                     cross=(cwb[start:stop], ca[:e]), work=work[:e])
-            start = stop
-        k += len(m)
+    # runs[k - 1]: the points with n_reps > k
+    runs = np.searchsorted(-n_reps, -np.arange(1, n_reps[0]))
+    for k, m in enumerate(runs.tolist(), 1):
+        e = 2 * m  # their entries
+        wb = b[:m] * np.exp(-1j * (theta[:m] + 2 * k * tau * delta[:m]))
+        wb = wb.ravel()
+        _su2_mul(q[:, :e], u[:, :e], out=v[:, :e], cross=cross[:, :e],
+                 work=work[:e])
+        _su2_mul((a[:e], wb), v[:, :e], out=u[:, :e],
+                 cross=(np.conj(wb), ca[:e]), work=work[:e])
     u = _su2_mul(q, u, cross=cross, work=work).reshape(2, -1, 2)[
         :, np.argsort(order)]
     out = np.zeros((B.size, 4, 4), dtype=complex)

@@ -91,7 +91,7 @@ class TestEmitResults:
         assert json.loads(json_path.read_text()) == {"x": 1.0}
 
     @pytest.mark.parametrize("before", ["longer", "shorter"])
-    def test_overwrites_earlier_outputs_in_place(self, tmp_path, before):
+    def test_overwrites_earlier_outputs(self, tmp_path, before):
         cfg = _write(tmp_path, "c.json", {"scan": {"points": 7}})
         fresh = run("qfim-scan", cfg, None, tmp_path / "fresh")
         out = tmp_path / "out"
@@ -104,17 +104,6 @@ class TestEmitResults:
         assert [p.name for p in written] == [p.name for p in fresh]
         for new, ref in zip(written, fresh):
             assert new.read_bytes() == ref.read_bytes()
-
-    @pytest.mark.parametrize("umask", [0o022, 0o077])
-    def test_new_files_get_write_bytes_mode_bits(self, tmp_path, umask):
-        old = os.umask(umask)
-        try:
-            (tmp_path / "ref").write_bytes(b"")
-            paths = emit_results({"a": [1.0]}, {}, tmp_path / "out", "study")
-        finally:
-            os.umask(old)
-        mode = (tmp_path / "ref").stat().st_mode
-        assert [p.stat().st_mode for p in paths] == [mode, mode]
 
     def test_empty_table_is_header_only(self, tmp_path):
         csv_path, _ = emit_results({"x": [], "y": []}, {}, tmp_path, "empty")
@@ -939,31 +928,36 @@ class TestExitCodes:
         assert sorted(p.name for p in out.iterdir()) == [
             "qfim-scan.summary.json"]
 
+    def test_unwritable_csv_leaves_no_summary(self, tmp_path, capsys):
+        # the CSV path is a directory; an earlier run's summary is beside it
+        out = tmp_path / "out"
+        (out / "qfim-scan.csv").mkdir(parents=True)
+        (out / "qfim-scan.summary.json").write_text("{}\n")
+        cfg = _write(tmp_path, "c.json", {"scan": {"points": 5}})
+        assert main(["qfim-scan", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: cannot write output: ")
+        assert [p.name for p in out.iterdir()] == ["qfim-scan.csv"]
+
     # /dev/full opens and then fails every write with ENOSPC
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
     @pytest.mark.parametrize("failing", ["qfim-scan.csv",
                                          "qfim-scan.summary.json"])
-    def test_a_failed_write_leaves_no_csv(self, tmp_path, capsys, failing):
+    def test_a_failed_write_leaves_no_output(self, tmp_path, capsys,
+                                              failing):
         out = tmp_path / "out"
         cfg = _write(tmp_path, "c.json", {"scan": {"points": 5}})
-        # outputs of an earlier run, longer than the ones that fail
+        # outputs of an earlier run: neither may stay beside a failed one
         assert main(["qfim-scan", "--config", str(cfg), "--out", str(out)]) == 0
         capsys.readouterr()
-        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
         (out / failing).unlink()
         (out / failing).symlink_to("/dev/full")
         cfg = _write(tmp_path, "c.json", {"scan": {"points": 3}})
         assert main(["qfim-scan", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
             "config error: cannot write output: ")
-        # a failed CSV leaves the earlier summary as it was; a failed
-        # summary takes the CSV written before it. The names come first:
-        # a link left to /dev/full would read without end
-        kept = ["qfim-scan.summary.json"] if failing.endswith(".csv") else []
-        assert [p.name for p in out.iterdir()] == kept
-        for name in kept:
-            assert (out / name).read_bytes() == earlier[name]
+        assert list(out.iterdir()) == []
 
     def test_adaptive_without_rounds_sweeps_nothing(self, tmp_path):
         cfg = _write(tmp_path, "c.json", {"adaptive": {"b0": 0.01,

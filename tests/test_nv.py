@@ -324,9 +324,9 @@ def _pair_product(p, q):
 
 
 def _per_repetition_unitaries(seq, nv, p, B, omega, steps_per_block):
-    """_sequence_unitaries with one window exponential and two fresh pair
-    products per repetition, as the engine ran before its windows were
-    batched: the byte-for-byte oracle of the batched loop."""
+    """_sequence_unitaries with two fresh pair products per repetition, as
+    the engine ran before it wrote them in place: the byte-for-byte oracle
+    of the in-place loop."""
     tau, pulse = seq.tau, seq.pulse
     n_reps, B, omega = np.broadcast_arrays(np.ravel(seq.n_reps), np.ravel(B),
                                            np.ravel(omega))
@@ -366,8 +366,8 @@ def _per_repetition_unitaries(seq, nv, p, B, omega, steps_per_block):
 
 
 class TestRepetitionLoop:
-    """The batched windows and in-place products of _sequence_unitaries
-    give the per-repetition loop's propagators byte for byte."""
+    """The in-place products of _sequence_unitaries give the propagators
+    of fresh per-repetition products byte for byte."""
 
     PULSES = [IDEAL, PiPulseModel(kind="ideal", hyperfine_on=False),
               PiPulseModel(kind="finite", rabi_freq=TWO_PI * 20.0),
@@ -382,18 +382,14 @@ class TestRepetitionLoop:
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
-    # _PHASE_BLOCK 1 and 5 split the phases into blocks of one repetition
-    # and of a few, cut inside a repetition's run of points or between two
-    @pytest.mark.parametrize("block", [1, 5, nv_module._PHASE_BLOCK])
     @pytest.mark.parametrize("n_reps", [
         [1, 1, 1, 1], 6, [3, 7, 1, 7, 2, 3, 7], [12, 1, 5, 5, 9, 2, 12]],
         ids=["all-one", "scalar", "tied-unsorted", "tied-unsorted-long"])
     @pytest.mark.parametrize("steps_per_block", [1, 16])
     @pytest.mark.parametrize("pulse", PULSES, ids=[
         "ideal", "ideal-no-hyperfine", "finite", "finite-no-hyperfine"])
-    def test_matches_the_per_repetition_loop(self, monkeypatch, pulse,
-                                             steps_per_block, n_reps, block):
-        monkeypatch.setattr(nv_module, "_PHASE_BLOCK", block)
+    def test_matches_the_per_repetition_loop(self, pulse, steps_per_block,
+                                             n_reps):
         p = operating_field(NV, 5.65, phi=0.4)
         size = np.size(n_reps) if np.ndim(n_reps) else 5
         B = np.linspace(0.0, 9.0, size)  # B = 0 included
