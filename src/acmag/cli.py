@@ -32,8 +32,8 @@ from .dynamics import ConvergenceError, FieldParams, generator_closed_form
 from .fitting import loglog_slope, upper_envelope
 from .nv import (TWO_PI, AdaptiveDivergenceError, JacobianError, NvParams,
                  PiPulseModel, ReadoutModel, SweepError, _pair_specs, _sweeps,
-                 adaptive_loop, control_frequency, operating_field,
-                 parameter_uncertainty, scaling_study)
+                 _uncertainties, adaptive_loop, control_frequency,
+                 operating_field, scaling_study)
 from .qfim import (SingularQfimError, _closed_form, bell_probe_determinant,
                    relative_error_curves, sample_probe_determinants)
 
@@ -566,25 +566,22 @@ def _run_nv_sweep(cfg: dict):
     hb = sw["halfwidth_b"] if sw["halfwidth_b"] is not None else 0.2 / n
     hw = (TWO_PI * sw["halfwidth_w_mhz"] if sw["halfwidth_w_mhz"] is not None
           else 2.0 / n**2)
-    sweeps, _ = _sweeps(_pair_specs((p.B, p.omega), n, hb, hw, sw["points"],
-                                    cfg["seed"]),
-                        p, nv, pr["tau"], pulse, readout, sw["noise"],
-                        pr["steps_per_block"])
-    sweep_b, sweep_w = sweeps
-    signals = np.concatenate([res.signals for res in sweeps])
-    probs = np.concatenate([res.probs for res in sweeps])
-    columns = {"axis": np.repeat([res.axis for res in sweeps],
-                                 [res.values.size for res in sweeps]),
-               "value": np.concatenate([res.values for res in sweeps]),
-               **{f"signal_{i + 1}": s for i, s in enumerate(signals.T)},
-               **{f"p_{i + 1}": q for i, q in enumerate(probs.T)}}
-    unc = parameter_uncertainty(sweep_b, sweep_w, readout)
+    specs = _pair_specs((p.B, p.omega), n, hb, hw, sw["points"], cfg["seed"])
+    probs, signals, slopes, stderr, _ = _sweeps(
+        specs, p, nv, pr["tau"], pulse, readout, sw["noise"],
+        pr["steps_per_block"])
+    columns = {"axis": np.repeat(specs[0], probs.shape[1]),
+               "value": specs[1].ravel(),
+               **{f"signal_{i + 1}": s
+                  for i, s in enumerate(np.concatenate(signals).T)},
+               **{f"p_{i + 1}": q for i, q in enumerate(np.concatenate(probs).T)}}
+    (delta,), (err,) = _uncertainties(slopes.T[None], stderr.T[None],
+                                      readout.sigma, [n])
     summary = {
-        "slopes_b": sweep_b.slopes, "slopes_w": sweep_w.slopes,
-        "slope_stderr_b": sweep_b.slope_stderr,
-        "slope_stderr_w": sweep_w.slope_stderr,
-        "delta_b": unc.delta_b, "delta_w": unc.delta_w,
-        "delta_b_err": unc.delta_b_err, "delta_w_err": unc.delta_w_err,
+        "slopes_b": slopes[0], "slopes_w": slopes[1],
+        "slope_stderr_b": stderr[0], "slope_stderr_w": stderr[1],
+        "delta_b": float(delta[0]), "delta_w": float(delta[1]),
+        "delta_b_err": float(err[0]), "delta_w_err": float(err[1]),
         "omega_c_mhz": control_frequency(nv) / TWO_PI,
     }
     return columns, summary

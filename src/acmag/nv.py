@@ -382,7 +382,7 @@ class SweepResult:
 
 def _sweeps(sweeps, p: FieldParams, nv: NvParams, tau: float,
             pulse: PiPulseModel, readout: ReadoutModel, add_noise: bool,
-            steps_per_block: int, extra=()) -> tuple[list, np.ndarray]:
+            steps_per_block: int, extra=()) -> tuple[np.ndarray, ...]:
     """Sweeps (axes, values, n_reps, seeds), one row of the (sweeps,
     points) array ``values`` each, from the Bell probe as one batch of
     sequences with the control at p's values and the other axis at p's
@@ -391,8 +391,9 @@ def _sweeps(sweeps, p: FieldParams, nv: NvParams, tau: float,
     first sweep with zero width or reaching B < 0 or omega <= 0.
 
     The (B, omega) points of ``extra`` run in the same batch, with the
-    first sweep's n_reps; returns the SweepResults and the extra points'
-    noiseless Bell populations.
+    first sweep's n_reps. Returns the noiseless Bell populations (sweeps,
+    points, 4), the signals (sweeps, points, k), the slopes and their
+    standard errors (sweeps, k), and the extra points' noiseless ones.
     """
     axes, values, n_reps, seeds = sweeps
     unknown = set(axes) - {"B", "omega"}
@@ -440,11 +441,7 @@ def _sweeps(sweeps, p: FieldParams, nv: NvParams, tau: float,
     slopes, stderr = ols_slope(
         np.take_along_axis(values, window, axis=1)[:, None],
         np.take_along_axis(signals.swapaxes(1, 2), window[:, None], axis=2))
-    results = [SweepResult(axis=a, values=v, probs=q, signals=y,
-                           slopes=b, slope_stderr=e)
-               for a, v, q, y, b, e in zip(axes, values, probs, signals,
-                                           slopes, stderr)]
-    return results, extra_probs
+    return probs, signals, slopes, stderr, extra_probs
 
 
 def sweep_signal(axis: str, values, p: FieldParams, nv: NvParams,
@@ -461,9 +458,10 @@ def sweep_signal(axis: str, values, p: FieldParams, nv: NvParams,
     fitted on a five-point window centered on the operating point.
     SweepError if the values have zero width or reach B < 0 or omega <= 0.
     """
-    return _sweeps(([axis], np.reshape(values, (1, -1)), [n_reps], [seed]),
-                   p, nv, tau, pulse, readout, add_noise,
-                   steps_per_block)[0][0]
+    values = np.asarray(values, dtype=float).reshape(1, -1)
+    rows = _sweeps(([axis], values, [n_reps], [seed]), p, nv, tau, pulse,
+                   readout, add_noise, steps_per_block)
+    return SweepResult(axis, values[0], *(row[0] for row in rows[:4]))
 
 
 def _pair_specs(centre, n_reps, hb, hw, points: int, seed: int) -> tuple:
@@ -568,15 +566,14 @@ def scaling_study(nv: NvParams, readout: ReadoutModel,
     p = operating_field(nv, B_c, phi)
     _check_count(n_values, "n_values", 1)
     n_values = np.asarray(n_values, dtype=int)
-    sweeps, _ = _sweeps(_pair_specs((p.B, p.omega), n_values,
-                                    halfwidth_b / n_values,
-                                    halfwidth_w / n_values**2, points, seed),
-                        p, nv, tau, pulse, readout, add_noise,
-                        steps_per_block)
+    _, _, slopes, stderr, _ = _sweeps(
+        _pair_specs((p.B, p.omega), n_values, halfwidth_b / n_values,
+                    halfwidth_w / n_values**2, points, seed),
+        p, nv, tau, pulse, readout, add_noise, steps_per_block)
     # slopes and their errors, (N, k, 2) each: the B and omega sweeps of
     # each N are its two columns
-    j, se = np.array([(r.slopes, r.slope_stderr) for r in sweeps]).reshape(
-        n_values.size, 2, 2, -1).transpose(2, 0, 3, 1)
+    j, se = np.stack([slopes, stderr]).reshape(
+        2, n_values.size, 2, -1).swapaxes(2, 3)
     delta, err = _uncertainties(j, se, readout.sigma, n_values)
     eb, ebs = loglog_slope(n_values, delta[:, 0])
     ew, ews = loglog_slope(n_values, delta[:, 1])
@@ -638,12 +635,13 @@ def adaptive_loop(true_field: tuple[float, float],
         truth = FieldParams(B=b_true, omega=w_true, phi=phi, B_c=est[0],
                             omega_c=est[1], phi_c=-phi, gamma=gamma)
         at = replace(truth, B=est[0], omega=est[1])
-        (sb, sw), probs = _sweeps(sweeps, at, nv, tau, pulse, readout, False,
-                                  steps_per_block, extra=true_field)
+        _, signals, slopes, _, probs = _sweeps(
+            sweeps, at, nv, tau, pulse, readout, False, steps_per_block,
+            extra=true_field)
         meas = 1.0 - probs[0, :2] + noise[r]
-        j = np.column_stack([sb.slopes, sw.slopes])
+        j = slopes.T
         _check_jacobians(j[None], f"adaptive round {r}", [n_reps])
-        # the sweep's center point holds the noiseless signals at est
-        est = est + np.linalg.solve(j, meas - sb.signals[2])
+        # the B sweep's center point holds the noiseless signals at est
+        est = est + np.linalg.solve(j, meas - signals[0, 2])
         traj.append(est.copy())
     return np.array(traj)

@@ -47,7 +47,12 @@ class Qfim2:
         return [np.ldexp(x, -e) for x in (self.f_bb, self.f_bw, self.f_ww)], e
 
     def det(self) -> float:
-        """f_bb f_ww - f_bw^2, inf where it overflows a float."""
+        """f_bb f_ww - f_bw^2, inf where it overflows a float.
+
+        The difference cancels where det << f_bb f_ww. Under matched
+        control det falls to (omega*T)^2/16 of f_bb f_ww at small omega*T;
+        at omega*T = 1e-9 (gamma = B = T = 1) it reads 0, where the Gram
+        form 16 (b_x w_y - b_y w_x)^2 of qfim_determinant gives 1.1e-37."""
         (a, b, c), e = self._scaled()
         with np.errstate(over="ignore"):
             return np.ldexp(a * c - b * b, 2 * e)

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from acmag.bounds import (envelope_integral, single_param_qfi_bound,
                           strategy_comparison)
 from acmag.cli import main
-from acmag.dynamics import FieldParams
-from acmag.qfim import qfim_closed_form
+from acmag.dynamics import FieldParams, generator_closed_form
+from acmag.qfim import _closed_form, qfim_closed_form, qfim_determinant
+from test_dynamics import _mp_generator_coeffs
+from test_qfim import _mp_qfim
 
 TWO_OVER_PI = 2.0 / np.pi
 EPS = np.finfo(float).eps
@@ -253,6 +255,70 @@ class TestBatchedComparison:
         p = FieldParams.matched(1.0, 1.0)
         with pytest.raises(OverflowError, match=r"at T = 1e\+300$"):
             strategy_comparison(p, np.array([1.0, 1e300, 2e300]))
+
+
+# omega*T from 1e-9 to 10, four points a decade, with both sides of the
+# series thresholds (0.5 in the generators, 1.5 in t|sin|) and of the
+# envelopes' first sign changes
+SWEEP_OMEGA_T = np.concatenate(
+    [np.geomspace(1e-9, 10.0, 41), [0.5, 1.5, np.pi / 2, np.pi],
+     np.nextafter([0.5, 1.5, np.pi / 2, np.pi], 0.0)])
+# relative bound, in eps, of each closed form against its oracle; the
+# largest error measured over the sweep is about half of each
+SWEEP_BOUND_EPS = {"abs_cos": 4, "t_abs_sin": 4, "qfi_b": 8, "qfi_w": 8,
+                   "b_x": 4, "b_y": 4, "w_x": 4, "w_y": 4, "f_bb": 4,
+                   "f_bw": 12, "f_ww": 8, "det": 16, "ratio_b": 8,
+                   "ratio_w": 8}
+
+
+class TestClosedFormsDownToSmallOmegaT:
+    # T is a power of two, so omega*T is the sweep's value exactly: at a
+    # zero of sin x, rounding x would move b_y by all its digits
+    @pytest.mark.parametrize("g,B,T", [(1.3, 0.7, 2.0),
+                                       (0.01, 1e3, 2.0**-10)])
+    def test_every_closed_form_matches_mpmath(self, g, B, T):
+        for x in SWEEP_OMEGA_T:
+            w = x / T
+            p = FieldParams.matched(B, w, gamma=g)
+            gen = generator_closed_form(p, T)
+            f = qfim_closed_form(p, T)
+            s = strategy_comparison(p, T)
+            got = {"abs_cos": envelope_integral("abs_cos", w, T),
+                   "t_abs_sin": envelope_integral("t_abs_sin", w, T),
+                   "qfi_b": single_param_qfi_bound("B", p, T),
+                   "qfi_w": single_param_qfi_bound("omega", p, T),
+                   "b_x": gen.h_b[1, 0].real, "b_y": gen.h_b[1, 0].imag,
+                   "w_x": gen.h_omega[1, 0].real,
+                   "w_y": gen.h_omega[1, 0].imag,
+                   "f_bb": f.f_bb, "f_bw": f.f_bw, "f_ww": f.f_ww,
+                   "det": qfim_determinant(p, T),
+                   "ratio_b": s.ratio_b, "ratio_w": s.ratio_w}
+            cos_env, sin_env = (_mp_envelope(k, w, T)
+                                for k in ("abs_cos", "t_abs_sin"))
+            with mp.workdps(60):
+                qfim = _mp_qfim(g, B, w, T)
+                qfi = (4 * (g * mp.mpf(cos_env))**2,
+                       4 * (g * mp.mpf(B) * sin_env)**2)
+                want = dict(zip(got, (
+                    cos_env, sin_env, *qfi, *_mp_generator_coeffs(g, B, w, T),
+                    *qfim, qfi[0] / qfim[0], qfi[1] / qfim[2])))
+                for name, value in got.items():
+                    error = abs(mp.mpf(value) / want[name] - 1) / EPS
+                    assert error <= SWEEP_BOUND_EPS[name], (name, x, error)
+
+    @pytest.mark.parametrize("g,B,omega", [(1.3, 0.7, 1.0),
+                                           (0.01, 1e3, 2.0**10)])
+    def test_ratios_reach_one_and_the_determinant_stays_positive(
+            self, g, B, omega):
+        # the single-parameter ceilings bound the joint information from
+        # above; at omega*T = 1e-9 the ratios round to within 2 eps of 1
+        T = SWEEP_OMEGA_T / omega
+        s = strategy_comparison(FieldParams.matched(B, omega, gamma=g), T)
+        assert s.ratio_b.min() >= 1 - 4 * EPS
+        assert s.ratio_w.min() >= 1 - 4 * EPS
+        # the Gram determinant does not cancel, where f_bb f_ww - f_bw^2
+        # reads 0 at omega*T = 1e-9 (Qfim2.det)
+        assert np.all(_closed_form(g, B, omega, T)[3] > 0)
 
 
 def test_int_and_float_t_values_write_the_same_csv(tmp_path):

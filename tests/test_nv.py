@@ -727,6 +727,45 @@ class TestSweepSignal:
         assert noisy.signals.tobytes() == (quiet.signals + noise).tobytes()
 
 
+class TestSweepRecords:
+    """Only sweep_signal builds SweepResults; the studies read the arrays
+    of _sweeps."""
+
+    def test_study_paths_build_no_records(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SweepResult was built")
+
+        monkeypatch.setattr(nv_module, "SweepResult", refuse)
+        scaling_study(NV, ReadoutModel(), n_values=(1, 2, 3))
+        w_c = control_frequency(NV)
+        adaptive_loop((5.7, w_c + 0.3), (5.65, w_c), 2, 10**6, NV)
+        path = tmp_path / "c.json"
+        path.write_text("{}")
+        cli.run("nv-sweep", path, None, tmp_path)
+        with pytest.raises(AssertionError, match="SweepResult was built"):
+            sweep_signal("B", _VALUES, _AT, NV, 1, 0.017, IDEAL,
+                         ReadoutModel())
+
+    @pytest.mark.parametrize("signals_used", ["two", "three"])
+    @pytest.mark.parametrize("pulse", [IDEAL, PiPulseModel(kind="finite")],
+                             ids=["ideal", "finite"])
+    def test_record_is_its_row_of_the_batch(self, pulse, signals_used):
+        p = operating_field(NV, 5.65)
+        ro = ReadoutModel(signals_used=signals_used)
+        specs = nv_module._pair_specs((p.B, p.omega), 3, 0.05, 0.5, 7, 11)
+        rows = nv_module._sweeps(specs, p, NV, 0.017, pulse, ro, True, 16)
+        for i, axis in enumerate(specs[0]):
+            res = sweep_signal(axis, specs[1][i], p, NV, 3, 0.017, pulse, ro,
+                               seed=int(specs[3][i]), add_noise=True,
+                               steps_per_block=16)
+            assert res.axis == axis
+            fields = (res.values, res.probs, res.signals, res.slopes,
+                      res.slope_stderr)
+            for got, want in zip(fields, (specs[1], *rows[:4])):
+                assert got.shape == want[i].shape
+                assert got.tobytes() == want[i].tobytes()
+
+
 class TestParameterUncertainty:
     def _fake_sweeps(self, j11, j22, j12=0.0, j21=0.0, stderr=0.0):
         mk = lambda axis, col: SweepResult(
@@ -904,6 +943,25 @@ class TestScaling:
         assert str(err).startswith("signal Jacobian at N = 4 is singular")
         back = pickle.loads(pickle.dumps(err))
         assert back.n_reps == 4 and str(back) == str(err)
+
+    def test_singular_nv_sweep_jacobian_names_its_n(self, monkeypatch,
+                                                     tmp_path, capsys):
+        fit = nv_module.ols_slope
+
+        def collinear(x, y):
+            # the omega sweep copies the slopes of the B sweep
+            slopes, stderr = fit(x, y)
+            slopes[1] = slopes[0]
+            return slopes, stderr
+
+        monkeypatch.setattr(nv_module, "ols_slope", collinear)
+        path = tmp_path / "c.json"
+        path.write_text("{}")  # protocol.n_reps defaults to 8
+        assert cli.main(["nv-sweep", "--config", str(path), "--out",
+                         str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical error in nv-sweep: signal Jacobian at N = 8 is "
+            "singular (condition number ")
 
     def test_finite_pulses_oscillate_about_power_law(self):
         ro = ReadoutModel()

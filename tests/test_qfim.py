@@ -107,8 +107,9 @@ class TestDeterminant:
 
 
 def _mp_qfim(g, B, w, T):
-    """Closed-form entries and determinant evaluated with 60 digits."""
-    with mp.workdps(60):
+    """Closed-form entries and determinant evaluated with 80 digits: f_ww
+    cancels to (omega*T)^6 of its terms, 1e-54 at omega*T = 1e-9."""
+    with mp.workdps(80):
         g, B, w, T = map(mp.mpf, (g, B, w, T))
         x = w * T
         s, c = mp.sin(2 * x), mp.cos(2 * x)
