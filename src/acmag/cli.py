@@ -482,6 +482,25 @@ def _check_long_time_scale(command: str, p: FieldParams, t: float,
                          f"{scale!r}", p, time)
 
 
+def _check_long_time_powers(command: str, p: FieldParams, t: float,
+                            time: str = "") -> None:
+    """Raise ConfigError naming the long-time QFIM entry, gamma^2 T^2 or
+    gamma^2 B^2 T^4 / 4 at T = t, one of whose Python float powers
+    overflows. Runs each power once before the study's own arithmetic,
+    which it leaves as is: pow's overflow point is not that of a log test."""
+    for entry, powers in (("gamma^2 T^2", ((p.gamma, 2), (t, 2))),
+                          ("gamma^2 B^2 T^4 / 4",
+                           ((p.gamma, 2), (p.B, 2), (t, 4)))):
+        try:
+            for x, k in powers:
+                x ** k
+        except OverflowError:
+            raise ConfigError(
+                f"config values overflow in {command}: the long-time QFIM "
+                f"entry {entry} overflows a float at field.gamma = "
+                f"{p.gamma}, field.b = {p.B}{time}") from None
+
+
 def _run_qfim_scan(cfg: dict):
     sc = cfg["scan"]
     t = float(sc["t"])
@@ -494,6 +513,7 @@ def _run_qfim_scan(cfg: dict):
         raise _underflow("qfim-scan", f"the Bell-probe QFIM determinant is "
                          f"{det[i]} in row {i} (omega_t = {xs[i]})", p,
                          f", scan.t = {t}")
+    _check_long_time_powers("qfim-scan", p, t, f", scan.t = {t}")
     columns = {"omega_t": xs, "f_bb": f_bb, "f_bw": f_bw, "f_ww": f_ww,
                "det": det}
     summary = {  # read at the last (largest omega*T) row
@@ -509,6 +529,7 @@ def _run_convergence(cfg: dict):
     p = _field_from(cfg, 1.0)
     # the curves depend on omega*T only and are taken at T = 1
     _check_long_time_scale("convergence", p, 1.0)
+    _check_long_time_powers("convergence", p, 1.0)
     curves = relative_error_curves(p, xs)
     summary = {}
     for k in list(curves)[1:]:  # every curve after omega_t

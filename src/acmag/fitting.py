@@ -42,18 +42,19 @@ def loglog_slope(x, y) -> tuple[float, float]:
     return ols_slope(np.log(x), np.log(y))
 
 
-def upper_envelope(x, y, bins_per_decade: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def upper_envelope(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Per-log-bin maxima of an oscillating decaying curve.
 
-    Bins the x axis logarithmically and keeps the maximum y in each bin,
-    reported at the bin's geometric-mean x. Empty bins are dropped.
+    Bins the x axis logarithmically, 8 bins per decade, and keeps the
+    maximum y in each bin, reported at the bin's geometric-mean x. Empty
+    bins are dropped.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not np.all(x > 0):  # NaN fails too
         raise ValueError("envelope extraction requires positive x")
     lo, hi = np.log10(x.min()), np.log10(x.max())
-    n_bins = max(1, int(np.ceil((hi - lo) * bins_per_decade)))
+    n_bins = max(1, int(np.ceil((hi - lo) * 8)))
     edges = np.logspace(lo, hi, n_bins + 1)
     idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
     ys = np.full(n_bins, -np.inf)
@@ -62,7 +63,7 @@ def upper_envelope(x, y, bins_per_decade: int = 8) -> tuple[np.ndarray, np.ndarr
     return np.sqrt(edges[:-1] * edges[1:])[kept], ys[kept]
 
 
-def envelope_slope(x, y, bins_per_decade: int = 8) -> tuple[float, float]:
+def envelope_slope(x, y) -> tuple[float, float]:
     """Log-log slope of the upper envelope of an oscillating curve."""
-    xs, ys = upper_envelope(x, y, bins_per_decade)
+    xs, ys = upper_envelope(x, y)
     return loglog_slope(xs, ys)

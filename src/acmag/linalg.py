@@ -48,13 +48,14 @@ def _check_count(value, name: str, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    """a, or each matrix of a stack, is Hermitian within tol (NaN is not)."""
-    return max_abs(a - a.conj().swapaxes(-1, -2)) <= tol
+def is_hermitian(a: np.ndarray) -> bool:
+    """a, or each matrix of a stack, is Hermitian within 1e-10 (NaN is not)."""
+    return max_abs(a - a.conj().swapaxes(-1, -2)) <= 1e-10
 
 
-def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
-    return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= tol
+def is_unitary(a: np.ndarray) -> bool:
+    """a^dagger a is the identity within 1e-10."""
+    return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= 1e-10
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,18 +72,18 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     Raises ValueError if h is not Hermitian within 1e-10.
     """
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, 1e-10):
+    if not is_hermitian(h):
         raise ValueError("expm_hermitian requires a Hermitian matrix")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def as_state(amplitudes: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate and return a pure-state amplitude vector (unit norm)."""
+def as_state(amplitudes: np.ndarray) -> np.ndarray:
+    """Validate and return a pure-state amplitude vector (norm 1 +- 1e-12)."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     norm2 = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm2 - 1.0) > tol:
-        raise ValueError(f"state norm^2 = {norm2!r} is not 1 within {tol}")
+    if abs(norm2 - 1.0) > 1e-12:
+        raise ValueError(f"state norm^2 = {norm2!r} is not 1 within 1e-12")
     return psi
 
 
@@ -188,9 +189,9 @@ def index_normals(seed: int, n: int, size: int) -> np.ndarray:
         raise TypeError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_count(n, "n")
     if not 0 <= n <= 2**32:  # beyond, an index spans two entropy words
         raise ValueError(f"need 0 <= n <= 2**32 indices, got {n}")
-    _check_count(n, "n")
     # the seed's uint32 words, low first; 0 is the one word [0]
     words = [seed >> s & _MASK32 for s in range(0, seed.bit_length() or 1, 32)]
     entropy = np.empty((len(words) + 1, n), dtype=np.uint32)
@@ -218,25 +219,18 @@ def density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def partial_trace(rho: np.ndarray, keep: str = "first") -> np.ndarray:
-    """Reduced 2x2 density matrix of a two-qubit density matrix.
-
-    ``keep`` selects which tensor factor survives ('first' or 'second').
-    Input must be Hermitian with unit trace within 1e-10.
+def partial_trace(rho: np.ndarray) -> np.ndarray:
+    """Reduced 2x2 density matrix of the first qubit of a two-qubit
+    density matrix, which must be Hermitian with unit trace within 1e-10.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"partial_trace requires a 4x4 matrix, got {rho.shape}")
-    if not is_hermitian(rho, 1e-10):
+    if not is_hermitian(rho):
         raise ValueError("density matrix must be Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
         raise ValueError("density matrix must have unit trace")
-    r = rho.reshape(2, 2, 2, 2)
-    if keep == "first":
-        return np.einsum("ikjk->ij", r)
-    if keep == "second":
-        return np.einsum("kikj->ij", r)
-    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
+    return np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2))
 
 
 def pure_cov(psi: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -249,7 +243,7 @@ def pure_cov(psi: np.ndarray, a: np.ndarray, b: np.ndarray):
     d = psi.shape[-1]
     if a.shape != (d, d) or b.shape != (d, d):
         raise ValueError("operator dimensions do not match the state")
-    if not (is_hermitian(a, 1e-10) and is_hermitian(b, 1e-10)):
+    if not (is_hermitian(a) and is_hermitian(b)):
         raise ValueError("pure_cov requires Hermitian operators")
     apsi = psi @ a.T
     bpsi = psi @ b.T

@@ -50,8 +50,7 @@ SY_E = tensor(SIGMA_Y, I2)
 # at the operating point while keeping their parameter derivatives finite.
 READOUT_ROTATION = expm_hermitian(
     (np.pi / (3.0 * np.sqrt(3.0))) * (SIGMA_X + SIGMA_Y + SIGMA_Z), 1.0)
-_BELL_BRAS = np.conj(bell_basis())
-_BELL_READOUT = _BELL_BRAS @ tensor(READOUT_ROTATION, I2)  # after the rotation
+_BELL_READOUT = np.conj(bell_basis()) @ tensor(READOUT_ROTATION, I2)  # rotated bras
 _PROBE = bell_state("phi+")
 
 
@@ -356,16 +355,12 @@ class ReadoutModel:
         return self.baseline + self.contrast * probs
 
 
-def bell_readout(state: np.ndarray, readout: ReadoutModel | None = None,
-                 rotate: bool = True) -> np.ndarray:
+def bell_readout(state: np.ndarray) -> np.ndarray:
     """Bell-basis outcome probabilities, after the electron-only rotation.
 
-    Order: phi+, phi-, psi+, psi-. With ``readout`` given, its SPAM map is
-    applied; with ``rotate=False`` the basis rotation is skipped.
+    Order: phi+, phi-, psi+, psi-; ReadoutModel.spam maps them to SPAM.
     """
-    psi = as_state(state)
-    probs = np.abs((_BELL_READOUT if rotate else _BELL_BRAS) @ psi) ** 2
-    return probs if readout is None else readout.spam(probs)
+    return np.abs(_BELL_READOUT @ as_state(state)) ** 2
 
 
 @dataclass(frozen=True)

@@ -57,40 +57,37 @@ class Qfim2:
         with np.errstate(over="ignore"):
             return np.ldexp(a * c - b * b, 2 * e)
 
-    def is_singular(self) -> bool:
+    def is_singular(self):
         """det <= 1e-10 max|F_ij|^2: a scale-free rule that also holds for
-        the zero matrix, rounding's negative determinants and NaN entries."""
+        the zero matrix, rounding's negative determinants and NaN entries.
+        Array entries give a bool array, scalars a bool."""
         (a, b, c), _ = self._scaled()
-        return not (a * c - b * b > 1e-10 * max(abs(a), abs(b), abs(c))**2)
+        m = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+        singular = ~(a * c - b * b > 1e-10 * m**2)
+        return singular if np.ndim(singular) else bool(singular)
 
 
 @dataclass(frozen=True)
 class CovBound:
-    """Cramer-Rao covariance lower bound over M repetitions."""
+    """Cramer-Rao covariance lower bound for one repetition."""
 
     var_b: float
     var_w: float
     cov_bw: float
 
 
-def qfim_from_generators(probe: np.ndarray, gen: GeneratorPair,
-                         ancilla: bool = True) -> Qfim2:
+def qfim_from_generators(probe: np.ndarray, gen: GeneratorPair) -> Qfim2:
     """QFIM entries 4*Cov(h_a, h_b) in the probe state.
 
-    With ``ancilla`` the probe is a two-qubit state and the generators act
-    on the first qubit only (h x I); otherwise the probe is single-qubit.
-    A stack of probes (..., d) gives a Qfim2 of arrays over the stack.
+    The probe is a two-qubit state and the generators act on the first
+    qubit only (h x I). A stack of probes (..., 4) gives a Qfim2 of arrays
+    over the stack.
     """
     probe = np.asarray(probe, dtype=complex)
-    if ancilla:
-        if probe.shape[-1] != 4:
-            raise ValueError("ancilla-assisted probe must be two-qubit")
-        hb = tensor(gen.h_b, I2)
-        hw = tensor(gen.h_omega, I2)
-    else:
-        if probe.shape[-1] != gen.h_b.shape[0]:
-            raise ValueError("probe dimension does not match the generators")
-        hb, hw = gen.h_b, gen.h_omega
+    if probe.shape[-1] != 4:
+        raise ValueError("ancilla-assisted probe must be two-qubit")
+    hb = tensor(gen.h_b, I2)
+    hw = tensor(gen.h_omega, I2)
     return Qfim2(f_bb=4.0 * pure_cov(probe, hb, hb),
                  f_bw=4.0 * pure_cov(probe, hb, hw),
                  f_ww=4.0 * pure_cov(probe, hw, hw))
@@ -145,15 +142,14 @@ def qfim_determinant(p: FieldParams, T: float) -> float:
     return det
 
 
-def qcrb(f: Qfim2, repetitions: int = 1) -> CovBound:
-    """Covariance bound (1/M) F^{-1}; raises on a singular QFIM."""
-    _check_count(repetitions, "repetitions", 1)
+def qcrb(f: Qfim2) -> CovBound:
+    """One repetition's covariance bound F^{-1}; raises on a singular QFIM."""
     if f.is_singular():
         raise SingularQfimError(
             "QFIM is singular: joint estimation unattainable")
     # F^-1 = (F/s)^-1 / s
     (a, b, c), e = f._scaled()
-    d = (a * c - b * b) * float(repetitions)
+    d = a * c - b * b
     with np.errstate(over="ignore"):
         var_b, var_w, cov_bw = (float(np.ldexp(x / d, -e))
                                 for x in (c, a, -b))
@@ -203,9 +199,9 @@ def probe_overlap(probe: np.ndarray, u_rel: np.ndarray) -> float:
 
     rho_S is the reduced state of the first qubit; u_rel must be unitary.
     """
-    if not is_unitary(u_rel, 1e-10):
+    if not is_unitary(u_rel):
         raise ValueError("u_rel must be unitary")
-    rho_s = partial_trace(density(probe), keep="first")
+    rho_s = partial_trace(density(probe))
     return float(abs(np.trace(rho_s @ u_rel)))
 
 
@@ -221,11 +217,11 @@ def sample_probe_determinants(gen: GeneratorPair, n_samples: int,
     z = index_normals(seed, n_samples, 8).reshape(n_samples, 2, 4)
     psi = z[:, 0] + 1j * z[:, 1]
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    return qfim_from_generators(psi, gen, ancilla=True).det()
+    return qfim_from_generators(psi, gen).det()
 
 
 def bell_probe_determinant(gen: GeneratorPair) -> float:
-    return qfim_from_generators(bell_state("phi+"), gen, ancilla=True).det()
+    return qfim_from_generators(bell_state("phi+"), gen).det()
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +234,18 @@ def _central_diff(prob_fn, b: float, w: float, db: float, dw: float):
     return pb, pw
 
 
-def classical_fim(prob_fn, at: FieldParams,
-                  step: tuple[float | None, float | None] = (None, None)) -> Qfim2:
+def classical_fim(prob_fn, at: FieldParams) -> Qfim2:
     """Classical Fisher matrix F_ab = sum_i (d_a p_i)(d_b p_i)/p_i.
 
-    Derivatives are central finite differences of ``prob_fn(B, omega)``.
-    Default steps are 1e-4 relative; a Richardson-refined estimate is used
-    when halving the step moves the result by more than 1e-4 relative.
-    Raises if any outcome probability is non-positive at the base point.
+    Derivatives are central finite differences of ``prob_fn(B, omega)``,
+    steps 1e-4 relative; a Richardson-refined estimate is used when halving
+    the step moves the result by more than 1e-4 relative. Raises if a step
+    is 0 (B = 0) or any outcome probability is non-positive at the base.
     """
-    db = step[0] if step[0] is not None else 1e-4 * at.B
-    dw = step[1] if step[1] is not None else 1e-4 * at.omega
-    if not (db > 0 and dw > 0):  # NaN fails too
-        raise ValueError("finite-difference steps must be positive")
+    db, dw = 1e-4 * at.B, 1e-4 * at.omega
+    if not (db > 0 and dw > 0):  # B = 0, or B or omega under 2.5e-320
+        raise ValueError("finite-difference steps 1e-4 B and 1e-4 omega must "
+                         f"be positive, got B = {at.B}, omega = {at.omega}")
     p0 = np.asarray(prob_fn(at.B, at.omega), dtype=float)
     for i, pi in enumerate(p0):
         if not pi > 0:

@@ -177,7 +177,7 @@ def test_c09_no_control_singularity():
         if scale > 0:
             worst = max(worst, f.det() / scale**2)
         try:
-            qcrb(f, 1)
+            qcrb(f)
             raised = False
         except SingularQfimError:
             pass

@@ -400,8 +400,12 @@ class TestPercentGFormatter:
 
 
 # SHA-256 of each command's CSV at its default config (bounds with
-# field.omega_mhz = 1.0), pinned on x86-64 with numpy 2.4: the writer must
-# keep every byte
+# field.omega_mhz = 1.0): the writer must keep every byte. Pinned on x86-64
+# with numpy 2.4 at its AVX-512 (X86_V4) dispatch level, where float64 exp,
+# log, power and expm1 run on their AVX-512 kernels. With numpy's dispatch
+# held to X86_V3 (AVX2 and FMA) the qfim-scan and convergence digests
+# differ; at the X86_V2 baseline nv-scaling, nv-sweep and probe-search do
+# too. Every gap is at most 5.6e-10 relative.
 GOLDEN_CSV_SHA256 = {
     "qfim-scan":
         "6ba360d358042af759278869bbc21c4a6859f0b6409204e216ff823fc4bd7bf4",
@@ -653,6 +657,15 @@ class TestExitCodes:
             f"numerical error in {command}: {message}\n")
         assert not out.exists()
 
+    # the commands whose long-time QFIM entries overflow name the entry
+    OVERFLOWING_ENTRIES = {
+        "qfim-scan": "the long-time QFIM entry gamma^2 B^2 T^4 / 4 overflows "
+                     "a float at field.gamma = 1.0, field.b = 1e+200, "
+                     "scan.t = 1.0",
+        "convergence": "the long-time QFIM entry gamma^2 T^2 overflows a "
+                       "float at field.gamma = 1e+200, field.b = 1.0",
+    }
+
     @pytest.mark.parametrize("command,payload", [
         ("qfim-scan", {"field": {"b": 1e200}}),
         ("convergence", {"field": {"gamma": 1e200}}),
@@ -664,8 +677,38 @@ class TestExitCodes:
         cfg = _write(tmp_path, "c.json", payload)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(
+        err = capsys.readouterr().err
+        assert err.startswith(
             f"config error: config values overflow in {command}")
+        if command in self.OVERFLOWING_ENTRIES:
+            assert err == (f"config error: config values overflow in "
+                           f"{command}: {self.OVERFLOWING_ENTRIES[command]}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,payload,message", [
+        ("qfim-scan", {"field": {"gamma": 1e200}}, "gamma^2 T^2 overflows a "
+         "float at field.gamma = 1e+200, field.b = 1.0, scan.t = 1.0"),
+        ("qfim-scan", {"field": {"b": 1e300}}, "gamma^2 B^2 T^4 / 4 "
+         "overflows a float at field.gamma = 1.0, field.b = 1e+300, "
+         "scan.t = 1.0"),
+        # t^2 = 1e320 overflows; so does t^4 of the second entry
+        ("qfim-scan", {"scan": {"t": 1e160}}, "gamma^2 T^2 overflows a float "
+         "at field.gamma = 1.0, field.b = 1.0, scan.t = 1e+160"),
+        # t^4 = 1e320 alone
+        ("qfim-scan", {"scan": {"t": 1e80}}, "gamma^2 B^2 T^4 / 4 overflows "
+         "a float at field.gamma = 1.0, field.b = 1.0, scan.t = 1e+80"),
+        ("convergence", {"field": {"b": 1e300}}, "gamma^2 B^2 T^4 / 4 "
+         "overflows a float at field.gamma = 1.0, field.b = 1e+300"),
+    ], ids=["qfim-scan-gamma", "qfim-scan-b", "qfim-scan-t", "qfim-scan-t4",
+            "convergence-b"])
+    def test_overflowing_long_time_entry_is_named(self, tmp_path, capsys,
+                                                  command, payload, message):
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config values overflow in {command}: the "
+            f"long-time QFIM entry {message}\n")
         assert not out.exists()
 
     # one int leaf per command; bounds has none but the seed, which is a u64

@@ -33,12 +33,12 @@ class TestOlsSlope:
         np.testing.assert_array_equal(stderr, [0.0, 0.0])
 
 
-def _envelope_loop(x, y, bins_per_decade=8):
-    # the per-bin reference: the maximum of each non-empty log bin, at the
-    # bin's geometric-mean x
+def _envelope_loop(x, y):
+    # the per-bin reference: the maximum of each non-empty log bin, 8 bins
+    # per decade, at the bin's geometric-mean x
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     lo, hi = np.log10(x.min()), np.log10(x.max())
-    n_bins = max(1, int(np.ceil((hi - lo) * bins_per_decade)))
+    n_bins = max(1, int(np.ceil((hi - lo) * 8)))
     edges = np.logspace(lo, hi, n_bins + 1)
     idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
     xs, ys = [], []
@@ -61,9 +61,7 @@ class TestUpperEnvelope:
         rng = np.random.default_rng(seed)
         x = np.sort(10.0 ** rng.uniform(0.0, 4.0, 500))
         y = np.abs(np.cos(x)) / x + rng.uniform(0.0, 1e-3, x.size)
-        for bins in (1, 3, 8):
-            _assert_same_envelope(upper_envelope(x, y, bins),
-                                  _envelope_loop(x, y, bins))
+        _assert_same_envelope(upper_envelope(x, y), _envelope_loop(x, y))
 
     def test_empty_bins_are_dropped(self):
         # two clusters three decades apart leave the bins between them empty
@@ -77,8 +75,8 @@ class TestUpperEnvelope:
     def test_nan_in_a_bin_is_its_maximum(self):
         x = np.array([1.0, 1.1, 10.0, 11.0])
         y = np.array([1.0, np.nan, 3.0, 2.0])
-        got = upper_envelope(x, y, 1)
-        _assert_same_envelope(got, _envelope_loop(x, y, 1))
+        got = upper_envelope(x, y)  # bins [1, 1.31) and [8.43, 11]
+        _assert_same_envelope(got, _envelope_loop(x, y))
         assert np.isnan(got[1][0]) and got[1][1] == 3.0
 
 

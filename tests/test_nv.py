@@ -14,7 +14,7 @@ from acmag import cli
 from acmag import nv as nv_module
 from acmag.dynamics import FieldParams
 from acmag.fitting import loglog_slope
-from acmag.linalg import bell_state, expm_hermitian, haar_state
+from acmag.linalg import bell_basis, bell_state, expm_hermitian, haar_state
 from acmag.nv import (SX_E, SY_E, AdaptiveDivergenceError, JacobianError,
                       NvParams, PiPulseModel, PulseSequence, ReadoutModel,
                       SweepError, SweepResult, adaptive_loop, bell_readout,
@@ -531,9 +531,14 @@ class TestBellReadout:
         probs = bell_readout(psi)
         np.testing.assert_allclose(probs, 0.25, atol=1e-3)
 
-    def test_unrotated_projection_onto_itself(self):
-        probs = bell_readout(bell_state("phi+"), rotate=False)
-        np.testing.assert_allclose(probs, [1, 0, 0, 0], atol=1e-14)
+    def test_projects_onto_the_bell_basis_after_the_electron_rotation(self):
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            psi = haar_state(4, rng)
+            rotated = np.kron(nv_module.READOUT_ROTATION, np.eye(2)) @ psi
+            np.testing.assert_allclose(
+                bell_readout(psi), np.abs(np.conj(bell_basis()) @ rotated)**2,
+                rtol=0, atol=1e-15)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(15)
@@ -544,7 +549,7 @@ class TestBellReadout:
     def test_spam_map_shifts_total(self):
         ro = ReadoutModel(contrast=0.8, baseline=0.03)
         rng = np.random.default_rng(16)
-        probs = bell_readout(haar_state(4, rng), readout=ro)
+        probs = ro.spam(bell_readout(haar_state(4, rng)))
         assert np.sum(probs) == pytest.approx(4 * 0.03 + 0.8, abs=1e-9)
 
     def test_spam_validation(self):
@@ -602,7 +607,7 @@ class TestSweepSignal:
             pv = replace(p, omega=v)
             seq = PulseSequence(2, 0.017, IDEAL)
             psi = simulate_sequence(seq, NV, pv, bell_state("phi+"))
-            pops.append(bell_readout(psi, rotate=False)[0])
+            pops.append(abs(np.conj(bell_basis()) @ psi)[0] ** 2)
         assert np.argmax(pops) == 10  # center of the grid
 
     # a one-step target window is the window power's edge case
