@@ -469,36 +469,26 @@ def _underflow(command: str, what: str, p: FieldParams,
                        f"field.gamma = {p.gamma}, field.b = {p.B}{time}")
 
 
-def _check_long_time_scale(command: str, p: FieldParams, t: float,
-                           time: str = "") -> None:
-    """Raise ConfigError when the long-time QFIM entries gamma^2 T^2 and
-    gamma^2 B^2 T^4 / 4 at T = t lie less than float precision above the
-    smallest normal float, where their deviations underflow."""
+def _long_time_entries(command: str, p: FieldParams, t: float,
+                       time: str = "") -> tuple[float, float]:
+    """The long-time QFIM entries gamma^2 T^2 and gamma^2 B^2 T^4 / 4 at
+    T = t, as float products. Raise OverflowError naming the first entry
+    that overflows a float, and ConfigError when the smaller lies less than
+    float precision above the smallest normal float, where their deviations
+    underflow."""
     gt = p.gamma * t
-    gbt2 = gt * p.B * t
-    scale = min(gt * gt, 0.25 * gbt2 * gbt2)
+    gbt = gt * p.B * t
+    entries = {"gamma^2 T^2": gt * gt, "gamma^2 B^2 T^4 / 4": 0.25 * gbt * gbt}
+    for entry, value in entries.items():
+        if value == math.inf:
+            raise OverflowError(
+                f"the long-time QFIM entry {entry} overflows a float at "
+                f"field.gamma = {p.gamma}, field.b = {p.B}{time}")
+    scale = min(entries.values())
     if scale * np.finfo(float).eps < np.finfo(float).tiny:
         raise _underflow(command, f"the long-time QFIM entries fall to "
                          f"{scale!r}", p, time)
-
-
-def _check_long_time_powers(command: str, p: FieldParams, t: float,
-                            time: str = "") -> None:
-    """Raise ConfigError naming the long-time QFIM entry, gamma^2 T^2 or
-    gamma^2 B^2 T^4 / 4 at T = t, one of whose Python float powers
-    overflows. Runs each power once before the study's own arithmetic,
-    which it leaves as is: pow's overflow point is not that of a log test."""
-    for entry, powers in (("gamma^2 T^2", ((p.gamma, 2), (t, 2))),
-                          ("gamma^2 B^2 T^4 / 4",
-                           ((p.gamma, 2), (p.B, 2), (t, 4)))):
-        try:
-            for x, k in powers:
-                x ** k
-        except OverflowError:
-            raise ConfigError(
-                f"config values overflow in {command}: the long-time QFIM "
-                f"entry {entry} overflows a float at field.gamma = "
-                f"{p.gamma}, field.b = {p.B}{time}") from None
+    return tuple(entries.values())
 
 
 def _run_qfim_scan(cfg: dict):
@@ -506,30 +496,38 @@ def _run_qfim_scan(cfg: dict):
     t = float(sc["t"])
     xs = _log_grid(sc)
     p = _field_from(cfg, xs[-1] / t)
-    g, b = p.gamma, p.B
-    f_bb, f_bw, f_ww, det = _closed_form(g, b, xs / t, t)
+    f_bb, f_bw, f_ww, det = _closed_form(p.gamma, p.B, xs / t, t)
     if np.any(det <= 0):  # a NaN goes on to the non-finite check
         i = int(np.argmax(det <= 0))
         raise _underflow("qfim-scan", f"the Bell-probe QFIM determinant is "
                          f"{det[i]} in row {i} (omega_t = {xs[i]})", p,
                          f", scan.t = {t}")
-    _check_long_time_powers("qfim-scan", p, t, f", scan.t = {t}")
+    fbb_inf, fww_inf = _long_time_entries("qfim-scan", p, t,
+                                          f", scan.t = {t}")
     columns = {"omega_t": xs, "f_bb": f_bb, "f_bw": f_bw, "f_ww": f_ww,
                "det": det}
     summary = {  # read at the last (largest omega*T) row
-        "f_bb_over_limit": f_bb[-1] / (g**2 * t**2),
-        "f_ww_over_limit": f_ww[-1] / (g**2 * b**2 * t**4 / 4),
+        "f_bb_over_limit": f_bb[-1] / fbb_inf,
+        "f_ww_over_limit": f_ww[-1] / fww_inf,
         "offdiag_ratio": abs(f_bw[-1]) / np.sqrt(f_bb[-1] * f_ww[-1]),
     }
     return columns, summary
 
 
 def _run_convergence(cfg: dict):
-    xs = _log_grid(cfg["scan"], floor=2 * np.pi)
+    sc = cfg["scan"]
+    xs = _log_grid(sc, floor=2 * np.pi)
+    # every curve's envelope keeps the log bins that hold a point of xs
+    bins = upper_envelope(xs, xs)[0].size
+    if bins < 3:
+        raise ConfigError(
+            f"convergence: scan.omega_t_min = {sc['omega_t_min']}, "
+            f"scan.omega_t_max = {sc['omega_t_max']} and scan.points = "
+            f"{sc['points']} fill {bins} of the envelope's log bins (8 per "
+            "decade); its slope fit needs points in at least 3")
     p = _field_from(cfg, 1.0)
     # the curves depend on omega*T only and are taken at T = 1
-    _check_long_time_scale("convergence", p, 1.0)
-    _check_long_time_powers("convergence", p, 1.0)
+    _long_time_entries("convergence", p, 1.0)
     curves = relative_error_curves(p, xs)
     summary = {}
     for k in list(curves)[1:]:  # every curve after omega_t
@@ -538,7 +536,7 @@ def _run_convergence(cfg: dict):
             raise ConfigError(
                 f"convergence: the {k} curve falls to 0.0 over the envelope "
                 f"bin at omega_t = {x[y == 0][0]:.6g}, below float precision;"
-                f" scan.omega_t_max = {cfg['scan']['omega_t_max']} must be lower")
+                f" scan.omega_t_max = {sc['omega_t_max']} must be lower")
         summary[f"slope_{k}"], summary[f"slope_{k}_stderr"] = loglog_slope(x, y)
     return curves, summary
 
@@ -549,8 +547,8 @@ def _run_bounds(cfg: dict):
     if not t.size or np.any(t <= 0):
         raise ConfigError("scan.t_values must be a non-empty list of positive times")
     p = _field_from(cfg, omega)
-    _check_long_time_scale("bounds", p, float(t.min()),
-                           f", shortest scan.t_values = {t.min()}")
+    _long_time_entries("bounds", p, float(t.min()),
+                       f", shortest scan.t_values = {t.min()}")
     s = strategy_comparison(p, t)
     ratios = ["ratio_b", "ratio_w", "seq_var_ratio_b", "seq_var_ratio_w",
               "sd_ratio_b", "sd_ratio_w"]

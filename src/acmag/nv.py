@@ -343,7 +343,7 @@ class ReadoutModel:
         if self.baseline < 0 or self.baseline + self.contrast > 1.0 + 1e-12:
             raise ValueError("SPAM model requires baseline >= 0 and baseline + contrast <= 1")
         if self.contrast <= 0:
-            raise ValueError("contrast must be in (0, 1]")
+            raise ValueError(f"contrast must be in (0, 1], got {self.contrast!r}")
         if self.signals_used not in ("two", "three"):
             raise ValueError("signals_used must be 'two' or 'three'")
 

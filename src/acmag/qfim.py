@@ -180,14 +180,17 @@ def relative_error_curves(p: FieldParams, omega_t_values) -> dict[str, np.ndarra
     bx, by, wx, wy = _generator_coeffs(g, B, xs, 1.0, "exact")
     lbx, _, _, lwy = _generator_coeffs(g, B, xs, 1.0, "asymptotic")
     f_bb, f_bw, f_ww, _ = _gram(bx, by, wx, wy)
-    fbb_inf = g**2
-    fww_inf = g**2 * B**2 / 4
+    # products, not powers: g**2 * B**2 can overflow or underflow where the
+    # limit does not, and so can the two limits' product
+    gb = g * B
+    fbb_inf = g * g
+    fww_inf = 0.25 * gb * gb
     return {"omega_t": xs,
             "dh_b": np.hypot(bx - lbx, by) / abs(lbx),
             "dh_omega": np.hypot(wx, wy - lwy) / abs(lwy),
             "df_bb": np.abs(f_bb - fbb_inf) / fbb_inf,
             "df_ww": np.abs(f_ww - fww_inf) / fww_inf,
-            "df_bw": np.abs(f_bw) / np.sqrt(fbb_inf * fww_inf)}
+            "df_bw": np.abs(f_bw) / (np.sqrt(fbb_inf) * np.sqrt(fww_inf))}
 
 
 # ---------------------------------------------------------------------------

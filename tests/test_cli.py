@@ -433,6 +433,72 @@ def test_default_config_csv_bytes_are_pinned(tmp_path, command):
     assert digest == GOLDEN_CSV_SHA256[command]
 
 
+# Every default-config CSV cell must agree across numpy's x86-64 dispatch
+# levels within this relative tolerance. The worst gap measured on x86-64
+# with numpy 2.4 is 5.6e-10, in convergence's df_bb, a difference of nearly
+# equal terms; text cells and zeros must be equal.
+DISPATCH_RTOL = 1e-9
+_UMATH = np._core._multiarray_umath
+
+
+def _targets_above(level):
+    """The dispatch targets above an x86-64 level that this CPU runs, which
+    NPY_DISABLE_CPU_FEATURES must name to hold numpy at that level; none
+    where numpy offers no such level or already runs at it."""
+    dispatch = list(_UMATH.__cpu_dispatch__)
+    if level in dispatch:
+        above = dispatch[dispatch.index(level) + 1:]
+    elif level in _UMATH.__cpu_baseline__:
+        above = dispatch
+    else:
+        return []
+    return [t for t in above if _UMATH.__cpu_features__.get(t)]
+
+
+# run in a child process: the default configs' commands into one directory,
+# then the disabled dispatch targets that still report as running
+_RUN_AT_LEVEL = """\
+import os, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from acmag.cli import run
+configs, out = sys.argv[1:3]
+for command in sys.argv[3:]:
+    run(command, f"{configs}/{command}.json", None, out)
+print([t for t in os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+       if __cpu_features__[t]])
+"""
+
+
+@pytest.mark.parametrize("level", ["X86_V3", "X86_V2"])
+def test_default_config_csvs_agree_across_dispatch_levels(tmp_path, level):
+    disabled = _targets_above(level)
+    if not disabled:
+        pytest.skip(f"numpy offers no {level} below the level it runs at")
+    here, there = tmp_path / "here", tmp_path / "there"
+    for command in GOLDEN_CSV_SHA256:
+        config = {"field": {"omega_mhz": 1.0}} if command == "bounds" else {}
+        run(command, _write(tmp_path, f"{command}.json", config), None, here)
+    src = str(Path(acmag.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AT_LEVEL, str(tmp_path), str(there),
+         *GOLDEN_CSV_SHA256],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src,
+             "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)})
+    assert done.stdout == "[]\n", done.stderr
+    for command in GOLDEN_CSV_SHA256:
+        header, rows = _read_csv(here / f"{command}.csv")
+        header_there, rows_there = _read_csv(there / f"{command}.csv")
+        assert header_there == header and len(rows_there) == len(rows)
+        for name, want, got in zip(header, zip(*rows), zip(*rows_there)):
+            if name == "axis":  # nv-sweep's text column
+                assert got == want
+            else:
+                np.testing.assert_allclose(
+                    np.array(got, float), np.array(want, float),
+                    rtol=DISPATCH_RTOL, atol=0, err_msg=f"{command} {name}")
+
+
 class TestCommands:
     def test_qfim_scan_values_match_closed_form(self, tmp_path):
         cfg = _write(tmp_path, "c.json",
@@ -559,8 +625,11 @@ class TestExitCodes:
         {"protocol": {"tau": -1}},
         {"nv": {"b_z0": 1100.0}},
         {"readout": {"signals_used": "four"}},
+        {"protocol": {"pulse": {"kind": "square"}}},
+        {"readout": {"contrast": 0.0}},
     ], ids=["tau-string", "n-reps-zero", "n-avg-zero", "two-points",
-            "negative-tau", "negative-control-frequency", "signals-four"])
+            "negative-tau", "negative-control-frequency", "signals-four",
+            "pulse-square", "contrast-zero"])
     def test_malformed_nv_sweep_config_is_2(self, tmp_path, capsys, payload):
         cfg = _write(tmp_path, "c.json", payload)
         out = tmp_path / "out"
@@ -699,8 +768,19 @@ class TestExitCodes:
          "a float at field.gamma = 1.0, field.b = 1.0, scan.t = 1e+80"),
         ("convergence", {"field": {"b": 1e300}}, "gamma^2 B^2 T^4 / 4 "
          "overflows a float at field.gamma = 1.0, field.b = 1e+300"),
+        # gamma^2 and B^2 are finite, their product is not
+        ("qfim-scan", {"field": {"b": 1e100, "gamma": 1e100}}, "gamma^2 B^2 "
+         "T^4 / 4 overflows a float at field.gamma = 1e+100, field.b = "
+         "1e+100, scan.t = 1.0"),
+        ("convergence", {"field": {"b": 1e100, "gamma": 1e100}}, "gamma^2 "
+         "B^2 T^4 / 4 overflows a float at field.gamma = 1e+100, field.b = "
+         "1e+100"),
+        ("bounds", {"field": {"b": 1e100, "gamma": 1e100, "omega_mhz": 1.0}},
+         "gamma^2 B^2 T^4 / 4 overflows a float at field.gamma = 1e+100, "
+         "field.b = 1e+100, shortest scan.t_values = 1.0"),
     ], ids=["qfim-scan-gamma", "qfim-scan-b", "qfim-scan-t", "qfim-scan-t4",
-            "convergence-b"])
+            "convergence-b", "qfim-scan-product", "convergence-product",
+            "bounds-product"])
     def test_overflowing_long_time_entry_is_named(self, tmp_path, capsys,
                                                   command, payload, message):
         cfg = _write(tmp_path, "c.json", payload)
@@ -948,6 +1028,42 @@ class TestExitCodes:
         cfg = _write(tmp_path, "c.json", {"scan": {"omega_t_max": 1e16}})
         assert main(["convergence", "--config", str(cfg), "--out",
                      str(out)]) == 0
+
+    # upper_envelope keeps the log bins, 8 per decade, that hold a point
+    @pytest.mark.parametrize("scan,named", [
+        ({"points": 2}, "scan.omega_t_min = 100.0, scan.omega_t_max = "
+         "100000.0 and scan.points = 2 fill 2"),
+        ({"omega_t_min": 100.0, "omega_t_max": 101.0, "points": 50},
+         "scan.omega_t_min = 100.0, scan.omega_t_max = 101.0 and "
+         "scan.points = 50 fill 1"),
+    ], ids=["two-points", "narrow-range"])
+    def test_convergence_scan_too_narrow_for_its_envelope_is_2_and_named(
+            self, tmp_path, capsys, scan, named):
+        cfg = _write(tmp_path, "c.json", {"scan": scan})
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: convergence: {named} of the envelope's log bins "
+            "(8 per decade); its slope fit needs points in at least 3\n")
+        assert not out.exists()
+
+    # the curves are relative errors: scales whose limits' cross product
+    # (gamma = 1e100) or B^2 (b = 1e-170) leave the floats give the default
+    # slopes
+    @pytest.mark.parametrize("field", [{"gamma": 1e100},
+                                       {"gamma": 1e100, "b": 1e-170}],
+                             ids=["cross-product", "b-squared-underflows"])
+    def test_convergence_at_extreme_field_scales_runs(self, tmp_path, field):
+        slopes = []
+        for payload in ({}, {"field": field}):
+            _, json_path = run("convergence",
+                               _write(tmp_path, "c.json", payload), None,
+                               tmp_path)
+            summary = json.loads(json_path.read_text())
+            slopes.append({k: v for k, v in summary.items()
+                           if k.startswith("slope_")})
+        assert slopes[1] == pytest.approx(slopes[0], rel=1e-6)
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
     def test_unusable_out_is_2(self, tmp_path, capsys, under):

@@ -1073,6 +1073,12 @@ _VALUES = _AT.B + np.linspace(-0.1, 0.1, 5)
     (lambda: PiPulseModel("finite", rabi_freq=0.0),
      "finite pulses require rabi_freq > 0"),
     (lambda: ReadoutModel(sigma=-1.0), "sigma must be positive"),
+    (lambda: PiPulseModel("square"),
+     "^pulse kind must be 'ideal' or 'finite', got 'square'$"),
+    (lambda: ReadoutModel(contrast=0.0),
+     r"^contrast must be in \(0, 1\], got 0.0$"),
+    (lambda: ReadoutModel(contrast=-0.5),
+     r"^contrast must be in \(0, 1\], got -0.5$"),
     (lambda: simulate_sequence(PulseSequence(1, 0.02, IDEAL), NV, _AT,
                                np.array([1.0, 0.0])),
      "probe must be a two-qubit state"),
@@ -1102,7 +1108,8 @@ _VALUES = _AT.B + np.linspace(-0.1, 0.1, 5)
      "^rounds must be an integer, got 2.5$"),
     (lambda: adaptive_loop((5.7, 1.0), (5.65, 1.0), 2, 1e5, NV),
      "^shots must be an integer, got 100000.0$"),
-], ids=["n_reps", "tau", "axis", "rabi", "sigma", "probe", "segment",
+], ids=["n_reps", "tau", "axis", "rabi", "sigma", "pulse-kind",
+        "contrast-zero", "contrast-negative", "probe", "segment",
         "n_reps-float", "n_reps-bool", "n_reps-float-batch",
         "steps_per_block-float", "steps_per_block-zero", "n_values-float",
         "n_values-zero", "n_avg-zero", "n_avg-negative", "n_avg-float",

@@ -488,6 +488,21 @@ class TestRelativeErrorCurves:
             np.testing.assert_allclose(got[key], values, rtol=16 * eps,
                                        atol=16 * eps, err_msg=key)
 
+    # power-of-two scales of gamma and B keep every bit, also where
+    # F_BB F_ww (gamma = 2^340) or B^2 (B = 2^680 or 2^-560) leaves the floats
+    @pytest.mark.parametrize("g,B", [(2.0**340, 1.0), (2.0**-340, 2.0**680),
+                                     (2.0**340, 2.0**-560)],
+                             ids=["cross-product", "b-squared-overflows",
+                                  "b-squared-underflows"])
+    def test_scale_free_where_the_limits_powers_leave_the_floats(self, g, B):
+        xs = np.logspace(2, 5, 200)
+        ref = relative_error_curves(FieldParams.matched(1.0, 1.0), xs)
+        with np.errstate(over="ignore"):  # the Gram determinant, unused
+            got = relative_error_curves(FieldParams.matched(B, 1.0, gamma=g),
+                                        xs)
+        for key, values in ref.items():
+            np.testing.assert_array_equal(got[key], values, err_msg=key)
+
     def test_requires_long_time_regime(self):
         with pytest.raises(ValueError):
             relative_error_curves(FieldParams.matched(1.0, 1.0), [1.0])
