@@ -677,6 +677,21 @@ _NUMERICAL_ERRORS = (SingularQfimError, JacobianError, ConvergenceError,
                      FloatingPointError)
 
 
+@cache
+def _environment() -> dict:
+    """What the CSV bits depend on besides acmag: numpy's version, its BLAS
+    and the highest x86-64 dispatch level that numpy runs at (None on
+    other CPUs)."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config["SIMD Extensions"]  # "found": the targets that run here
+    running = {*simd["baseline"], *simd.get("found", ())}
+    levels = [v for v in ("X86_V2", "X86_V3", "X86_V4") if v in running]
+    return {"numpy": np.__version__,
+            "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+            "cpu_dispatch": levels[-1] if levels else None}
+
+
 def run(command: str, config_path: str | Path, seed: int | None = None,
         out_dir: str | Path = ".") -> tuple[Path, Path]:
     """Execute a study command; returns the written (csv, json) paths."""
@@ -707,7 +722,8 @@ def run(command: str, config_path: str | Path, seed: int | None = None,
     except ValueError as exc:  # a config-derived input outside a study's domain
         raise ConfigError(str(exc)) from exc
     summary = {"command": command, "config": cfg, "seed": cfg["seed"],
-               "version": __version__, **summary}
+               "version": __version__, "environment": _environment(),
+               **summary}
     try:
         return emit_results(columns, summary, out_dir, command)
     except OSError as exc:  # --out is a file, under one, or not writable

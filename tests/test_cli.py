@@ -433,6 +433,36 @@ def test_default_config_csv_bytes_are_pinned(tmp_path, command):
     assert digest == GOLDEN_CSV_SHA256[command]
 
 
+def test_summaries_name_their_environment_and_repeat(tmp_path, monkeypatch):
+    # the entry is taken once per process, and adds no CSV byte
+    calls = []
+    show_config = np.show_config
+    monkeypatch.setattr(np, "show_config",
+                        lambda **kw: calls.append(kw) or show_config(**kw))
+    cli._environment.cache_clear()
+    try:
+        for out in ("a", "b"):
+            for command in GOLDEN_CSV_SHA256:
+                config = ({"field": {"omega_mhz": 1.0}} if command == "bounds"
+                          else {})
+                csv_path, _ = run(command, _write(tmp_path, "c.json", config),
+                                  None, tmp_path / out)
+                assert (hashlib.sha256(csv_path.read_bytes()).hexdigest()
+                        == GOLDEN_CSV_SHA256[command])
+    finally:
+        cli._environment.cache_clear()
+    assert calls == [{"mode": "dicts"}]
+    blas = show_config(mode="dicts")["Build Dependencies"]["blas"]
+    for command in GOLDEN_CSV_SHA256:
+        a, b = (tmp_path / out / f"{command}.summary.json"
+                for out in ("a", "b"))
+        assert a.read_bytes() == b.read_bytes()
+        env = json.loads(a.read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["blas"] == f"{blas['name']} {blas['version']}"
+        assert env["cpu_dispatch"] in ("X86_V2", "X86_V3", "X86_V4", None)
+
+
 # Every default-config CSV cell must agree across numpy's x86-64 dispatch
 # levels within this relative tolerance. The worst gap measured on x86-64
 # with numpy 2.4 is 5.6e-10, in convergence's df_bb, a difference of nearly
@@ -487,6 +517,8 @@ def test_default_config_csvs_agree_across_dispatch_levels(tmp_path, level):
              "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)})
     assert done.stdout == "[]\n", done.stderr
     for command in GOLDEN_CSV_SHA256:
+        summary = json.loads((there / f"{command}.summary.json").read_text())
+        assert summary["environment"]["cpu_dispatch"] == level
         header, rows = _read_csv(here / f"{command}.csv")
         header_there, rows_there = _read_csv(there / f"{command}.csv")
         assert header_there == header and len(rows_there) == len(rows)

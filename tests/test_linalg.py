@@ -1,6 +1,10 @@
 """Operator and state primitives: algebra, exponentials, reductions."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,8 +221,9 @@ class TestIndexNormals:
 
     def test_changed_seeding_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "_MIX_L", linalg._MIX_L ^ 1)
-        with pytest.raises(RuntimeError, match="differs from default_rng"):
-            index_normals(0, 4, 8)
+        for n in (4, 1000):  # row by row, and in a batch
+            with pytest.raises(RuntimeError, match="differs from default_rng"):
+                index_normals(0, n, 8)
 
     def test_bad_arguments_raise_before_any_allocation(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -226,6 +231,10 @@ class TestIndexNormals:
 
         for name in ("empty", "zeros", "arange", "array"):
             monkeypatch.setattr(np, name, refuse)
+        for name in ("_ziggurat_tables", "_probe", "_seed_words"):
+            monkeypatch.setattr(linalg, name, refuse)
+        with pytest.raises(ValueError, match="non-negative"):
+            index_normals(-1, 4000, 8)
         with pytest.raises(ValueError, match="2\\*\\*32"):
             index_normals(0, 2**32 + 1, 8)
         with pytest.raises(ValueError, match="non-negative"):
@@ -246,6 +255,135 @@ class TestIndexNormals:
         with pytest.raises(TypeError,
                            match="^seed must be an integer, got True$"):
             index_normals(True, 4, 8)
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The row counts of the chunks that take index_normals' batch path.
+    The probed tables are cleared before and after."""
+    calls = []
+    real = linalg._batch_normals
+
+    def spy(block, *states):
+        calls.append(len(block))
+        return real(block, *states)
+
+    monkeypatch.setattr(linalg, "_batch_normals", spy)
+    linalg._ziggurat_tables.cache_clear()
+    yield calls
+    linalg._ziggurat_tables.cache_clear()
+
+
+class TestIndexNormalsBatch:
+    # seeds of one to four entropy words
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**64 + 3, 2**96 + 7])
+    def test_rows_are_the_default_rng_streams(self, batches, seed, size):
+        n = linalg._BATCH_ROWS_PER_DRAW * size + 37
+        got = index_normals(seed, n, size)
+        assert batches == [n]
+        assert got.tobytes() == _rows(seed, range(n), size).tobytes()
+
+    def test_chunks_take_it_down_to_the_break_even(self, batches,
+                                                   monkeypatch):
+        monkeypatch.setattr(linalg, "_CHUNK_ROWS", 100)
+        assert linalg._BATCH_ROWS_PER_DRAW * 3 == 48
+        for n, chunks in ((348, [100, 100, 100, 48]), (347, [100] * 3)):
+            batches.clear()
+            got = index_normals(7919, n, 3)
+            assert batches == chunks
+            assert got.tobytes() == _rows(7919, range(n), 3).tobytes()
+
+    def test_larger_rows_and_smaller_calls_go_row_by_row(self, batches):
+        size = linalg._BATCH_SIZE + 1
+        index_normals(3, 100 * size, size)
+        index_normals(3, linalg._BATCH_ROWS_PER_DRAW * 8 - 1, 8)
+        assert batches == []
+
+    def test_the_tables_are_probed_on_first_use_not_at_import(self):
+        src = str(Path(linalg.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", "import acmag.cli, acmag.linalg as m; "
+             "print(m._ziggurat_tables.cache_info().currsize)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout == "0\n", done.stderr
+
+    def test_the_probed_tables_cover_every_idx_but_one(self):
+        wi, bound = linalg._ziggurat_tables()
+        # numpy's ki[1] is 0, so idx 1 always leaves the fast branch
+        assert bound[1] == 0
+        assert np.all(bound[np.arange(256) != 1] > 2**51)
+        assert np.all(bound <= 2**52) and np.all(wi > 0)
+        # a row of 8 draws leaves it about one time in ten
+        entropy = np.array([[0] * 4000, range(4000)], dtype=np.uint32)
+        redrawn = linalg._batch_normals(np.empty((4000, 8)),
+                                        *linalg._seed_words(entropy))
+        assert len(redrawn) == 409
+
+    def test_each_bound_is_the_probe_that_verified_it_plus_one(self, batches,
+                                                              monkeypatch):
+        probed = {}
+        real = linalg._probe
+
+        def spy(bits, gen, rs):
+            for r in rs:
+                if r >> 9 != 1 << 51:  # a bound check, not a width
+                    probed[r & 0xFF] = r >> 9
+            return real(bits, gen, rs)
+
+        monkeypatch.setattr(linalg, "_probe", spy)
+        _, bound = linalg._ziggurat_tables()
+        assert [probed[i] + 1 for i in np.flatnonzero(bound)] == \
+            bound[bound > 0].tolist()
+
+    def test_a_draw_at_its_bound_leaves_the_batch(self, monkeypatch):
+        # row 0's one draw sits at its idx's bound, where the batch would
+        # use a doubled width
+        r = int(np.random.default_rng([0, 0]).bit_generator.random_raw())
+        i, rabs = r & 0xFF, r >> 9 & (1 << 52) - 1
+        wi, bound = (a.copy() for a in linalg._ziggurat_tables())
+        wi[i], bound[i] = 2 * wi[i], rabs
+        monkeypatch.setattr(linalg, "_ziggurat_tables", lambda: (wi, bound))
+        got = index_normals(0, linalg._BATCH_ROWS_PER_DRAW, 1)
+        assert got[0].tobytes() == _rows(0, [0], 1).tobytes()
+
+    def test_tables_without_a_fast_branch_give_the_same_bytes(self,
+                                                             monkeypatch):
+        wi, bound = linalg._ziggurat_tables()
+        want = index_normals(5, 500, 8)
+        monkeypatch.setattr(linalg, "_ziggurat_tables",
+                            lambda: (wi, np.zeros_like(bound)))
+        got = index_normals(5, 500, 8)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == _rows(5, range(500), 8).tobytes()
+
+    def test_a_probe_that_disagrees_disables_its_idx(self, batches,
+                                                     monkeypatch):
+        _, want = linalg._ziggurat_tables()
+        linalg._ziggurat_tables.cache_clear()
+        real = linalg._probe
+
+        def probe(bits, gen, rs):
+            z, took = real(bits, gen, rs)
+            for k, r in enumerate(rs):
+                check = r >> 9 != 1 << 51  # a bound check, not a width
+                if r & 0xFF == 5 and check:  # a value off by one ulp
+                    z[k] = float(np.nextafter(z[k], 0.0))
+                if r & 0xFF == 7 and not check:  # a width after more outputs
+                    took = 0
+                if r & 0xFF == 9 and check:  # the value, after two outputs
+                    took = 2 if len(rs) == 1 else 0
+            return z, took
+
+        monkeypatch.setattr(linalg, "_probe", probe)
+        _, bound = linalg._ziggurat_tables()
+        # idx 8's bound is predicted from idx 7's width
+        assert np.flatnonzero(bound != want).tolist() == [5, 7, 8, 9]
+        assert not bound[[5, 7, 8, 9]].any()
+        got = index_normals(0, 1000, 8)
+        assert batches == [1000]
+        assert got.tobytes() == _rows(0, range(1000), 8).tobytes()
 
 
 _NON_HERMITIAN = np.triu(np.ones((4, 4))) / 4

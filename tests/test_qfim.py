@@ -1,6 +1,7 @@
 """QFIM assembly, closed forms, bounds, probe search, measurement FIM."""
 
 import re
+import warnings
 from dataclasses import replace
 
 import mpmath as mp
@@ -489,7 +490,9 @@ class TestRelativeErrorCurves:
                                        atol=16 * eps, err_msg=key)
 
     # power-of-two scales of gamma and B keep every bit, also where
-    # F_BB F_ww (gamma = 2^340) or B^2 (B = 2^680 or 2^-560) leaves the floats
+    # F_BB F_ww (gamma = 2^340) or B^2 (B = 2^680 or 2^-560) leaves the
+    # floats; no warning either, as from a Gram determinant that no curve
+    # uses (its square overflows at gamma = 2^340)
     @pytest.mark.parametrize("g,B", [(2.0**340, 1.0), (2.0**-340, 2.0**680),
                                      (2.0**340, 2.0**-560)],
                              ids=["cross-product", "b-squared-overflows",
@@ -497,7 +500,8 @@ class TestRelativeErrorCurves:
     def test_scale_free_where_the_limits_powers_leave_the_floats(self, g, B):
         xs = np.logspace(2, 5, 200)
         ref = relative_error_curves(FieldParams.matched(1.0, 1.0), xs)
-        with np.errstate(over="ignore"):  # the Gram determinant, unused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = relative_error_curves(FieldParams.matched(B, 1.0, gamma=g),
                                         xs)
         for key, values in ref.items():
