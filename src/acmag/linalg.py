@@ -140,9 +140,9 @@ _LOW32 = np.uint64(_MASK32)
 # in-process calls), the batch breaks even near 16 rows at size 1, 24 at
 # size 2, 30 at 3, 80 at 8 and 180 at 16. At size 32 it breaks even only
 # near 1,000 rows, as a third of its rows leave the fast branch. Its first
-# call in a process also probes numpy's ziggurat tables, 512 draws from 260
-# PCG64 states: 1.3 to 2.5 ms warm and 1.7 to 3.3 ms in a fresh process, as
-# the host's speed varied.
+# call in a process also probes numpy's ziggurat tables, 512 draws, one
+# PCG64 state each: 1.8 to 2.1 ms warm and 2.2 to 2.6 ms first in a
+# process, on a 2-vCPU x86-64 guest, as the host's speed varied.
 _BATCH_ROWS_PER_DRAW, _BATCH_SIZE = 16, 16
 # rows per chunk, which bounds the batch's transient arrays
 _CHUNK_ROWS = 4096
@@ -208,39 +208,16 @@ def _xsl_rr(state: int) -> int:
     return (x >> rot | x << (64 - rot)) & _MASK64
 
 
-def _probe(bits, gen, rs: list):
-    """numpy's standard normals, one per output of rs (one or two), from a
-    PCG64 whose outputs run rs, with 0 after a lone output: the normals,
-    and the number of outputs they took, 1, 2, or 0 for more."""
-    r, r2 = (*rs, 0)[:2]
-    inc = r2 - r * _PCG_MULT & _MASK128  # so the states run r, r2
+def _probe(bits, gen, r: int):
+    """numpy's standard normal from a PCG64 whose outputs run r, 0: the
+    normal, and the number of outputs it took, 1, 2, or 0 for more."""
+    inc = -r * _PCG_MULT & _MASK128  # so the states run r, 0
     bits.state = {"bit_generator": "PCG64",  # the step to r, undone
                   "state": {"state": (r - inc) * _PCG_MULT_INV & _MASK128,
                             "inc": inc},
                   "has_uint32": 0, "uinteger": 0}
-    z = gen.standard_normal(len(rs)).tolist()
-    third = _xsl_rr(r2 * _PCG_MULT + inc & _MASK128)
-    return z, {r2: 1, third: 2}.get(bits.random_raw(), 0)
-
-
-def _probe_each(bits, gen, rs: list):
-    """(z, took) over an even number of outputs rs: numpy's standard normal
-    from each, and whether it took that output alone (1), that and the 0
-    after it (2), or more (0). Two outputs share one state, which halves
-    the state setter's calls, the probes' main cost, where each draw takes
-    one output; otherwise each is drawn alone."""
-    z, took = [], []
-    for pair in zip(rs[::2], rs[1::2]):
-        got, n = _probe(bits, gen, pair)
-        if n == 2:
-            z += got
-            took += [1, 1]
-            continue
-        for r in pair:
-            got, n = _probe(bits, gen, [r])
-            z += got
-            took.append(n)
-    return np.array(z), np.array(took)
+    z = gen.standard_normal()
+    return z, {0: 1, _xsl_rr(inc): 2}.get(bits.random_raw(), 0)
 
 
 @cache
@@ -255,7 +232,8 @@ def _ziggurat_tables():
     idx = np.arange(256)
     # at rabs = 2**51, x = 2**51 wi, after one output or, where ki = 0, two:
     # the output 0 after r makes the slow branch accept x at once
-    z, took = _probe_each(bits, gen, (1 << 60 | idx).tolist())
+    z, took = np.array([_probe(bits, gen, r)
+                        for r in (1 << 60 | idx).tolist()]).T
     wi = np.where(took > 0, z, np.nan) / 2.0**51
     # ki is near 2**52 x[idx - 1] / x[idx], x = 2**52 wi (idx 0 takes
     # x[255]): within 0.5 for idx >= 2. A margin comes off that guess.
@@ -265,7 +243,8 @@ def _ziggurat_tables():
     # is no guess
     b = np.maximum(np.nan_to_num(guess.clip(0.0, 2.0**52)).astype(np.int64)
                    - 1, 0)
-    z, took = _probe_each(bits, gen, (b << 9 | 1 << 8 | idx).tolist())
+    z, took = np.array([_probe(bits, gen, r)
+                        for r in (b << 9 | 1 << 8 | idx).tolist()]).T
     kept = (b > 0) & (took == 1) & (z == -b * wi)
     return wi, np.where(kept, b + 1, 0).astype(np.uint64)
 
@@ -318,6 +297,7 @@ def index_normals(seed: int, n: int, size: int) -> np.ndarray:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     _check_count(n, "n")
+    _check_count(size, "size")
     if not 0 <= n <= 2**32:  # beyond, an index spans two entropy words
         raise ValueError(f"need 0 <= n <= 2**32 indices, got {n}")
     # the seed's uint32 words, low first; 0 is the one word [0]

@@ -576,10 +576,15 @@ class TestGeneratorChunks:
         (FieldParams.matched(2.0, 50.0), TimeGrid(0.0, 10.0, 10**6), True)],
         ids=["matched", "matched-free", "workload-free", "workload-4e5",
              "workload-1e6"])
-    def test_long_phases_match_the_long_double_sums(self, p, grid, control):
+    def test_long_phases_match_the_long_double_sums(self, p, grid, control,
+                                                    ledger):
         got = _generator_quadrature.__wrapped__(p, grid, control)
-        for theta, ref in zip(("B", "omega"),
-                              _fixed_axis_generators(p, grid, control)):
+        refs = list(zip(("B", "omega"), _fixed_axis_generators(p, grid,
+                                                               control)))
+        ledger("worst gap / max|ref|", max(max_abs(got[theta] - ref)
+                                           / max_abs(ref)
+                                           for theta, ref in refs), 1e-13)
+        for theta, ref in refs:
             assert max_abs(got[theta] - ref) <= 1e-13 * max_abs(ref)
 
     # step counts around whole tables: one step, one short of a table, one

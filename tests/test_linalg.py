@@ -255,6 +255,15 @@ class TestIndexNormals:
         with pytest.raises(TypeError,
                            match="^seed must be an integer, got True$"):
             index_normals(True, 4, 8)
+        # size is checked by name too, not left to numpy's own errors
+        with pytest.raises(ValueError, match="^size must be >= 0, got -1$"):
+            index_normals(0, 4, -1)
+        with pytest.raises(ValueError,
+                           match="^size must be an integer, got True$"):
+            index_normals(0, 4, True)
+        with pytest.raises(ValueError,
+                           match="^size must be an integer, got 1.5$"):
+            index_normals(0, 4, 1.5)
 
 
 @pytest.fixture
@@ -321,16 +330,28 @@ class TestIndexNormalsBatch:
                                         *linalg._seed_words(entropy))
         assert len(redrawn) == 409
 
+    def test_a_probe_counts_the_outputs_its_draw_took(self):
+        wi, _ = linalg._ziggurat_tables()
+        bits = np.random.PCG64(0)
+        gen = np.random.Generator(bits)
+        # rabs 2**51 at idx 3 takes the fast branch: one output
+        assert linalg._probe(bits, gen, 1 << 60 | 3) == (2.0**51 * wi[3], 1)
+        # numpy's ki[1] is 0: the slow branch reads the 0 after r, which
+        # accepts x at once
+        assert linalg._probe(bits, gen, 1 << 60 | 1) == (2.0**51 * wi[1], 2)
+        # rabs 2**52 - 1 at idx 0 goes to the tail, which reads two more
+        z, took = linalg._probe(bits, gen, ((1 << 52) - 1) << 9)
+        assert took == 0 and z < -3.6
+
     def test_each_bound_is_the_probe_that_verified_it_plus_one(self, batches,
                                                               monkeypatch):
         probed = {}
         real = linalg._probe
 
-        def spy(bits, gen, rs):
-            for r in rs:
-                if r >> 9 != 1 << 51:  # a bound check, not a width
-                    probed[r & 0xFF] = r >> 9
-            return real(bits, gen, rs)
+        def spy(bits, gen, r):
+            if r >> 9 != 1 << 51:  # a bound check, not a width
+                probed[r & 0xFF] = r >> 9
+            return real(bits, gen, r)
 
         monkeypatch.setattr(linalg, "_probe", spy)
         _, bound = linalg._ziggurat_tables()
@@ -364,16 +385,15 @@ class TestIndexNormalsBatch:
         linalg._ziggurat_tables.cache_clear()
         real = linalg._probe
 
-        def probe(bits, gen, rs):
-            z, took = real(bits, gen, rs)
-            for k, r in enumerate(rs):
-                check = r >> 9 != 1 << 51  # a bound check, not a width
-                if r & 0xFF == 5 and check:  # a value off by one ulp
-                    z[k] = float(np.nextafter(z[k], 0.0))
-                if r & 0xFF == 7 and not check:  # a width after more outputs
-                    took = 0
-                if r & 0xFF == 9 and check:  # the value, after two outputs
-                    took = 2 if len(rs) == 1 else 0
+        def probe(bits, gen, r):
+            z, took = real(bits, gen, r)
+            check = r >> 9 != 1 << 51  # a bound check, not a width
+            if r & 0xFF == 5 and check:  # a value off by one ulp
+                z = float(np.nextafter(z, 0.0))
+            if r & 0xFF == 7 and not check:  # a width after more outputs
+                took = 0
+            if r & 0xFF == 9 and check:  # the value, after two outputs
+                took = 2
             return z, took
 
         monkeypatch.setattr(linalg, "_probe", probe)
