@@ -11,7 +11,7 @@ import numpy as np
 
 from acmag import (FieldParams, bell_probe_determinant, generator_closed_form,
                    probe_overlap, sample_probe_determinants)
-from acmag.linalg import expm_hermitian, bell_state, ket, pauli_op
+from acmag.linalg import SIGMA_Z, bell_state, expm_hermitian
 
 p = FieldParams.matched(1.0, 1.0)
 gen = generator_closed_form(p, 2.0, mode="asymptotic")
@@ -27,8 +27,8 @@ print(f"fraction within 1%:     {(dets > 0.99 * bell).mean():.3f}")
 # the fidelity view of the same fact: under a relative rotation by angle a,
 # the Bell probe's overlap drops to |cos a| (the lowest reachable), while a
 # product probe can be completely blind to the rotation axis
-u = expm_hermitian(pauli_op("z"), 0.7)
+u = expm_hermitian(SIGMA_Z, 0.7)
 print("\noverlap under a z-rotation by 0.7 rad:")
 print(f"  Bell probe:    {probe_overlap(bell_state('phi+'), u):.6f}"
       f"  (|cos 0.7| = {abs(np.cos(0.7)):.6f})")
-print(f"  product |00>:  {probe_overlap(ket(4, 0), u):.6f}  (insensitive)")
+print(f"  product |00>:  {probe_overlap(np.eye(4)[0], u):.6f}  (insensitive)")

@@ -15,8 +15,7 @@ from .dynamics import (ConvergenceError, FieldParams, GeneratorPair, TimeGrid,
                        generator_closed_form, generator_numeric, propagate)
 from .fitting import envelope_slope, loglog_slope, upper_envelope
 from .linalg import (bell_basis, bell_state, expm_hermitian, haar_state,
-                     is_hermitian, is_unitary, partial_trace, pauli_op,
-                     pure_cov, tensor)
+                     is_hermitian, is_unitary, pure_cov, tensor)
 from .nv import (AdaptiveDivergenceError, JacobianError, NvParams,
                  PiPulseModel, PulseSequence, ReadoutModel, ScalingResult,
                  SweepError, SweepResult, UncertaintyResult, adaptive_loop,

@@ -21,16 +21,10 @@ I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+for _pauli in (I2, SIGMA_X, SIGMA_Y, SIGMA_Z):  # shared: read-only
+    _pauli.flags.writeable = False
 
-_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-
-def pauli_op(axis: str) -> np.ndarray:
-    """Return the 2x2 Pauli matrix for axis 'x', 'y' or 'z'."""
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}; expected 'x', 'y' or 'z'")
+_NORM_TOL = 1e-12  # how far a pure state's norm^2 may stand from 1
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -83,14 +77,8 @@ def as_state(amplitudes: np.ndarray) -> np.ndarray:
     """Validate and return a pure-state amplitude vector (norm 1 +- 1e-12)."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     norm2 = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm2 - 1.0) > 1e-12:
-        raise ValueError(f"state norm^2 = {norm2!r} is not 1 within 1e-12")
-    return psi
-
-
-def ket(dim: int, index: int) -> np.ndarray:
-    psi = np.zeros(dim, dtype=complex)
-    psi[index] = 1.0
+    if not abs(norm2 - 1.0) <= _NORM_TOL:  # NaN too
+        raise ValueError(f"state norm^2 = {norm2!r} is not 1 within {_NORM_TOL}")
     return psi
 
 
@@ -329,25 +317,6 @@ def index_normals(seed: int, n: int, size: int) -> np.ndarray:
                 f"index_normals row {i} of seed {seed} differs from "
                 "default_rng: numpy's seeding has changed")
     return out
-
-
-def density(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
-
-
-def partial_trace(rho: np.ndarray) -> np.ndarray:
-    """Reduced 2x2 density matrix of the first qubit of a two-qubit
-    density matrix, which must be Hermitian with unit trace within 1e-10.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"partial_trace requires a 4x4 matrix, got {rho.shape}")
-    if not is_hermitian(rho):
-        raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
-        raise ValueError("density matrix must have unit trace")
-    return np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2))
 
 
 def pure_cov(psi: np.ndarray, a: np.ndarray, b: np.ndarray):

@@ -16,8 +16,8 @@ import numpy as np
 
 from .dynamics import (FieldParams, GeneratorPair, _check_closed_form,
                        _generator_coeffs)
-from .linalg import (I2, _check_count, bell_state, density, index_normals,
-                     is_unitary, partial_trace, pure_cov, tensor)
+from .linalg import (_NORM_TOL, I2, _check_count, as_state, bell_state,
+                     index_normals, is_unitary, pure_cov, tensor)
 
 
 class SingularQfimError(ValueError):
@@ -79,13 +79,19 @@ class CovBound:
 def qfim_from_generators(probe: np.ndarray, gen: GeneratorPair) -> Qfim2:
     """QFIM entries 4*Cov(h_a, h_b) in the probe state.
 
-    The probe is a two-qubit state and the generators act on the first
-    qubit only (h x I). A stack of probes (..., 4) gives a Qfim2 of arrays
-    over the stack.
+    The probe is a two-qubit state of norm 1 +- 1e-12 and the generators
+    act on the first qubit only (h x I). A stack of probes (..., 4) gives
+    a Qfim2 of arrays over the stack.
     """
     probe = np.asarray(probe, dtype=complex)
     if probe.shape[-1] != 4:
         raise ValueError("ancilla-assisted probe must be two-qubit")
+    norm2 = np.sum(np.abs(probe) ** 2, axis=-1)
+    bad = np.argwhere(~(np.abs(norm2 - 1.0) <= _NORM_TOL))  # NaN too
+    if len(bad):
+        at = tuple(bad[0].tolist())
+        raise ValueError(f"probe{list(at) if at else ''} norm^2 = "
+                         f"{float(norm2[at])!r} is not 1 within {_NORM_TOL}")
     hb = tensor(gen.h_b, I2)
     hw = tensor(gen.h_omega, I2)
     return Qfim2(f_bb=4.0 * pure_cov(probe, hb, hb),
@@ -201,12 +207,17 @@ def relative_error_curves(p: FieldParams, omega_t_values) -> dict[str, np.ndarra
 def probe_overlap(probe: np.ndarray, u_rel: np.ndarray) -> float:
     """Fidelity |Tr(rho_S u_rel)| of a probe under a relative rotation.
 
-    rho_S is the reduced state of the first qubit; u_rel must be unitary.
+    With M the probe's (sensor, ancilla) amplitude matrix, rho_S = M M^dag
+    and the fidelity is |<M, u_rel M>|; the probe must be a normalized
+    two-qubit state and u_rel unitary.
     """
     if not is_unitary(u_rel):
         raise ValueError("u_rel must be unitary")
-    rho_s = partial_trace(density(probe))
-    return float(abs(np.trace(rho_s @ u_rel)))
+    psi = as_state(probe)
+    if psi.size != 4:
+        raise ValueError("probe must be a two-qubit state")
+    m = psi.reshape(2, 2)
+    return float(abs(np.vdot(m, u_rel @ m)))
 
 
 def sample_probe_determinants(gen: GeneratorPair, n_samples: int,

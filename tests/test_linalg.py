@@ -13,31 +13,34 @@ from hypothesis import strategies as st
 
 from acmag import linalg
 from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_state, bell_basis,
-                          bell_state, density, expm_hermitian, haar_state,
-                          index_normals, is_hermitian, is_unitary, ket,
-                          partial_trace, pauli_op, pure_cov, tensor)
+                          bell_state, expm_hermitian, haar_state,
+                          index_normals, is_hermitian, is_unitary, pure_cov,
+                          tensor)
 
 
 class TestPauli:
     def test_definitions(self):
-        np.testing.assert_array_equal(pauli_op("x"), [[0, 1], [1, 0]])
-        np.testing.assert_array_equal(pauli_op("z"), [[1, 0], [0, -1]])
+        np.testing.assert_array_equal(SIGMA_X, [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(SIGMA_Y, [[0, -1j], [1j, 0]])
+        np.testing.assert_array_equal(SIGMA_Z, [[1, 0], [0, -1]])
 
     def test_involution(self):
-        for axis in "xyz":
-            s = pauli_op(axis)
+        for s in (SIGMA_X, SIGMA_Y, SIGMA_Z):
             np.testing.assert_allclose(s @ s, I2, atol=1e-15)
 
     def test_traceless_hermitian_unitary(self):
-        for axis in "xyz":
-            s = pauli_op(axis)
+        for s in (SIGMA_X, SIGMA_Y, SIGMA_Z):
             assert abs(np.trace(s)) == 0
             assert is_hermitian(s)
             assert is_unitary(s)
 
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            pauli_op("w")
+    @pytest.mark.parametrize("name", ["I2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z"])
+    def test_shared_constants_are_read_only(self, name):
+        m = getattr(linalg, name)
+        # checked before the write, which would corrupt every later test
+        assert not m.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 7.0
 
 
 class TestIsHermitian:
@@ -64,12 +67,12 @@ class TestTensor:
         np.testing.assert_array_equal(tensor(I2, I2), np.eye(4))
 
     def test_zz_eigenvalue_on_00(self):
-        psi = ket(4, 0)
+        psi = np.eye(4)[0]
         np.testing.assert_allclose(tensor(SIGMA_Z, SIGMA_Z) @ psi, psi)
 
     def test_x_on_first_qubit_of_bell(self):
         out = tensor(SIGMA_X, I2) @ bell_state("phi+")
-        expected = (ket(4, 2) + ket(4, 1)) / np.sqrt(2)  # (|10> + |01>)/sqrt2
+        expected = (np.eye(4)[2] + np.eye(4)[1]) / np.sqrt(2)  # (|10> + |01>)/sqrt2
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_dimension_cap(self):
@@ -118,30 +121,6 @@ class TestExpmHermitian:
                 expm_hermitian(h, t) @ expm_hermitian(h, s), atol=1e-9)
 
 
-class TestPartialTrace:
-    def test_bell_reduces_to_maximally_mixed(self):
-        rho = partial_trace(density(bell_state("phi+")))
-        np.testing.assert_allclose(rho, I2 / 2, atol=1e-14)
-
-    def test_product_state(self):
-        rho = partial_trace(density(ket(4, 0)))
-        np.testing.assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_trace_preserved_and_psd_on_random_states(self):
-        rng = np.random.default_rng(13)
-        for _ in range(30):
-            r = partial_trace(density(haar_state(4, rng)))
-            assert abs(np.trace(r).real - 1.0) < 1e-12
-            np.testing.assert_allclose(r, r.conj().T, rtol=0, atol=1e-12)
-            assert np.linalg.eigvalsh(r).min() > -1e-12
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(3, dtype=complex) / 3)
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(4, dtype=complex))  # trace 4, not 1
-
-
 class TestPureCov:
     def test_variance_of_x_in_bell(self):
         op = tensor(SIGMA_X, I2)
@@ -153,7 +132,7 @@ class TestPureCov:
         assert pure_cov(bell_state("phi+"), a, b) == pytest.approx(0.0, abs=1e-14)
 
     def test_eigenstate_has_zero_variance(self):
-        assert pure_cov(ket(2, 0), SIGMA_Z, SIGMA_Z) == pytest.approx(0.0, abs=1e-14)
+        assert pure_cov(np.eye(2)[0], SIGMA_Z, SIGMA_Z) == pytest.approx(0.0, abs=1e-14)
 
     def test_symmetry_and_nonnegative_variance(self):
         rng = np.random.default_rng(14)
@@ -168,13 +147,19 @@ class TestPureCov:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            pure_cov(ket(2, 0), tensor(SIGMA_X, I2), tensor(SIGMA_X, I2))
+            pure_cov(np.eye(2)[0], tensor(SIGMA_X, I2), tensor(SIGMA_X, I2))
 
 
 class TestStates:
     def test_as_state_validates_norm(self):
         with pytest.raises(ValueError):
             as_state(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_as_state_refuses_a_non_finite_norm(self, value):
+        # NaN compares False with the tolerance, so it must fail the check
+        with pytest.raises(ValueError, match=f"norm\\^2 = {value} is not 1"):
+            as_state(np.array([value, 0.0]))
 
     def test_bell_states_orthonormal(self):
         basis = bell_basis()
@@ -412,9 +397,7 @@ _NON_HERMITIAN = np.triu(np.ones((4, 4))) / 4
 @pytest.mark.parametrize("call,match", [
     (lambda: pure_cov(bell_state("phi+"), _NON_HERMITIAN, np.eye(4)),
      "pure_cov requires Hermitian operators"),
-    (lambda: partial_trace(_NON_HERMITIAN),
-     "density matrix must be Hermitian"),
-], ids=["pure_cov", "partial_trace"])
+], ids=["pure_cov"])
 def test_rejections(call, match):
     with pytest.raises(ValueError, match=match):
         call()

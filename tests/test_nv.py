@@ -531,6 +531,15 @@ class TestBellReadout:
         probs = bell_readout(psi)
         np.testing.assert_allclose(probs, 0.25, atol=1e-3)
 
+    def test_readout_rotation_is_the_stated_rotation(self):
+        # exp(-i pi n.sigma / 3) about n = (1, 1, 1)/sqrt(3): cos(pi/3) = 1/2
+        # and sin(pi/3)/sqrt(3) = 1/2, so it is (I - i(sx + sy + sz)) / 2
+        sx = np.array([[0, 1], [1, 0]])
+        sy = np.array([[0, -1j], [1j, 0]])
+        stated = (np.eye(2) - 1j * (sx + sy + SZ)) / 2
+        np.testing.assert_allclose(nv_module.READOUT_ROTATION, stated,
+                                   rtol=0, atol=1e-15)
+
     def test_projects_onto_the_bell_basis_after_the_electron_rotation(self):
         rng = np.random.default_rng(17)
         for _ in range(5):

@@ -15,9 +15,8 @@ from acmag.dynamics import (FieldParams, GeneratorPair, TimeGrid,
                             _generator_coeffs, generator_closed_form,
                             generator_numeric)
 from acmag.fitting import envelope_slope, upper_envelope
-from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state, density,
-                          expm_hermitian, haar_state, ket, partial_trace,
-                          tensor)
+from acmag.linalg import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state,
+                          expm_hermitian, haar_state, index_normals, tensor)
 from acmag.qfim import (CovBound, Qfim2, SingularQfimError, _closed_form,
                         bell_probe_determinant, classical_fim, probe_overlap,
                         qcrb, qfim_closed_form, qfim_determinant,
@@ -59,7 +58,19 @@ class TestQfimFromGenerators:
     def test_dimension_mismatch(self):
         gen = GeneratorPair(h_b=SIGMA_X, h_omega=SIGMA_Y)
         with pytest.raises(ValueError):
-            qfim_from_generators(ket(2, 0), gen)
+            qfim_from_generators(np.eye(2)[0], gen)
+
+    def test_probes_must_be_normalized_within_1e_12(self):
+        # the covariances scale with the norm^2, so an unnormalized probe
+        # gives a wrong F (twice the Bell probe, four times its F)
+        gen = generator_closed_form(FieldParams.matched(1.0, 1.0), 1.0)
+        bell = bell_state("phi+")
+        with pytest.raises(ValueError,
+                           match="^probe\\[1\\] norm\\^2 = 1.000000000002"):
+            qfim_from_generators([bell, (1 + 1e-12) * bell], gen)
+        ok = np.array([bell, (1 + 4e-13) * bell,
+                       haar_state(4, np.random.default_rng(1))])
+        assert qfim_from_generators(ok, gen).f_bb.shape == (3,)
 
 
 class TestClosedForm:
@@ -330,6 +341,17 @@ class TestQcrb:
         with pytest.raises(SingularQfimError):
             qcrb(Qfim2(*entries))
 
+    def test_inverts_a_qfim_with_correlated_parameters(self, ledger):
+        # matched control at omega*T = 11, T = 1 has f_bw = -0.0913; with
+        # the sign of cov_bw flipped F C would miss the identity by 0.74
+        f = qfim_closed_form(FieldParams.matched(1.0, 11.0), 1.0)
+        assert f.f_bw == pytest.approx(-0.0913, abs=1e-4)
+        c = qcrb(f)
+        cov = np.array([[c.var_b, c.cov_bw], [c.cov_bw, c.var_w]])
+        err = np.abs(f.matrix() @ cov - np.eye(2)).max()
+        ledger("max |F C - I|", err, 1e-14)
+        assert err <= 1e-14
+
     def test_is_covbound(self):
         assert isinstance(qcrb(Qfim2(4.0, 0.0, 16.0)), CovBound)
 
@@ -529,7 +551,7 @@ class TestProbeOverlap:
             assert val == pytest.approx(abs(np.cos(a)), abs=1e-12)
 
     def test_product_probe_is_insensitive_to_z_rotations(self):
-        psi = ket(4, 0)  # |00>
+        psi = np.eye(4)[0]  # |00>
         u = expm_hermitian(SIGMA_Z, 0.9)
         assert probe_overlap(psi, u) == pytest.approx(1.0, abs=1e-12)
 
@@ -540,7 +562,9 @@ class TestProbeOverlap:
         angles = [0.0, 1e-16, np.pi, 2 * np.pi, *rng.uniform(0, np.pi, 40)]
         for a in angles:
             psi = haar_state(4, rng)
-            rho_s = partial_trace(density(psi))
+            # the partial trace over the ancilla of |psi><psi|
+            rho_s = np.einsum("ikjk->ij",
+                              np.outer(psi, psi.conj()).reshape(2, 2, 2, 2))
             r = np.array([np.trace(rho_s @ s).real
                           for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
             n = rng.standard_normal(3)
@@ -554,6 +578,12 @@ class TestProbeOverlap:
         with pytest.raises(ValueError):
             probe_overlap(bell_state("phi+"), np.diag([1.0, 0.5]))
 
+    def test_rejects_a_probe_that_is_no_normalized_two_qubit_state(self):
+        with pytest.raises(ValueError, match="^probe must be a two-qubit state$"):
+            probe_overlap(np.eye(8)[0], np.eye(2))
+        with pytest.raises(ValueError, match="^state norm\\^2 = 4.0 is not 1"):
+            probe_overlap(2 * np.eye(4)[0], np.eye(2))
+
 
 class TestProbeSearch:
     def test_bell_probe_maximizes_determinant(self):
@@ -562,6 +592,31 @@ class TestProbeSearch:
         dets = sample_probe_determinants(gen, 200, seed=42)
         bell = bell_probe_determinant(gen)
         assert dets.max() <= bell + 1e-9
+
+    @pytest.mark.parametrize("omega,T,mode", [
+        (1.0, 1.0, "asymptotic"), (11.0, 1.0, "exact"), (1.5, 2.0, "exact")])
+    def test_every_probe_meets_the_bell_identity(self, omega, T, mode, ledger):
+        # both generators lie in the x-y plane, so with A their Pauli
+        # coefficients and r the Bloch vector of the probe's reduced sensor
+        # state, F / 4 = A A^T - (A r)(A r)^T, and the matrix determinant
+        # lemma gives det F(psi) = det F_Bell (1 - r_x^2 - r_y^2)
+        gen = generator_closed_form(FieldParams.matched(1.0, omega), T,
+                                    mode=mode)
+        n, seed = 500, 7
+        dets = sample_probe_determinants(gen, n, seed)
+        # the sampled probes as (sensor, ancilla) amplitude matrices M, whose
+        # reduced sensor states are M M^dag
+        z = index_normals(seed, n, 8).reshape(n, 2, 2, 2)
+        m = z[:, 0] + 1j * z[:, 1]
+        m /= np.linalg.norm(m, axis=(1, 2), keepdims=True)
+        rho_s = m @ m.conj().swapaxes(1, 2)
+        r_x, r_y = (np.einsum("nij,ji->n", rho_s, s).real
+                    for s in (SIGMA_X, SIGMA_Y))
+        bell = bell_probe_determinant(gen)
+        err = np.abs(dets - bell * (1 - r_x**2 - r_y**2)).max() / bell
+        ledger("max |det F - det F_Bell (1 - r_x^2 - r_y^2)| / det F_Bell",
+               err, 1e-13)
+        assert err <= 1e-13
 
     def test_sampling_is_deterministic_per_index(self):
         p = FieldParams.matched(1.0, 1.0)
@@ -753,8 +808,14 @@ _GEN = generator_closed_form(FieldParams.matched(1.0, 1.0), 1.0)
 
 
 @pytest.mark.parametrize("call,match", [
-    (lambda: qfim_from_generators(ket(2, 0), _GEN),
+    (lambda: qfim_from_generators(np.eye(2)[0], _GEN),
      "^ancilla-assisted probe must be two-qubit$"),
+    (lambda: qfim_from_generators(2 * bell_state("phi+"), _GEN),
+     "^probe norm\\^2 = 3.999999999999999 is not 1 within 1e-12$"),
+    (lambda: qfim_from_generators(
+        [[bell_state("phi+"), 3 * bell_state("phi+")],
+         [np.full(4, np.nan), bell_state("phi+")]], _GEN),
+     "^probe\\[0, 1\\] norm\\^2 = 8.999999999999998 is not 1 within 1e-12$"),
     (lambda: sample_probe_determinants(_GEN, 2.5, 0),
      "^n_samples must be an integer, got 2.5$"),
     (lambda: relative_error_curves(FieldParams.matched(0.0, 1.0), [100.0]),
@@ -776,7 +837,8 @@ _GEN = generator_closed_form(FieldParams.matched(1.0, 1.0), 1.0)
     (lambda: relative_error_curves(FieldParams.matched(1.0, 1.0),
                                    [100.0, np.nan]),
      "omega\\*T values must exceed 2\\*pi"),
-], ids=["probe-size", "non-integral-samples", "zero-amplitude",
+], ids=["probe-size", "probe-norm", "first-bad-probe-of-stack",
+        "non-integral-samples", "zero-amplitude",
         "non-unitary", "step", "subnormal-omega-step", "nan-probability",
         "nan-omega-t"])
 def test_rejections(call, match):
